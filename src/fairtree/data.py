@@ -604,6 +604,14 @@ def _bin_labels(cuts: tuple[float, ...]) -> list[str]:
     return labels
 
 
+def _bin_cells(values: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
+    """Bin label per value under the cut points; NaN becomes ``MISSING``."""
+    labels = np.array(_bin_labels(cuts) + [MISSING], dtype=object)
+    idx = np.searchsorted(np.asarray(cuts), values, side="left")
+    idx[np.isnan(values)] = len(labels) - 1
+    return labels[idx]
+
+
 def discretize(table: DataTable, rule: DiscretizationRule) -> DataTable:
     """Replace a numeric column's values by categorical range codes.
 
@@ -623,16 +631,11 @@ def discretize(table: DataTable, rule: DiscretizationRule) -> DataTable:
     labels = _bin_labels(cuts)
     outcomes = tuple(labels + [MISSING]) if has_missing else tuple(labels)
 
-    idx = np.searchsorted(np.asarray(cuts), values, side="left")
-    new_col = np.empty(table.n_rows, dtype=object)
-    for i, v in enumerate(values):
-        new_col[i] = MISSING if np.isnan(v) else labels[idx[i]]
-
     new_spec = AttributeSpec(rule.column, "numeric", outcomes, tuple(cuts))
     attrs = tuple(new_spec if a.name == rule.column else a for a in table.schema.attributes)
     schema = replace(table.schema, attributes=attrs)
     cols = {name: table.column(name) for name in table.schema.column_names}
-    cols[rule.column] = new_col
+    cols[rule.column] = _bin_cells(values, cuts)
     return DataTable(schema, cols)
 
 
@@ -662,19 +665,11 @@ def conform_to_schema(table: DataTable, schema: TableSchema) -> DataTable:
         ours = table.schema.spec(spec.name)
         if spec.kind == "numeric" and spec.finalized and not ours.finalized:
             values = table.floats(spec.name)
-            labels = _bin_labels(spec.cut_points)
-            idx = np.searchsorted(np.asarray(spec.cut_points), values, side="left")
-            col = np.empty(table.n_rows, dtype=object)
-            for i, v in enumerate(values):
-                if np.isnan(v):
-                    if MISSING not in spec.outcomes:
-                        raise DataError(
-                            f"column {spec.name!r} has missing values unseen when the schema was built"
-                        )
-                    col[i] = MISSING
-                else:
-                    col[i] = labels[idx[i]]
-            cols[spec.name] = col
+            if MISSING not in spec.outcomes and np.isnan(values).any():
+                raise DataError(
+                    f"column {spec.name!r} has missing values unseen when the schema was built"
+                )
+            cols[spec.name] = _bin_cells(values, spec.cut_points)
         else:
             cols[spec.name] = table.column(spec.name)
     return DataTable(schema, cols)

@@ -1,11 +1,11 @@
 """Divergence kernels and split scoring for favored/deprived group distributions.
 
-All logarithms are base 2, so entropies and KL values are in bits. KL mode
-estimates distributions with add-one (Laplace) smoothing, which keeps every
-probability strictly inside (0, 1); squared-Euclid mode uses raw frequencies.
-An empty group yields the uniform distribution, the zero-support limit of
-add-one smoothing; this is also what makes the empty-group fallbacks coincide
-with classical entropy/Gini gain.
+All logarithms are base 2, so entropies and KL values are in bits. ``LAPLACE``
+says which measures estimate distributions with add-one smoothing, which keeps
+every probability strictly inside (0, 1); the others use raw frequencies. An
+empty group yields the uniform distribution, the zero-support limit of add-one
+smoothing; this is also what makes the empty-group fallbacks coincide with
+classical entropy/Gini gain.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ import numpy as np
 from .data import GroupCounts
 from .errors import IntegrityError
 
-MEASURES = ("kl", "euclid")
+#: Whether each measure estimates class distributions with add-one smoothing.
+#: KL must smooth: a raw zero where the other group's frequency is positive
+#: makes it infinite. Squared Euclid is finite on raw frequencies.
+LAPLACE = {"kl": True, "euclid": False}
+
+MEASURES = tuple(LAPLACE)
 
 #: Normalizers below this are treated as zero and make a candidate ineligible,
 #: since dividing by a vanishing normalizer would inflate worthless tests.
@@ -26,27 +31,6 @@ NORMALIZER_EPS = 1e-9
 
 #: Ratio assigned to candidates whose normalizer vanished.
 INELIGIBLE_RATIO = float("-inf")
-
-_LAPLACE_DEFAULT = {"kl": True, "euclid": False}
-
-
-@dataclass(frozen=True)
-class ClassDist:
-    """A binary class distribution for one group, with its estimation context."""
-
-    p_pos: float
-    p_neg: float
-    laplace_applied: bool
-    support: int
-
-    def __post_init__(self):
-        if abs(self.p_pos + self.p_neg - 1.0) > 1e-12:
-            raise IntegrityError(f"class distribution does not sum to 1: {self}")
-
-    @property
-    def degenerate(self) -> bool:
-        """True when estimated from an empty group without smoothing."""
-        return self.support == 0 and not self.laplace_applied
 
 
 @dataclass(frozen=True)
@@ -65,84 +49,21 @@ def _check_measure(measure: str) -> None:
         raise IntegrityError(f"unknown divergence measure {measure!r}")
 
 
-def class_dists(counts: GroupCounts, laplace: bool) -> tuple[ClassDist, ClassDist]:
-    """Per-group class distributions; add-one over the two classes when smoothing."""
+def class_probs(pos: int, n: int, laplace: bool) -> tuple[float, float]:
+    """One group's (p_pos, p_neg); add-one over the two classes when smoothing."""
+    if laplace:
+        probs = ((pos + 1) / (n + 2), (n - pos + 1) / (n + 2))
+    elif n == 0:
+        probs = (0.5, 0.5)
+    else:
+        probs = (pos / n, (n - pos) / n)
+    if abs(probs[0] + probs[1] - 1.0) > 1e-12:
+        raise IntegrityError(f"class distribution does not sum to 1: {probs}")
+    return probs
 
-    def one(pos: int, n: int) -> ClassDist:
-        if laplace:
-            return ClassDist((pos + 1) / (n + 2), (n - pos + 1) / (n + 2), True, n)
-        if n == 0:
-            return ClassDist(0.5, 0.5, False, 0)
-        return ClassDist(pos / n, (n - pos) / n, False, n)
 
-    return one(counts.fav_pos, counts.n_fav), one(counts.dep_pos, counts.n_dep)
-
-
-def kl(p: ClassDist, q: ClassDist) -> float:
+def kl(p, q) -> float:
     """Directed divergence sum p_i * log2(p_i / q_i); nonnegative, 0 iff p == q."""
-    total = 0.0
-    for pi, qi in ((p.p_pos, q.p_pos), (p.p_neg, q.p_neg)):
-        if pi > 0.0:
-            if qi <= 0.0:
-                raise ValueError(
-                    "KL divergence is infinite when q has a zero where p is positive; "
-                    "apply Laplace correction to the distributions"
-                )
-            total += pi * math.log2(pi / qi)
-    return total
-
-
-def sq_euclid(p: ClassDist, q: ClassDist) -> float:
-    """Squared Euclidean distance between the distributions; symmetric, in [0, 2]."""
-    return (p.p_pos - q.p_pos) ** 2 + (p.p_neg - q.p_neg) ** 2
-
-
-def _divergence(counts: GroupCounts, measure: str, laplace: bool) -> float:
-    fav, dep = class_dists(counts, laplace)
-    return kl(fav, dep) if measure == "kl" else sq_euclid(fav, dep)
-
-
-def conditional_divergence(
-    children: list[GroupCounts], measure: str, laplace: bool | None = None
-) -> float:
-    """Divergence after a split: child divergences weighted by combined row share."""
-    _check_measure(measure)
-    if laplace is None:
-        laplace = _LAPLACE_DEFAULT[measure]
-    total = sum(c.n for c in children)
-    if total == 0:
-        return 0.0
-    return sum((c.n / total) * _divergence(c, measure, laplace) for c in children if c.n > 0)
-
-
-def divergence_gain(
-    parent: GroupCounts, children: list[GroupCounts], measure: str, laplace: bool | None = None
-) -> float:
-    """Divergence after the split minus divergence before; may be negative."""
-    _check_measure(measure)
-    if laplace is None:
-        laplace = _LAPLACE_DEFAULT[measure]
-    summed = GroupCounts(0, 0, 0, 0)
-    for c in children:
-        summed = summed + c
-    if summed != parent:
-        raise IntegrityError("children do not partition the parent's rows")
-    return conditional_divergence(children, measure, laplace) - _divergence(parent, measure, laplace)
-
-
-# -- vector helpers over outcome distributions --------------------------------
-
-
-def entropy_bits(probs) -> float:
-    """Shannon entropy in bits; zero-probability terms contribute nothing."""
-    return float(-sum(p * math.log2(p) for p in probs if p > 0.0))
-
-
-def gini(probs) -> float:
-    return float(1.0 - sum(p * p for p in probs))
-
-
-def _kl_vec(p, q) -> float:
     total = 0.0
     for pi, qi in zip(p, q):
         if pi > 0.0:
@@ -155,8 +76,55 @@ def _kl_vec(p, q) -> float:
     return total
 
 
-def _euclid_vec(p, q) -> float:
+def sq_euclid(p, q) -> float:
+    """Squared Euclidean distance between the distributions; symmetric, in [0, 2]."""
     return float(sum((pi - qi) ** 2 for pi, qi in zip(p, q)))
+
+
+def _divergence(counts: GroupCounts, measure: str, laplace: bool) -> float:
+    fav = class_probs(counts.fav_pos, counts.n_fav, laplace)
+    dep = class_probs(counts.dep_pos, counts.n_dep, laplace)
+    return kl(fav, dep) if measure == "kl" else sq_euclid(fav, dep)
+
+
+def conditional_divergence(
+    children: list[GroupCounts], measure: str, laplace: bool | None = None
+) -> float:
+    """Divergence after a split: child divergences weighted by combined row share."""
+    _check_measure(measure)
+    if laplace is None:
+        laplace = LAPLACE[measure]
+    total = sum(c.n for c in children)
+    if total == 0:
+        return 0.0
+    return sum((c.n / total) * _divergence(c, measure, laplace) for c in children if c.n > 0)
+
+
+def divergence_gain(
+    parent: GroupCounts, children: list[GroupCounts], measure: str, laplace: bool | None = None
+) -> float:
+    """Divergence after the split minus divergence before; may be negative."""
+    _check_measure(measure)
+    if laplace is None:
+        laplace = LAPLACE[measure]
+    summed = GroupCounts(0, 0, 0, 0)
+    for c in children:
+        summed = summed + c
+    if summed != parent:
+        raise IntegrityError("children do not partition the parent's rows")
+    return conditional_divergence(children, measure, laplace) - _divergence(parent, measure, laplace)
+
+
+# -- outcome distributions and normalizers -------------------------------------
+
+
+def entropy_bits(probs) -> float:
+    """Shannon entropy in bits; zero-probability terms contribute nothing."""
+    return float(-sum(p * math.log2(p) for p in probs if p > 0.0))
+
+
+def gini(probs) -> float:
+    return float(1.0 - sum(p * p for p in probs))
 
 
 def outcome_distributions(
@@ -190,7 +158,7 @@ def kl_normalizer(parent: GroupCounts, fav_dist: np.ndarray, dep_dist: np.ndarra
         return 0.0
     wf, wd = parent.n_fav / n, parent.n_dep / n
     h_groups = entropy_bits((wf, wd))
-    value = h_groups * _kl_vec(fav_dist, dep_dist) if h_groups > 0.0 else 0.0
+    value = h_groups * kl(fav_dist, dep_dist) if h_groups > 0.0 else 0.0
     if wf > 0.0:
         value += wf * entropy_bits(fav_dist)
     if wd > 0.0:
@@ -205,7 +173,7 @@ def e_normalizer(parent: GroupCounts, fav_dist: np.ndarray, dep_dist: np.ndarray
         return 0.0
     wf, wd = parent.n_fav / n, parent.n_dep / n
     g_groups = gini((wf, wd))
-    value = g_groups * _euclid_vec(fav_dist, dep_dist) if g_groups > 0.0 else 0.0
+    value = g_groups * sq_euclid(fav_dist, dep_dist) if g_groups > 0.0 else 0.0
     if wf > 0.0:
         value += wf * gini(fav_dist)
     if wd > 0.0:

@@ -24,7 +24,11 @@ TREE_FORMAT = "fairtree/1"
 #: Ratio differences at or below this are ties, broken by declaration order.
 TIE_EPS = 1e-12
 
-CRITERIA = ("kl", "euclid")
+CRITERIA = dv.MEASURES
+
+#: The only attribute reuse policy: a categorical attribute is consumed along
+#: its path. Written into every tree document and required when reading one.
+ATTRIBUTE_REUSE = "consume"
 
 
 @dataclass(frozen=True)
@@ -49,13 +53,10 @@ TreeNode = Leaf | Internal
 @dataclass(frozen=True)
 class BuildConfig:
     min_rows: int = 1
-    attribute_reuse: str = "consume"  # recorded; "consume" is the only policy
 
     def __post_init__(self):
         if self.min_rows < 1:
             raise ConfigError("min_rows must be at least 1")
-        if self.attribute_reuse != "consume":
-            raise ConfigError(f"unsupported attribute reuse policy {self.attribute_reuse!r}")
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,25 @@ class FairTree:
     def digest(self) -> str:
         return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()[:16]
 
-    def leaves(self):
-        out: list[Leaf] = []
+    def leaves(self) -> list[Leaf]:
+        return [node for node, _ in walk(self.root) if isinstance(node, Leaf)]
 
-        def walk(node: TreeNode):
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                for child in node.children.values():
-                    walk(child)
 
-        walk(self.root)
-        return out
+def walk(root: TreeNode):
+    """Preorder ``(node, path)`` pairs, children in dict (declaration) order.
+
+    ``path`` holds the (attribute, outcome) conditions from the root to the
+    node, so ``len(path)`` is its depth.
+    """
+    stack: list[tuple[TreeNode, tuple[tuple[str, str], ...]]] = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        if isinstance(node, Internal):
+            stack.extend(
+                (child, path + ((node.attribute, outcome),))
+                for outcome, child in reversed(node.children.items())
+            )
 
 
 def leaf_disc(counts: GroupCounts) -> float:
@@ -146,7 +154,7 @@ def evaluate_splits(
     parent = group_counts(table, rows)
     fallback_mode = parent.n_fav == 0 or parent.n_dep == 0
     gc = table.gc_codes[rows]
-    laplace = criterion == "kl"
+    laplace = dv.LAPLACE[criterion]
 
     scored = []
     for attr in attributes:
@@ -260,29 +268,13 @@ def route(tree: FairTree, table: DataTable) -> np.ndarray:
     return out
 
 
-def assign(tree: FairTree, table: DataTable, row: int) -> int:
-    """Leaf id for a single row of a schema-conforming table."""
-    node = tree.root
-    while isinstance(node, Internal):
-        value = table.column(node.attribute)[row]
-        node = node.children.get(value, node.children[node.fallback_outcome])
-    return node.id
-
-
 def stats(tree: FairTree) -> InterpretabilityStats:
     nodes = leaves = depth = 0
-
-    def walk(node: TreeNode, d: int):
-        nonlocal nodes, leaves, depth
+    for node, path in walk(tree.root):
         nodes += 1
         if isinstance(node, Leaf):
             leaves += 1
-            depth = max(depth, d)
-        else:
-            for child in node.children.values():
-                walk(child, d + 1)
-
-    walk(tree.root, 0)
+            depth = max(depth, len(path))
     return InterpretabilityStats(nodes, leaves, depth)
 
 
@@ -293,17 +285,11 @@ def extract_subgroups(
 
     Sorted by discrimination descending, then leaf size descending.
     """
-    found: list[SubgroupDescriptor] = []
-
-    def walk(node: TreeNode, path: tuple[tuple[str, str], ...]):
-        if isinstance(node, Leaf):
-            if node.disc > 0.0 and node.disc >= min_disc:
-                found.append(SubgroupDescriptor(node.id, path, node.counts, node.disc))
-        else:
-            for outcome, child in node.children.items():
-                walk(child, path + ((node.attribute, outcome),))
-
-    walk(tree.root, ())
+    found = [
+        SubgroupDescriptor(node.id, path, node.counts, node.disc)
+        for node, path in walk(tree.root)
+        if isinstance(node, Leaf) and node.disc > 0.0 and node.disc >= min_disc
+    ]
     found.sort(key=lambda s: (-s.disc, -s.size, s.leaf_id))
     return found[:top_k] if top_k is not None else found
 
@@ -334,7 +320,7 @@ def serialize(tree: FairTree) -> str:
     doc = {
         "format": TREE_FORMAT,
         "criterion": tree.criterion,
-        "config": {"min_rows": tree.config.min_rows, "attribute_reuse": tree.config.attribute_reuse},
+        "config": {"min_rows": tree.config.min_rows, "attribute_reuse": ATTRIBUTE_REUSE},
         "schema_fingerprint": tree.schema.fingerprint,
         "schema": tree.schema.to_json(),
         "root": _node_to_json(tree.root),
@@ -346,6 +332,8 @@ def _node_from_json(doc: dict, depth: int) -> TreeNode:
     kind = doc.get("kind")
     if kind == "leaf":
         counts = GroupCounts(*(int(c) for c in doc["counts"]))
+        if min(counts.as_tuple()) < 0:
+            raise DataError(f"leaf {doc['id']}: negative counts {counts.as_tuple()}")
         disc = float(doc["disc"])
         expected = leaf_disc(counts)
         if abs(disc - expected) > 1e-9:
@@ -371,26 +359,52 @@ def _node_from_json(doc: dict, depth: int) -> TreeNode:
     raise DataError(f"unknown node kind {kind!r}")
 
 
+def _check_against_schema(root: TreeNode, schema: TableSchema) -> None:
+    """Reject trees that split on anything but a finalized feature column, split
+    on one twice along a path, name undeclared outcomes, or repeat a leaf id."""
+    features = {name: schema.spec(name) for name in schema.feature_names}
+    leaf_ids: set[int] = set()
+    for node, path in walk(root):
+        if isinstance(node, Leaf):
+            if node.id in leaf_ids:
+                raise DataError(f"duplicate leaf id {node.id}")
+            leaf_ids.add(node.id)
+            continue
+        spec = features.get(node.attribute) if isinstance(node.attribute, str) else None
+        if spec is None or not spec.finalized:
+            raise DataError(f"split attribute {node.attribute!r} is not a finalized feature column")
+        if any(a == node.attribute for a, _ in path):
+            raise DataError(f"attribute {node.attribute!r} is split on twice along one path")
+        undeclared = [o for o in node.children if o not in spec.outcomes]
+        if undeclared:
+            raise DataError(f"attribute {node.attribute!r} has undeclared outcomes {undeclared}")
+
+
 def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> FairTree:
     """Parse and validate a tree document; rejects corrupted or mismatched input."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
-        raise DataError(f"unsupported tree document format {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != TREE_FORMAT:
+        raise DataError(f"unsupported tree document format {fmt!r}")
     criterion = doc.get("criterion")
     if criterion not in CRITERIA:
         raise DataError(f"unknown criterion tag {criterion!r}")
     try:
         schema = TableSchema.from_json(doc["schema"])
-        config = BuildConfig(int(doc["config"]["min_rows"]), doc["config"]["attribute_reuse"])
+        config = BuildConfig(int(doc["config"]["min_rows"]))
+        reuse = doc["config"]["attribute_reuse"]
         root = _node_from_json(doc["root"], 0)
         stored_fp = doc["schema_fingerprint"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError, RecursionError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
+    if reuse != ATTRIBUTE_REUSE:
+        raise DataError(f"unsupported attribute reuse policy {reuse!r}")
     if schema.fingerprint != stored_fp:
         raise DataError("schema fingerprint does not match the embedded schema")
     if expected_schema_fingerprint is not None and stored_fp != expected_schema_fingerprint:
         raise DataError("tree was built against a different schema than expected")
+    _check_against_schema(root, schema)
     return FairTree(root, criterion, config, schema)

@@ -47,6 +47,18 @@ def table_rows(table: DataTable) -> list[tuple]:
     ]
 
 
+def relabel_bound(counts) -> float:
+    """Rounding bound on |disc| after promote/demote repairs a two-group leaf.
+
+    The plan promotes when the leaf's positives are at least its negatives and
+    demotes otherwise. Rounding the flip count to whole rows is off by at most
+    half a row, a rate gap of 0.5/n in the moved group of n rows; disc, twice
+    that gap, ends within 1/n_dep after promotion and within 1/n_fav after
+    demotion (see promote_count and demote_count).
+    """
+    return 1.0 / (counts.n_dep if counts.pos >= counts.neg else counts.n_fav)
+
+
 def _quiet_discretize(table):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

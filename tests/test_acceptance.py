@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import table_rows, toy_table
+from conftest import relabel_bound, table_rows, toy_table
 from fairtree.cli import main
 from fairtree.data import GroupCounts, discretize_all, group_counts, write_csv
 from fairtree.datasets import make_adult, make_german
@@ -213,18 +213,6 @@ def german_relabeled(german):
     return german, tree, p, out
 
 
-def _relabel_bound(counts: GroupCounts) -> float:
-    """Rounding bound on |disc| after promote/demote repairs a two-group leaf.
-
-    The plan promotes when the leaf's positives are at least its negatives and
-    demotes otherwise. Rounding the flip count to whole rows is off by at most
-    half a row, a rate gap of 0.5/n in the moved group of n rows; disc, twice
-    that gap, ends within 1/n_dep after promotion and within 1/n_fav after
-    demotion (see promote_count and demote_count).
-    """
-    return 1.0 / (counts.n_dep if counts.pos >= counts.neg else counts.n_fav)
-
-
 def test_c4_bound_after_relabel_every_leaf(german_relabeled):
     # promote/demote only moves labels toward the deprived group, so at sigma 0
     # no two-group leaf may end above the bound; a leaf below -bound must be one
@@ -243,7 +231,7 @@ def test_c4_bound_after_relabel_every_leaf(german_relabeled):
             continue
         n_leaves += 1
         after = group_counts(out, rows)
-        bound = _relabel_bound(before)
+        bound = relabel_bound(before)
         disc = leaf_disc(after)
         if disc < -bound - 1e-12 and leaf_disc(before) < 0.0 and after == before:
             residue += 1
@@ -276,7 +264,7 @@ def test_c4_bound_after_relabel_on_nonreversed_leaves(german_relabeled):
             continue
         after = group_counts(out, rows)
         if leaf_disc(before) >= 0.0:
-            worst_margin = max(worst_margin, abs(leaf_disc(after)) - _relabel_bound(before))
+            worst_margin = max(worst_margin, abs(leaf_disc(after)) - relabel_bound(before))
         else:
             assert after == before
     ok = worst_margin <= 1e-12

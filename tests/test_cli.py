@@ -81,6 +81,15 @@ class TestRelabel:
                 assert fa[:-1] == fb[:-1]  # only the trailing label cell moved
         assert changed == sum(a["count"] for a in plan_doc["actions"])
 
+    def test_tree_splitting_on_the_label_exits_3(self, german_csv, built, tmp_path):
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        doc["root"]["attribute"] = doc["schema"]["label"]["column"]
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("relabel", "--tree", str(bad), "--data", str(german_csv),
+                   "--sigma", "0", "--out", str(tmp_path / "rel")) == 3
+        assert not (tmp_path / "rel").exists()
+
     def test_sigma_out_of_range_exits_2(self, german_csv, built, tmp_path):
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--sigma", "2.01", "--out", str(tmp_path / "x")) == 2

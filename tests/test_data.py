@@ -11,6 +11,7 @@ from fairtree.data import (
     GroupCounts,
     LabelSpec,
     SensitiveSpec,
+    conform_to_schema,
     discretize,
     discretize_all,
     fit_cut_points,
@@ -212,6 +213,36 @@ class TestDiscretize:
         d = discretize(t, DiscretizationRule("x", "equal-frequency", 2))
         assert d.schema.spec("x").outcomes[-1] == MISSING
         assert d.column("x")[2] == MISSING
+
+    def test_conform_bins_like_discretize(self):
+        # boundary values fall in the lower bin; missing tokens in the MISSING bin
+        cols = {
+            "x": np.array(["1", "2", "?", "4", "", "2.5"], dtype=object),
+            "grp": np.array(["fav", "dep"] * 3, dtype=object),
+            "cls": np.array(["yes", "no"] * 3, dtype=object),
+        }
+        t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
+        d = discretize(t, DiscretizationRule("x", cut_points=(2.0, 3.0)))
+        expected = ["<=2.0", "<=2.0", MISSING, ">3.0", MISSING, "2.0-3.0"]
+        assert list(d.column("x")) == expected
+        conformed = conform_to_schema(t, d.schema)
+        assert list(conformed.column("x")) == expected
+        assert conformed.fingerprint == d.fingerprint
+
+    def test_conform_rejects_missing_values_unseen_by_the_schema(self):
+        def table(x):
+            cols = {
+                "x": np.array(x, dtype=object),
+                "grp": np.array(["fav", "dep", "fav"], dtype=object),
+                "cls": np.array(["yes", "no", "yes"], dtype=object),
+            }
+            return table_from_columns(
+                cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep")
+            )
+
+        reference = discretize(table(["1", "2", "3"]), DiscretizationRule("x", cut_points=(2.0,)))
+        with pytest.raises(DataError, match="missing values unseen"):
+            conform_to_schema(table(["1", "?", "3"]), reference.schema)
 
     def test_equal_width(self):
         cols = {

@@ -9,8 +9,8 @@ import oracle
 from fairtree.data import GroupCounts
 from fairtree.divergence import (
     INELIGIBLE_RATIO,
-    ClassDist,
-    class_dists,
+    LAPLACE,
+    class_probs,
     conditional_divergence,
     divergence_gain,
     e_normalizer,
@@ -29,8 +29,15 @@ KL_75_25_VS_UNIFORM = 0.18872187554086714
 KL_90_10_VS_10_90 = 2.535940001153850
 
 
-def dist(p_pos, support=10, laplace=False):
-    return ClassDist(p_pos, 1.0 - p_pos, laplace, support)
+def dist(p_pos):
+    return (p_pos, 1.0 - p_pos)
+
+
+def group_probs(counts, laplace):
+    return (
+        class_probs(counts.fav_pos, counts.n_fav, laplace),
+        class_probs(counts.dep_pos, counts.n_dep, laplace),
+    )
 
 
 counts_st = st.tuples(
@@ -55,10 +62,10 @@ class TestKl:
 
     @given(counts=counts_st)
     def test_gibbs_inequality_on_smoothed_estimates(self, counts):
-        f, d = class_dists(counts, laplace=True)
+        f, d = group_probs(counts, laplace=True)
         value = kl(f, d)
         assert value >= 0.0
-        if abs(f.p_pos - d.p_pos) <= 1e-12:
+        if abs(f[0] - d[0]) <= 1e-12:
             assert value <= 1e-12
         else:
             assert value > 0.0
@@ -89,26 +96,30 @@ class TestSqEuclid:
         assert sq_euclid(dist(p), dist(q)) == sq_euclid(dist(q), dist(p))
 
 
-class TestClassDists:
+def test_kernels_take_k_outcome_distributions():
+    p, q = np.array([0.5, 0.25, 0.25]), np.array([0.25, 0.25, 0.5])
+    assert kl(p, q) == pytest.approx(0.25, abs=1e-12)
+    assert sq_euclid(p, q) == pytest.approx(0.125, abs=1e-12)
+
+
+class TestClassProbs:
     def test_raw_pure_groups(self):
-        f, d = class_dists(GroupCounts(6, 0, 0, 1), laplace=False)
-        assert (f.p_pos, f.p_neg) == (1.0, 0.0)
-        assert (d.p_pos, d.p_neg) == (0.0, 1.0)
+        f, d = group_probs(GroupCounts(6, 0, 0, 1), laplace=False)
+        assert f == (1.0, 0.0)
+        assert d == (0.0, 1.0)
 
     def test_laplace_add_one(self):
-        f, d = class_dists(GroupCounts(6, 0, 0, 1), laplace=True)
-        assert (f.p_pos, f.p_neg) == (7 / 8, 1 / 8)
-        assert (d.p_pos, d.p_neg) == (1 / 3, 2 / 3)
+        f, d = group_probs(GroupCounts(6, 0, 0, 1), laplace=True)
+        assert f == (7 / 8, 1 / 8)
+        assert d == (1 / 3, 2 / 3)
 
     def test_empty_counts_give_uniform_prior(self):
-        f, d = class_dists(GroupCounts(0, 0, 0, 0), laplace=True)
-        assert (f.p_pos, d.p_pos) == (0.5, 0.5)
-        assert not f.degenerate
+        f, d = group_probs(GroupCounts(0, 0, 0, 0), laplace=True)
+        assert (f[0], d[0]) == (0.5, 0.5)
 
-    def test_empty_group_without_laplace_is_flagged(self):
-        _, d = class_dists(GroupCounts(2, 2, 0, 0), laplace=False)
-        assert d.degenerate
-        assert (d.p_pos, d.p_neg) == (0.5, 0.5)
+    def test_empty_group_without_laplace_is_uniform(self):
+        _, d = group_probs(GroupCounts(2, 2, 0, 0), laplace=False)
+        assert d == (0.5, 0.5)
 
 
 class TestConditionalDivergence:
@@ -166,8 +177,8 @@ class TestDivergenceGain:
 
     @given(counts=counts_st, measure=st.sampled_from(["kl", "euclid"]))
     def test_unequal_group_distributions_give_positive_divergence(self, counts, measure):
-        f, d = class_dists(counts, laplace=True)
-        if abs(f.p_pos - d.p_pos) < 1e-9:
+        f, d = group_probs(counts, laplace=True)
+        if abs(f[0] - d[0]) < 1e-9:
             return
         assert conditional_divergence([counts], measure, laplace=True) > 0.0
 
@@ -175,37 +186,37 @@ class TestDivergenceGain:
 class TestNormalizers:
     def test_kl_deprived_absent_reduces_to_split_information(self):
         parent = GroupCounts(6, 2, 0, 0)
-        fav, dep = outcome_distributions(np.array([4, 4]), np.array([0, 0]), laplace=True)
+        fav, dep = outcome_distributions(np.array([4, 4]), np.array([0, 0]), laplace=LAPLACE["kl"])
         value = kl_normalizer(parent, fav, dep)
         assert value == pytest.approx(entropy_bits(fav))
 
     def test_kl_identical_even_split_is_one(self):
         parent = GroupCounts(2, 2, 2, 2)
-        fav, dep = outcome_distributions(np.array([2, 2]), np.array([2, 2]), laplace=True)
+        fav, dep = outcome_distributions(np.array([2, 2]), np.array([2, 2]), laplace=LAPLACE["kl"])
         assert kl_normalizer(parent, fav, dep) == pytest.approx(1.0)
 
     def test_single_outcome_normalizer_zero_skips_candidate(self):
         parent = GroupCounts(3, 1, 2, 2)
-        fav, dep = outcome_distributions(np.array([4]), np.array([4]), laplace=True)
+        fav, dep = outcome_distributions(np.array([4]), np.array([4]), laplace=LAPLACE["kl"])
         value = kl_normalizer(parent, fav, dep)
         assert value == pytest.approx(0.0)
         assert gain_ratio(0.3, value) == INELIGIBLE_RATIO
 
     def test_e_identical_even_split(self):
         parent = GroupCounts(2, 2, 2, 2)
-        fav, dep = outcome_distributions(np.array([2, 2]), np.array([2, 2]), laplace=False)
+        fav, dep = outcome_distributions(np.array([2, 2]), np.array([2, 2]), laplace=LAPLACE["euclid"])
         assert e_normalizer(parent, fav, dep) == pytest.approx(0.5)
 
     def test_e_deprived_absent(self):
         parent = GroupCounts(5, 3, 0, 0)
-        fav, dep = outcome_distributions(np.array([5, 3]), np.array([0, 0]), laplace=False)
+        fav, dep = outcome_distributions(np.array([5, 3]), np.array([0, 0]), laplace=LAPLACE["euclid"])
         from fairtree.divergence import gini
 
         assert e_normalizer(parent, fav, dep) == pytest.approx(gini(fav))
 
     def test_e_single_outcome_zero(self):
         parent = GroupCounts(3, 1, 2, 2)
-        fav, dep = outcome_distributions(np.array([4]), np.array([4]), laplace=False)
+        fav, dep = outcome_distributions(np.array([4]), np.array([4]), laplace=LAPLACE["euclid"])
         assert e_normalizer(parent, fav, dep) == pytest.approx(0.0)
 
 
@@ -284,7 +295,7 @@ def test_normalizer_matches_termwise_oracle(part, measure):
         return
     fav = np.array([c.n_fav for c in children])
     dep = np.array([c.n_dep for c in children])
-    fav_dist, dep_dist = outcome_distributions(fav, dep, laplace=measure == "kl")
+    fav_dist, dep_dist = outcome_distributions(fav, dep, laplace=LAPLACE[measure])
     if measure == "kl":
         ours = kl_normalizer(parent, fav_dist, dep_dist)
     else:

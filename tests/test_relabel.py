@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_table
+from conftest import relabel_bound, toy_table
 from fairtree.data import GroupCounts, group_counts
 from fairtree.errors import ConfigError, DataError
 from fairtree.relabel import (
@@ -53,7 +53,7 @@ class TestPromoteCount:
         p = promote_count(c)
         assert 0 <= p <= c.dep_neg
         after = GroupCounts(c.fav_pos, c.fav_neg, c.dep_pos + p, c.dep_neg - p)
-        assert abs(leaf_disc(after)) <= 2.0 / min(c.n_fav, c.n_dep) + 1e-12
+        assert abs(leaf_disc(after)) <= relabel_bound(c) + 1e-12
 
 
 class TestDemoteCount:
@@ -216,7 +216,7 @@ class TestApply:
                 continue
             after = group_counts(out, rows)
             if leaf_disc(before) >= 0.0:
-                assert abs(leaf_disc(after)) <= 2.0 / min(before.n_fav, before.n_dep) + 1e-12
+                assert abs(leaf_disc(after)) <= relabel_bound(before) + 1e-12
             else:
                 assert after == before
 

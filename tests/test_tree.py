@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,14 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import table_rows, toy_table
-from fairtree.data import GroupCounts, group_counts
+from fairtree.data import MISSING, GroupCounts, group_counts
 from fairtree.divergence import SplitEvaluation
 from fairtree.errors import DataError
 from fairtree.tree import (
     BuildConfig,
+    FairTree,
     Internal,
     Leaf,
-    assign,
     build,
     choose_split,
     deserialize,
@@ -226,14 +228,13 @@ class TestRouting:
                       favored=[1, 0, 1, 0], positive=[1, 1, 0, 0])
         tree = build(t, "kl")
         leaf_of = route(tree, t)
-        for i in range(4):
-            assert assign(tree, t, i) == leaf_of[i]
+        for leaf in tree.leaves():
+            rows = np.nonzero(leaf_of == leaf.id)[0]
+            assert group_counts(t, rows) == leaf.counts
 
     def test_unseen_outcome_uses_fallback(self):
         # hand-built node whose children cover outcomes 0 and 1 only; the
         # schema also declares outcome 2, which must route to the fallback
-        from fairtree.tree import BuildConfig, FairTree
-
         reference = toy_table({"a": [0, 1, 2, 0]}, favored=[1, 0, 1, 0], positive=[1, 0, 1, 0])
         leaf0 = Leaf(0, GroupCounts(1, 0, 0, 1), 2.0, True, 1)
         leaf1 = Leaf(1, GroupCounts(1, 0, 0, 1), 2.0, True, 1)
@@ -245,7 +246,23 @@ class TestRouting:
         )
         ids = route(tree, reference)
         assert list(ids) == [0, 1, 1, 0]  # the a=2 row lands on the fallback child
-        assert assign(tree, reference, 2) == 1
+
+    def test_missing_tokens_route_to_the_missing_child(self):
+        # "?" and "" are missing tokens: their rows belong to the node's
+        # MISSING child, not to the fallback child that covers unseen outcomes
+        reference = toy_table(
+            {"a": ["x", "x", "x", "y", "?", ""]},
+            favored=[1, 0, 1, 0, 1, 0], positive=[1, 0, 1, 0, 1, 0],
+        )
+        assert reference.schema.spec("a").outcomes == ("x", "y", MISSING)
+        leaves = [Leaf(i, GroupCounts(1, 0, 0, 1), 2.0, True, 1) for i in range(3)]
+        tree = FairTree(
+            Internal("a", {"x": leaves[0], "y": leaves[1], MISSING: leaves[2]}, fallback_outcome="x"),
+            "kl",
+            BuildConfig(),
+            reference.schema,
+        )
+        assert list(route(tree, reference)) == [0, 0, 0, 1, 2, 2]
 
     def test_identical_rows_same_leaf(self, german):
         tree = build(german.subset(np.arange(120)), "kl")
@@ -298,7 +315,109 @@ class TestSubgroups:
         assert len(extract_subgroups(self._tree(), 0.0, top_k=1)) == 1
 
 
+def _edited(text: str, change) -> str:
+    doc = json.loads(text)
+    change(doc)
+    return json.dumps(doc)
+
+
+def _json_nodes(node: dict):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node["kind"] == "internal":
+            stack.extend(node["children"].values())
+
+
+def _split_root_attribute_twice(doc):
+    # a new root on the old root's attribute, with the old root as its child
+    root = doc["root"]
+    for node in _json_nodes(root):
+        if node["kind"] == "leaf":
+            node["depth"] += 1
+    outcome = next(iter(root["children"]))
+    doc["root"] = {
+        "kind": "internal", "attribute": root["attribute"],
+        "fallback": outcome, "children": {outcome: root},
+    }
+
+
+def _undeclared_outcome(doc):
+    root = doc["root"]
+    root["children"]["no-such-outcome"] = root["children"].pop(root["fallback"])
+    root["fallback"] = "no-such-outcome"
+
+
+def _negative_leaf_counts(doc):
+    # consistent disc and majority, so only the sign of the counts is wrong
+    leaf = next(n for n in _json_nodes(doc["root"]) if n["kind"] == "leaf")
+    counts = GroupCounts(*leaf["counts"]) + GroupCounts(3, -(leaf["counts"][1] + 2), 0, 0)
+    leaf["counts"] = list(counts.as_tuple())
+    leaf["disc"] = leaf_disc(counts)
+    leaf["majority"] = "positive" if counts.pos >= counts.neg else "negative"
+
+
+def _duplicate_leaf_id(doc):
+    leaves = [n for n in _json_nodes(doc["root"]) if n["kind"] == "leaf"]
+    leaves[1]["id"] = leaves[0]["id"]
+
+
+def _deeply_nested(text: str) -> str:
+    nested = '{"kind": "leaf", "id": 0, "counts": [1, 0, 0, 0], "disc": 0.0, ' \
+             '"majority": "positive", "depth": 900}'
+    for _ in range(900):
+        nested = '{"kind": "internal", "attribute": "a", "fallback": "0", "children": {"0": ' \
+                 + nested + "}}"
+    return _edited(text, lambda d: d.update(root="ROOT")).replace('"ROOT"', nested)
+
+
+# each mutation of a valid tree document, with the message it must raise
+UNTRUSTED_DOCUMENTS = {
+    "reuse-policy": (
+        lambda text: _edited(text, lambda d: d["config"].update(attribute_reuse="share")),
+        "reuse policy",
+    ),
+    "min-rows": (lambda text: _edited(text, lambda d: d["config"].update(min_rows=0)), "min_rows"),
+    "schema-kind": (
+        lambda text: _edited(text, lambda d: d["schema"]["attributes"][0].update(kind="ordinal")),
+        "kind",
+    ),
+    "unknown-attribute": (
+        lambda text: _edited(text, lambda d: d["root"].update(attribute="no_such_column")),
+        "not a finalized feature",
+    ),
+    "label-attribute": (
+        lambda text: _edited(text, lambda d: d["root"].update(attribute=d["schema"]["label"]["column"])),
+        "not a finalized feature",
+    ),
+    "sensitive-attribute": (
+        lambda text: _edited(
+            text, lambda d: d["root"].update(attribute=d["schema"]["sensitive"]["column"])
+        ),
+        "not a finalized feature",
+    ),
+    "attribute-twice-on-path": (lambda text: _edited(text, _split_root_attribute_twice), "twice"),
+    "undeclared-outcome": (lambda text: _edited(text, _undeclared_outcome), "undeclared"),
+    "duplicate-leaf-id": (lambda text: _edited(text, _duplicate_leaf_id), "duplicate leaf id"),
+    "negative-leaf-counts": (lambda text: _edited(text, _negative_leaf_counts), "negative counts"),
+    "deep-nesting": (_deeply_nested, "malformed"),
+}
+
+
+@pytest.fixture(scope="module")
+def tree_text(german):
+    return serialize(build(german.subset(np.arange(200)), "kl"))
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("mutation", sorted(UNTRUSTED_DOCUMENTS))
+    def test_untrusted_document_rejected(self, tree_text, mutation):
+        mutate, message = UNTRUSTED_DOCUMENTS[mutation]
+        assert isinstance(deserialize(tree_text).root, Internal)
+        with pytest.raises(DataError, match=message):
+            deserialize(mutate(tree_text))
+
     def test_round_trip(self, german):
         tree = build(german.subset(np.arange(200)), "kl")
         text = serialize(tree)
