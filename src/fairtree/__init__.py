@@ -26,7 +26,15 @@ from .metrics import (
     fairness_report,
     roc_points,
 )
-from .relabel import RelabeledTable, RelabelPlan, apply, demote_count, plan, promote_count
+from .relabel import (
+    RelabeledTable,
+    RelabelPlan,
+    apply,
+    census,
+    demote_count,
+    plan,
+    promote_count,
+)
 from .tree import (
     BuildConfig,
     FairTree,

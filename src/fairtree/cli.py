@@ -180,8 +180,13 @@ def _cmd_relabel(args) -> int:
     routing = conform_to_schema(raw, schema)
     if args.from_plan:
         plan_ = rl.plan_from_json(Path(args.from_plan).read_text(encoding="utf-8"))
+        if plan_.tree_digest != fair_tree.digest:
+            raise DataError(
+                f"the plan was built from a different tree (plan {plan_.tree_digest}, "
+                f"tree {fair_tree.digest})"
+            )
     else:
-        plan_ = rl.plan(fair_tree, routing, config.sigma, config.seed)
+        plan_ = rl.plan(rl.census(fair_tree, routing), config.sigma, config.seed)
     with _locked_out_dir(config.out_dir) as out:
         (out / "plan.json").write_text(rl.plan_to_json(plan_), encoding="utf-8")
         if not args.plan_only:

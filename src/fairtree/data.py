@@ -218,32 +218,28 @@ class DataTable:
 
     Finalized (categorical or discretized) columns carry integer code arrays
     indexing into their spec's outcomes; numeric columns carry parsed floats
-    (NaN where missing) until discretized.
+    (NaN where missing) until discretized. Derived tables (``subset``,
+    ``with_positive_mask``) share or slice those arrays instead of encoding
+    their columns again.
     """
 
     def __init__(self, schema: TableSchema, columns: dict[str, np.ndarray]):
-        self.schema = schema
         if set(columns) != set(schema.column_names):
             raise ConfigError("columns do not match schema")
         n = None
-        self._columns: dict[str, np.ndarray] = {}
+        cells: dict[str, np.ndarray] = {}
         for name in schema.column_names:
             col = np.asarray(columns[name], dtype=object)
             if n is None:
                 n = col.shape[0]
             elif col.shape[0] != n:
                 raise DataError(f"column {name!r} has {col.shape[0]} rows, expected {n}")
-            col.setflags(write=False)
-            self._columns[name] = col
-        self._n = int(n if n is not None else 0)
+            cells[name] = _frozen(col)
 
-        self._codes: dict[str, np.ndarray] = {}
-        self._floats: dict[str, np.ndarray] = {}
+        codes: dict[str, np.ndarray] = {}
+        floats: dict[str, np.ndarray] = {}
         for spec in schema.attributes:
-            if spec.finalized:
-                self._codes[spec.name] = self._encode(spec)
-            elif spec.kind == "numeric":
-                self._floats[spec.name] = self._parse_floats(spec.name)
+            _store_column(spec, schema.missing_tokens, cells[spec.name], codes, floats)
 
         for role, spec_col, values in (
             ("label", schema.label.column, (schema.label.positive, schema.label.negative)),
@@ -256,49 +252,43 @@ class DataTable:
                 extra = sorted(set(outcomes) - set(values))
                 raise ConfigError(f"{role} column {spec_col!r} has undeclared values {extra}")
 
-        lbl = schema.label
-        sens = schema.sensitive
-        self._positive = self.column(lbl.column) == lbl.positive
-        self._favored = self.column(sens.column) == sens.favored
-        self._positive.setflags(write=False)
-        self._favored.setflags(write=False)
+        favored = cells[schema.sensitive.column] == schema.sensitive.favored
+        self._fill(schema, cells, codes, floats, favored)
+
+    def _fill(self, schema, cells, codes, floats, favored) -> None:
+        self.schema = schema
+        self._columns = cells
+        self._n = int(cells[schema.label.column].shape[0])
+        self._codes = codes
+        self._floats = floats
+        self._positive = _frozen(cells[schema.label.column] == schema.label.positive)
+        self._favored = _frozen(favored)
         # group-class code per row: 0 = favored+, 1 = favored-, 2 = deprived+, 3 = deprived-
-        gc = np.where(self._favored, 0, 2) + np.where(self._positive, 0, 1)
-        gc.setflags(write=False)
-        self.gc_codes = gc
+        self.gc_codes = _frozen(np.where(self._favored, 0, 2) + np.where(self._positive, 0, 1))
         self._fingerprint: str | None = None
 
-    def _encode(self, spec: AttributeSpec) -> np.ndarray:
-        values = self._columns[spec.name]
-        lut = {o: i for i, o in enumerate(spec.outcomes)}
-        if MISSING in lut:
-            for tok in self.schema.missing_tokens:
-                lut.setdefault(tok, lut[MISSING])
-        uniq, inverse = np.unique(values, return_inverse=True)
-        try:
-            uniq_codes = np.array([lut[u] for u in uniq], dtype=np.int64)
-        except KeyError as exc:
-            raise DataError(
-                f"value {exc.args[0]!r} in column {spec.name!r} is not among its declared outcomes"
-            ) from exc
-        codes = uniq_codes[inverse]
-        codes.setflags(write=False)
-        return codes
+    def _derive(self, rows: np.ndarray | None, label_cells: np.ndarray | None) -> "DataTable":
+        """This table restricted to ``rows`` (all when None), with the label
+        column replaced by ``label_cells`` (kept when None).
 
-    def _parse_floats(self, name: str) -> np.ndarray:
-        values = self._columns[name]
-        missing = set(self.schema.missing_tokens)
-        out = np.empty(self._n, dtype=float)
-        for i, v in enumerate(values):
-            if v in missing:
-                out[i] = np.nan
-            else:
-                try:
-                    out[i] = float(v)
-                except ValueError:
-                    raise DataError(f"row {i + 1}: cannot parse {v!r} in numeric column {name!r}") from None
-        out.setflags(write=False)
-        return out
+        Codes and floats of every unchanged column are shared or sliced, never
+        re-encoded; only a replaced label column is encoded again.
+        """
+
+        def take(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+            if rows is None:
+                return dict(arrays)
+            return {name: _frozen(col[rows]) for name, col in arrays.items()}
+
+        cells, codes, floats = take(self._columns), take(self._codes), take(self._floats)
+        if label_cells is not None:
+            spec = self.schema.spec(self.schema.label.column)
+            cells[spec.name] = _frozen(label_cells)
+            _store_column(spec, self.schema.missing_tokens, cells[spec.name], codes, floats)
+        favored = self._favored if rows is None else self._favored[rows]
+        table = DataTable.__new__(DataTable)
+        table._fill(self.schema, cells, codes, floats, favored)
+        return table
 
     # -- accessors ---------------------------------------------------------
 
@@ -345,9 +335,7 @@ class DataTable:
     # -- construction of derived tables -------------------------------------
 
     def subset(self, indices: np.ndarray) -> "DataTable":
-        indices = np.asarray(indices)
-        cols = {name: self._columns[name][indices] for name in self.schema.column_names}
-        return DataTable(self.schema, cols)
+        return self._derive(np.asarray(indices), None)
 
     def with_positive_mask(self, positive: np.ndarray) -> "DataTable":
         """New table whose label column encodes the given positive/negative flags."""
@@ -355,10 +343,49 @@ class DataTable:
         if positive.shape != (self._n,):
             raise ConfigError("label mask has wrong length")
         lbl = self.schema.label
-        values = np.where(positive, lbl.positive, lbl.negative).astype(object)
-        cols = dict(self._columns)
-        cols[lbl.column] = values
-        return DataTable(self.schema, cols)
+        return self._derive(None, np.where(positive, lbl.positive, lbl.negative).astype(object))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _store_column(spec: AttributeSpec, missing_tokens, cells, codes, floats) -> None:
+    """Encode one column: codes when finalized, parsed floats when numeric."""
+    if spec.finalized:
+        codes[spec.name] = _frozen(_encode(spec, missing_tokens, cells))
+    elif spec.kind == "numeric":
+        floats[spec.name] = _frozen(_parse_floats(spec.name, missing_tokens, cells))
+
+
+def _encode(spec: AttributeSpec, missing_tokens, values: np.ndarray) -> np.ndarray:
+    lut = {o: i for i, o in enumerate(spec.outcomes)}
+    if MISSING in lut:
+        for tok in missing_tokens:
+            lut.setdefault(tok, lut[MISSING])
+    uniq, inverse = np.unique(values, return_inverse=True)
+    try:
+        uniq_codes = np.array([lut[u] for u in uniq], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(
+            f"value {exc.args[0]!r} in column {spec.name!r} is not among its declared outcomes"
+        ) from exc
+    return uniq_codes[inverse]
+
+
+def _parse_floats(name: str, missing_tokens, values: np.ndarray) -> np.ndarray:
+    missing = set(missing_tokens)
+    out = np.empty(values.shape[0], dtype=float)
+    for i, v in enumerate(values):
+        if v in missing:
+            out[i] = np.nan
+        else:
+            try:
+                out[i] = float(v)
+            except ValueError:
+                raise DataError(f"row {i + 1}: cannot parse {v!r} in numeric column {name!r}") from None
+    return out
 
 
 def group_counts(table: DataTable, rows: np.ndarray | None = None) -> GroupCounts:

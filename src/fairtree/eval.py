@@ -69,12 +69,15 @@ def one_hot(table: DataTable) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic: exp is only ever taken of -|z|.
+
+    ``minimum(z, -z)`` is -|z| that keeps a NaN's sign and payload, so every
+    element goes through the same IEEE operations as 1/(1+exp(-z)) for z >= 0
+    and exp(z)/(1+exp(z)) otherwise.
+    """
+    ez = np.exp(np.minimum(z, -z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
 
 
 def train_linear(table: DataTable, config: TrainConfig | None = None) -> LinearModel:
@@ -196,9 +199,9 @@ def sweep(
 ) -> SweepResult:
     """Cross-validated relabeling sweep over the discrimination threshold.
 
-    Per fold: grow one tree on the training portion (the tree does not depend
-    on sigma), then for each sigma relabel the training data, fit the
-    classifier, and evaluate on the untouched test fold ("raw") and on the
+    Per fold: grow one tree on the training portion and take one census of
+    each portion through it (neither depends on sigma), then for each sigma
+    relabel the training data, fit the classifier, and evaluate on the untouched test fold ("raw") and on the
     test fold relabeled through the same tree ("relabeled"). The baseline row
     is the classifier with no preprocessing at all.
     """
@@ -213,21 +216,26 @@ def sweep(
         groups = test.favored_mask
         cfg = replace(train_config, seed=_fold_seed(train_config.seed, f, 0))
 
-        base_model = train_linear(train, cfg)
-        base_preds = base_model.predict(test)
+        base_preds = train_linear(train, cfg).predict(test)
         per_key.setdefault(("baseline", None), []).append(
             _metrics(test.positive_mask, base_preds, groups)
         )
+        # Features and cfg are fixed within a fold and the fit is deterministic,
+        # so one fit per distinct set of training labels gives every prediction.
+        preds_by_labels = {train.positive_mask.tobytes(): base_preds}
+        train_census, test_census = rl.census(tree, train), rl.census(tree, test)
 
         for i, sigma in enumerate(sigma_grid):
-            p_train = rl.plan(tree, train, sigma, _fold_seed(seed, f, 100 + i))
+            p_train = rl.plan(train_census, sigma, _fold_seed(seed, f, 100 + i))
             relabeled_train = rl.apply(p_train, train).table
-            model = train_linear(relabeled_train, cfg)
-            preds = model.predict(test)
+            labels = relabeled_train.positive_mask.tobytes()
+            if labels not in preds_by_labels:
+                preds_by_labels[labels] = train_linear(relabeled_train, cfg).predict(test)
+            preds = preds_by_labels[labels]
             per_key.setdefault(("raw", sigma), []).append(
                 _metrics(test.positive_mask, preds, groups)
             )
-            p_test = rl.plan(tree, test, sigma, _fold_seed(seed, f, 500 + i))
+            p_test = rl.plan(test_census, sigma, _fold_seed(seed, f, 500 + i))
             relabeled_test = rl.apply(p_test, test).table
             per_key.setdefault(("relabeled", sigma), []).append(
                 _metrics(relabeled_test.positive_mask, preds, groups)

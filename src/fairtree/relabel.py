@@ -1,10 +1,12 @@
 """Promote/demote relabeling of discriminatory leaves.
 
-A plan selects every leaf whose discrimination is positive and at or above
-the threshold sigma, decides the direction from the leaf's majority class
-(ties prefer promotion), computes how many rows to flip so the per-group
-class rates meet, and picks those rows uniformly without replacement with a
-seeded generator. Applying a plan touches only the label column.
+A census routes a table through a tree once and records, for every leaf
+whose discrimination is positive, the direction from the leaf's majority
+class (ties prefer promotion), how many rows to flip so the per-group class
+rates meet, and which rows may flip. None of that depends on sigma. A plan
+keeps the censused leaves at or above the threshold sigma and picks their
+rows uniformly without replacement with a seeded generator. Applying a plan
+touches only the label column.
 
 Leaves with discrimination at or below zero are never planned. In a
 reverse-discriminated leaf (disc < 0, the deprived group already has the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataTable, GroupCounts, group_counts
+from .data import DataTable, GroupCounts
 from .errors import ConfigError, DataError, IntegrityError
 from .tree import FairTree, leaf_disc, route
 
@@ -97,26 +99,51 @@ class RelabeledTable:
     plan_digest: str
 
 
-def plan(tree: FairTree, table: DataTable, sigma: float, seed: int) -> RelabelPlan:
-    """Build the per-leaf relabeling actions for this tree/table pairing.
+@dataclass(frozen=True)
+class LeafCensus:
+    """A leaf with disc > 0 on one table: what any plan at sigma <= disc does there."""
+
+    leaf_id: int
+    disc: float
+    action: str  # PROMOTE | DEMOTE
+    count: int
+    candidates: np.ndarray  # ascending row ids eligible for the flip
+
+
+@dataclass(frozen=True)
+class Census:
+    """The sigma-independent part of planning one tree against one table."""
+
+    leaves: tuple[LeafCensus, ...]  # tree leaf order
+    table_fingerprint: str
+    tree_digest: str
+
+
+def census(tree: FairTree, table: DataTable) -> Census:
+    """Route the table once and record every discriminatory leaf's repair.
 
     Leaf statistics (counts, discrimination, majority) are recomputed from the
     rows of the given table routed through the tree, so the same tree can plan
     against held-out data; on its training table this reproduces the stored
     leaf counts exactly.
     """
-    if not 0.0 <= sigma <= 2.0:
-        raise ConfigError(f"sigma must lie in [0, 2], got {sigma}")
     leaf_of = route(tree, table)  # also checks the schema pairing
-    actions: list[LeafAction] = []
+    ids, slot, sizes = np.unique(leaf_of, return_inverse=True, return_counts=True)
+    joint = np.bincount(slot * 4 + table.gc_codes, minlength=4 * ids.size).reshape(-1, 4)
+    # a stable sort keeps each leaf's rows ascending
+    by_leaf = np.argsort(slot, kind="stable")
+    ends = np.cumsum(sizes)
+    slot_of = {int(leaf_id): k for k, leaf_id in enumerate(ids)}
+    leaves: list[LeafCensus] = []
     for leaf in tree.leaves():
-        rows = np.nonzero(leaf_of == leaf.id)[0]
-        if rows.size == 0:
+        k = slot_of.get(leaf.id)
+        if k is None:
             continue
-        counts = group_counts(table, rows)
+        counts = GroupCounts(*(int(c) for c in joint[k]))
         disc = leaf_disc(counts)
-        if disc <= 0.0 or disc < sigma:
+        if disc <= 0.0:
             continue
+        rows = by_leaf[ends[k] - sizes[k] : ends[k]]
         gc = table.gc_codes[rows]
         if counts.pos >= counts.neg:
             action, p = PROMOTE, promote_count(counts)
@@ -124,10 +151,28 @@ def plan(tree: FairTree, table: DataTable, sigma: float, seed: int) -> RelabelPl
         else:
             action, p = DEMOTE, demote_count(counts)
             candidates = rows[gc == 0]  # favored positives
-        rng = np.random.default_rng([seed, leaf.id])
-        selected = np.sort(rng.choice(candidates, size=p, replace=False))
-        actions.append(LeafAction(leaf.id, action, p, tuple(int(r) for r in selected)))
-    return RelabelPlan(float(sigma), int(seed), tuple(actions), table.fingerprint, tree.digest)
+        leaves.append(LeafCensus(leaf.id, disc, action, p, candidates))
+    return Census(tuple(leaves), table.fingerprint, tree.digest)
+
+
+def plan(census_: Census, sigma: float, seed: int) -> RelabelPlan:
+    """Relabel every censused leaf whose discrimination reaches sigma.
+
+    Each leaf's rows are drawn uniformly without replacement by a generator
+    seeded with ``(seed, leaf id)``.
+    """
+    if not 0.0 <= sigma <= 2.0:
+        raise ConfigError(f"sigma must lie in [0, 2], got {sigma}")
+    actions: list[LeafAction] = []
+    for leaf in census_.leaves:
+        if leaf.disc < sigma:
+            continue
+        rng = np.random.default_rng([seed, leaf.leaf_id])
+        selected = np.sort(rng.choice(leaf.candidates, size=leaf.count, replace=False))
+        actions.append(LeafAction(leaf.leaf_id, leaf.action, leaf.count, tuple(int(r) for r in selected)))
+    return RelabelPlan(
+        float(sigma), int(seed), tuple(actions), census_.table_fingerprint, census_.tree_digest
+    )
 
 
 def apply(plan_: RelabelPlan, table: DataTable) -> RelabeledTable:
@@ -137,20 +182,29 @@ def apply(plan_: RelabelPlan, table: DataTable) -> RelabeledTable:
             "refusing to apply: the plan was built against a different table "
             f"(plan {plan_.table_fingerprint}, table {table.fingerprint})"
         )
+    listed = np.array([r for act in plan_.actions for r in act.row_ids], dtype=np.int64)
+    bad = listed[(listed < 0) | (listed >= table.n_rows)]
+    if bad.size:
+        raise DataError(f"plan row {int(bad[0])} is outside the table's {table.n_rows} rows")
+    uniq, seen = np.unique(listed, return_counts=True)
+    if (seen > 1).any():
+        raise DataError(f"plan lists row {int(uniq[seen > 1][0])} more than once")
     positive = table.positive_mask.copy()
     favored = table.favored_mask
     for act in plan_.actions:
-        for r in act.row_ids:
-            if act.action == PROMOTE:
-                if favored[r] or positive[r]:
-                    raise IntegrityError(f"row {r}: promote target is not a deprived negative")
-                positive[r] = True
-            elif act.action == DEMOTE:
-                if not favored[r] or not positive[r]:
-                    raise IntegrityError(f"row {r}: demote target is not a favored positive")
-                positive[r] = False
-            else:
-                raise DataError(f"unknown action {act.action!r}")
+        rows = np.array(act.row_ids, dtype=np.int64)
+        if act.action == PROMOTE:
+            wrong = rows[favored[rows] | positive[rows]]
+            if wrong.size:
+                raise IntegrityError(f"row {int(wrong[0])}: promote target is not a deprived negative")
+            positive[rows] = True
+        elif act.action == DEMOTE:
+            wrong = rows[~favored[rows] | ~positive[rows]]
+            if wrong.size:
+                raise IntegrityError(f"row {int(wrong[0])}: demote target is not a favored positive")
+            positive[rows] = False
+        else:
+            raise DataError(f"unknown action {act.action!r}")
     return RelabeledTable(table.with_positive_mask(positive), table.fingerprint, plan_.digest)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class SubgroupDescriptor:
         return f"{c.fav_pos}:{c.fav_neg} / {c.dep_pos}:{c.dep_neg}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FairTree:
     root: TreeNode
     criterion: str
@@ -98,8 +99,9 @@ class FairTree:
     def schema_fingerprint(self) -> str:
         return self.schema.fingerprint
 
-    @property
+    @cached_property
     def digest(self) -> str:
+        """Hash of the serialized document, computed once per tree."""
         return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()[:16]
 
     def leaves(self) -> list[Leaf]:

@@ -18,7 +18,7 @@ from fairtree.data import GroupCounts, discretize_all, group_counts, write_csv
 from fairtree.datasets import make_adult, make_german
 from fairtree.divergence import conditional_divergence, divergence_gain, fallback_gain
 from fairtree.eval import TrainConfig, sweep
-from fairtree.relabel import DEMOTE, PROMOTE, apply, plan
+from fairtree.relabel import DEMOTE, PROMOTE, apply, census, plan
 from fairtree.tree import Internal, Leaf, build, evaluate_splits, leaf_disc, route, stats
 
 
@@ -208,7 +208,7 @@ def test_c3_exhaustive_and_sampled_oracle_equivalence():
 @pytest.fixture(scope="module")
 def german_relabeled(german):
     tree = build(german, "kl")
-    p = plan(tree, german, 0.0, seed=42)
+    p = plan(census(tree, german), 0.0, seed=42)
     out = apply(p, german).table
     return german, tree, p, out
 

@@ -109,6 +109,28 @@ class TestRelabel:
                    "--from-plan", str(a / "plan.json"), "--out", str(b)) == 0
         assert (a / "relabeled.csv").read_bytes() == (b / "relabeled.csv").read_bytes()
 
+    def test_plan_from_another_tree_exits_3(self, german_csv, built, tmp_path, capsys):
+        other, planned = tmp_path / "euclid", tmp_path / "plan"
+        assert run("build", "--data", str(german_csv), *SPEC_FLAGS, "--criterion", "euclid",
+                   "--out", str(other)) == 0
+        assert run("relabel", "--tree", str(other / "tree.json"), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(planned)) == 0
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(planned / "plan.json"), "--out", str(tmp_path / "b")) == 3
+        assert "different tree" in capsys.readouterr().err
+
+    def test_plan_with_out_of_range_row_exits_3(self, german_csv, built, tmp_path, capsys):
+        planned = tmp_path / "plan"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(planned)) == 0
+        doc = json.loads((planned / "plan.json").read_text(encoding="utf-8"))
+        doc["actions"][0]["rows"][0] = 1_000_000
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
+        assert "outside" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def audit_csv(german_csv, tmp_path_factory):

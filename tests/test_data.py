@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import toy_table
@@ -315,3 +317,74 @@ class TestDataTableInvariants:
         sub = german.subset(np.arange(10))
         assert sub.n_rows == 10
         assert sub.schema == german.schema
+
+    def test_undeclared_label_value_rejected_in_a_derived_table(self):
+        t = toy_table({"a": ["x", "y"]}, favored=[1, 0], positive=[1, 1])
+        attrs = tuple(
+            replace(a, outcomes=("yes",)) if a.name == "cls" else a for a in t.schema.attributes
+        )
+        yes_only = DataTable(replace(t.schema, attributes=attrs),
+                             {n: t.column(n) for n in t.schema.column_names})
+        with pytest.raises(DataError, match="'no'"):
+            yes_only.with_positive_mask(np.array([True, False]))
+
+
+@st.composite
+def raw_tables(draw):
+    """Tables as loaded: a numeric column still unfinalized, with missing cells."""
+    n = draw(st.integers(1, 25))
+    cells = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["0.5", "?", ""]))
+    num = draw(st.lists(cells, min_size=n, max_size=n))
+    assume(any(v not in ("?", "") for v in num))
+    cat = draw(st.lists(st.sampled_from(["a", "b", "c,d", "?"]), min_size=n, max_size=n))
+    favored = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    positive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cols = {
+        "num": np.array(num, dtype=object),
+        "cat": np.array(cat, dtype=object),
+        "grp": np.where(favored, "fav", "dep").astype(object),
+        "cls": np.where(positive, "yes", "no").astype(object),
+    }
+    return table_from_columns(cols, LabelSpec("cls", "yes", "no"),
+                              SensitiveSpec("grp", "fav", "dep"), numeric_columns=("num",))
+
+
+def assert_same_table(derived: DataTable, built: DataTable) -> None:
+    assert derived.schema == built.schema and derived.n_rows == built.n_rows
+    for spec in built.schema.attributes:
+        assert list(derived.column(spec.name)) == list(built.column(spec.name))
+        if spec.finalized:
+            assert derived.codes(spec.name).dtype == built.codes(spec.name).dtype
+            assert np.array_equal(derived.codes(spec.name), built.codes(spec.name))
+        elif spec.kind == "numeric":
+            assert np.array_equal(derived.floats(spec.name), built.floats(spec.name), equal_nan=True)
+    assert np.array_equal(derived.positive_mask, built.positive_mask)
+    assert np.array_equal(derived.favored_mask, built.favored_mask)
+    assert np.array_equal(derived.gc_codes, built.gc_codes)
+    assert derived.fingerprint == built.fingerprint
+
+
+class TestDerivedTables:
+    """Derived tables share or slice arrays; they must equal a table built afresh."""
+
+    @given(raw=raw_tables(), data=st.data())
+    def test_with_positive_mask_equals_a_built_table(self, raw, data):
+        for table in (raw, discretize_all(raw)):
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=table.n_rows,
+                                               max_size=table.n_rows)), dtype=bool)
+            cols = {n: table.column(n) for n in table.schema.column_names}
+            cols["cls"] = np.where(mask, "yes", "no").astype(object)
+            assert_same_table(table.with_positive_mask(mask), DataTable(table.schema, cols))
+
+    @given(raw=raw_tables(), data=st.data())
+    def test_subset_equals_a_built_table(self, raw, data):
+        for table in (raw, discretize_all(raw)):
+            idx = np.array(data.draw(st.lists(st.integers(0, table.n_rows - 1), max_size=30)),
+                           dtype=np.int64)
+            cols = {n: table.column(n)[idx] for n in table.schema.column_names}
+            assert_same_table(table.subset(idx), DataTable(table.schema, cols))
+
+    def test_derived_tables_share_unchanged_codes(self, german):
+        relabeled = german.with_positive_mask(~german.positive_mask)
+        assert relabeled.codes("purpose") is german.codes("purpose")
+        assert relabeled.codes("credit_risk") is not german.codes("credit_risk")

@@ -4,9 +4,9 @@ import pytest
 from conftest import toy_table
 from fairtree.data import group_counts
 from fairtree.errors import ConfigError, DataError
-from fairtree.eval import SweepResult, TrainConfig, kfold, split, sweep, train_linear
+from fairtree.eval import SweepResult, TrainConfig, _sigmoid, kfold, split, sweep, train_linear
 from fairtree.metrics import fairness_report
-from fairtree.relabel import plan
+from fairtree.relabel import census, plan
 from fairtree.tree import build
 
 
@@ -16,6 +16,26 @@ def separable_table():
         favored=[1, 0, 1, 0],
         positive=[1, 1, 0, 0],
     )
+
+
+def masked_sigmoid(z):
+    """The boolean-mask form ``_sigmoid`` replaced, kept as its bitwise reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                         746.0, -746.0, 5e-324, -5e-324])
+    payload_nans = np.array([0x7FF8000000000123, -0x7FF00000000001], dtype=np.int64).view(float)
+    rng = np.random.default_rng(0)
+    z = np.concatenate([specials, payload_nans, rng.normal(0, 5, 5000), rng.normal(0, 800, 500)])
+    assert np.array_equal(_sigmoid(z).view(np.int64), masked_sigmoid(z).view(np.int64),
+                          equal_nan=True)
 
 
 class TestTrainLinear:
@@ -126,8 +146,8 @@ class TestSweep:
     def test_monotone_scope_across_sigma(self, mini_sweep):
         small, _, _, _ = mini_sweep
         tree = build(small, "kl")
-        low = {a.leaf_id for a in plan(tree, small, 0.5, seed=1).actions}
-        high = {a.leaf_id for a in plan(tree, small, 1.0, seed=1).actions}
+        low = {a.leaf_id for a in plan(census(tree, small), 0.5, seed=1).actions}
+        high = {a.leaf_id for a in plan(census(tree, small), 1.0, seed=1).actions}
         assert high <= low
 
     def test_bad_grid_rejected(self, german):

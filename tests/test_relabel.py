@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from fairtree.relabel import (
     PROMOTE,
     RelabelPlan,
     apply,
+    census,
     demote_count,
     plan,
     plan_from_json,
@@ -85,14 +88,14 @@ class TestPlan:
     def test_sigma_out_of_range_rejected(self, german):
         tree = build(german, "kl")
         with pytest.raises(ConfigError):
-            plan(tree, german, -0.1, seed=1)
+            plan(census(tree, german), -0.1, seed=1)
         with pytest.raises(ConfigError):
-            plan(tree, german, 2.01, seed=1)
+            plan(census(tree, german), 2.01, seed=1)
 
     def test_sigma_two_keeps_only_perfect_discrimination(self):
         t = strong_table()
         tree = build(t, "euclid")
-        p = plan(tree, t, 2.0, seed=0)
+        p = plan(census(tree, t), 2.0, seed=0)
         leaf_of = route(tree, t)
         for act in p.actions:
             rows = np.nonzero(leaf_of == act.leaf_id)[0]
@@ -102,7 +105,7 @@ class TestPlan:
         # the a=0 cell is (6,0,0,1): majority positive, promote exactly one row
         t = strong_table()
         tree = build(t, "euclid")
-        p = plan(tree, t, 2.0, seed=3)
+        p = plan(census(tree, t), 2.0, seed=3)
         leaf_of = route(tree, t)
         acts = [a for a in p.actions if leaf_of[6] == a.leaf_id]
         assert len(acts) == 1
@@ -113,14 +116,14 @@ class TestPlan:
     def test_zero_disc_leaf_never_planned(self):
         t = toy_table({"a": [0, 0, 0, 0]}, favored=[1, 1, 0, 0], positive=[1, 0, 1, 0])
         tree = build(t, "kl")
-        p = plan(tree, t, 0.0, seed=0)
+        p = plan(census(tree, t), 0.0, seed=0)
         assert p.actions == ()
 
     @given(t=small_tables(), sigma=st.floats(0.0, 2.0), seed=st.integers(0, 99))
     @settings(max_examples=80)
     def test_plan_invariants(self, t, sigma, seed):
         tree = build(t, "kl")
-        p = plan(tree, t, sigma, seed)
+        p = plan(census(tree, t), sigma, seed)
         leaf_of = route(tree, t)
         fav, pos = t.favored_mask, t.positive_mask
         for act in p.actions:
@@ -140,38 +143,94 @@ class TestPlan:
     def test_monotone_scope(self, t, s):
         lo, hi = min(s), max(s)
         tree = build(t, "euclid")
-        leaves_lo = {a.leaf_id for a in plan(tree, t, lo, seed=1).actions}
-        leaves_hi = {a.leaf_id for a in plan(tree, t, hi, seed=1).actions}
+        leaves_lo = {a.leaf_id for a in plan(census(tree, t), lo, seed=1).actions}
+        leaves_hi = {a.leaf_id for a in plan(census(tree, t), hi, seed=1).actions}
         assert leaves_hi <= leaves_lo
 
     @given(t=small_tables(), seeds=st.tuples(st.integers(0, 9), st.integers(10, 19)))
     @settings(max_examples=60)
     def test_seed_changes_selection_never_counts(self, t, seeds):
         tree = build(t, "kl")
-        p1 = plan(tree, t, 0.0, seeds[0])
-        p2 = plan(tree, t, 0.0, seeds[1])
+        p1 = plan(census(tree, t), 0.0, seeds[0])
+        p2 = plan(census(tree, t), 0.0, seeds[1])
         assert [(a.leaf_id, a.action, a.count) for a in p1.actions] == [
             (a.leaf_id, a.action, a.count) for a in p2.actions
         ]
 
     def test_same_seed_is_deterministic(self, german):
         tree = build(german, "kl")
-        p1 = plan(tree, german, 0.5, seed=7)
-        p2 = plan(tree, german, 0.5, seed=7)
+        p1 = plan(census(tree, german), 0.5, seed=7)
+        p2 = plan(census(tree, german), 0.5, seed=7)
         assert plan_to_json(p1) == plan_to_json(p2)
 
 
+class TestCensus:
+    @given(t=small_tables())
+    @settings(max_examples=80)
+    def test_matches_a_per_leaf_scan(self, t):
+        # reference: scan the routed rows once per leaf
+        tree = build(t, "kl")
+        leaf_of = route(tree, t)
+        expected = []
+        for leaf in tree.leaves():
+            rows = np.nonzero(leaf_of == leaf.id)[0]
+            counts = group_counts(t, rows)
+            if rows.size and leaf_disc(counts) > 0.0:
+                expected.append((leaf.id, leaf_disc(counts), rows))
+        found = census(tree, t)
+        assert [(c.leaf_id, c.disc) for c in found.leaves] == [(i, d) for i, d, _ in expected]
+        for c, (_, _, rows) in zip(found.leaves, expected):
+            wanted = 3 if c.action == PROMOTE else 0
+            assert np.array_equal(c.candidates, rows[t.gc_codes[rows] == wanted])
+        assert (found.table_fingerprint, found.tree_digest) == (t.fingerprint, tree.digest)
+
+    def test_routes_once_for_every_sigma(self, german, monkeypatch):
+        import fairtree.relabel as rl
+
+        routed = []
+        monkeypatch.setattr(rl, "route", lambda tree, table: routed.append(1) or route(tree, table))
+        c = census(build(german, "kl"), german)
+        for sigma in (0.0, 0.5, 1.0, 2.0):
+            plan(c, sigma, seed=1)
+        assert routed == [1]
+
+
+@pytest.fixture(scope="module")
+def german_plan(german):
+    return plan(census(build(german, "kl"), german), 0.0, seed=42)
+
+
+def with_rows(p, index, rows):
+    acts = list(p.actions)
+    acts[index] = replace(acts[index], count=len(rows), row_ids=tuple(rows))
+    return replace(p, actions=tuple(acts))
+
+
 class TestApply:
+    @pytest.mark.parametrize("case", ["negative", "past_the_end", "repeated_in_action",
+                                      "repeated_across_actions"])
+    def test_bad_row_ids_rejected(self, german, german_plan, case):
+        first = german_plan.actions[0].row_ids
+        second = german_plan.actions[1].row_ids
+        bad = {
+            "negative": with_rows(german_plan, 0, (-1,) + first[1:]),
+            "past_the_end": with_rows(german_plan, 0, first[:-1] + (german.n_rows,)),
+            "repeated_in_action": with_rows(german_plan, 0, first + first[:1]),
+            "repeated_across_actions": with_rows(german_plan, 1, second + first[:1]),
+        }[case]
+        with pytest.raises(DataError, match="outside|more than once"):
+            apply(bad, german)
+
     def test_empty_plan_is_identity(self):
         t = toy_table({"a": [0, 0, 0, 0]}, favored=[1, 1, 0, 0], positive=[1, 0, 1, 0])
         tree = build(t, "kl")
-        out = apply(plan(tree, t, 2.0, seed=0), t)
+        out = apply(plan(census(tree, t), 2.0, seed=0), t)
         assert list(out.table.column("cls")) == list(t.column("cls"))
         assert out.source_fingerprint == t.fingerprint
 
     def test_fingerprint_mismatch_refused(self, german):
         tree = build(german, "kl")
-        p = plan(tree, german, 1.0, seed=0)
+        p = plan(census(tree, german), 1.0, seed=0)
         other = german.subset(np.arange(german.n_rows - 1))
         with pytest.raises(DataError, match="different table"):
             apply(p, other)
@@ -180,7 +239,7 @@ class TestApply:
     @settings(max_examples=80)
     def test_label_only_mutation_and_direction(self, t, sigma, seed):
         tree = build(t, "euclid")
-        p = plan(tree, t, sigma, seed)
+        p = plan(census(tree, t), sigma, seed)
         out = apply(p, t).table
         for name in t.schema.column_names:
             if name == t.schema.label.column:
@@ -204,7 +263,7 @@ class TestApply:
         # leaves the algorithm owns (disc >= 0 before relabeling) end within the
         # rounding bound; reversed leaves (disc < 0) are untouched by design
         tree = build(t, "kl")
-        p = plan(tree, t, 0.0, seed=5)
+        p = plan(census(tree, t), 0.0, seed=5)
         out = apply(p, t).table
         leaf_of = route(tree, t)
         for leaf in tree.leaves():
@@ -224,7 +283,7 @@ class TestApply:
 class TestPlanDocuments:
     def test_round_trip(self, german):
         tree = build(german, "kl")
-        p = plan(tree, german, 0.8, seed=11)
+        p = plan(census(tree, german), 0.8, seed=11)
         again = plan_from_json(plan_to_json(p))
         assert again == p
         assert again.digest == p.digest
@@ -237,7 +296,7 @@ class TestPlanDocuments:
 
     def test_count_row_mismatch_rejected(self, german):
         tree = build(german, "kl")
-        p = plan(tree, german, 0.8, seed=11)
+        p = plan(census(tree, german), 0.8, seed=11)
         text = plan_to_json(p)
         bad = text.replace('"count": 1,', '"count": 7,', 1)
         if bad != text:

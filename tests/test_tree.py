@@ -410,6 +410,24 @@ def tree_text(german):
     return serialize(build(german.subset(np.arange(200)), "kl"))
 
 
+class TestFairTree:
+    def test_frozen_and_digest_serializes_once(self, monkeypatch):
+        import dataclasses
+        import hashlib
+
+        import fairtree.tree as tr
+
+        t = toy_table({"a": [0, 0, 1, 1]}, favored=[1, 0, 1, 0], positive=[1, 0, 0, 1])
+        tree = build(t, "kl")
+        texts = []
+        monkeypatch.setattr(tr, "serialize", lambda x: texts.append(serialize(x)) or texts[-1])
+        assert tree.digest == tree.digest
+        assert len(texts) == 1
+        assert tree.digest == hashlib.sha256(texts[0].encode("utf-8")).hexdigest()[:16]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.criterion = "euclid"
+
+
 class TestSerialization:
     @pytest.mark.parametrize("mutation", sorted(UNTRUSTED_DOCUMENTS))
     def test_untrusted_document_rejected(self, tree_text, mutation):
