@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import os
+import platform
 import sys
 import traceback
 from dataclasses import dataclass
@@ -58,20 +59,39 @@ class RunConfig:
 
 @contextlib.contextmanager
 def _locked_out_dir(out_dir: Path):
-    """Guard an output directory against concurrent writers with a lockfile."""
+    """Guard an output directory against concurrent writers with a lockfile
+    naming its owner as ``pid@host``. A stale lock is reported, never taken over."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".fairtree.lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
+        try:
+            owner = lock.read_text(encoding="utf-8", errors="replace").strip()
+        except OSError:
+            owner = ""
         raise ConfigError(
-            f"output directory {out_dir} is locked by another run (remove {lock} if stale)"
+            f"output directory {out_dir} is locked by {owner or 'another run'} "
+            f"(remove {lock} if that run is gone)"
         ) from None
     try:
-        os.close(fd)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}@{platform.node()}\n")
         yield out_dir
     finally:
         lock.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Yield a temporary path beside ``path`` and move it onto ``path`` once the
+    block succeeds, so a crash leaves the old output, never a partial one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _out_dir(args) -> Path:
@@ -150,16 +170,13 @@ def _cmd_build(args) -> int:
     fair_tree = tr.build(table, config.criterion, tr.BuildConfig(min_rows=args.min_rows))
     st = tr.stats(fair_tree)
     with _locked_out_dir(config.out_dir) as out:
-        (out / "tree.json").write_text(tr.serialize(fair_tree), encoding="utf-8")
-        (out / "stats.json").write_text(
-            json.dumps(
-                {"node_count": st.node_count, "sparsity": st.sparsity, "depth": st.depth},
-                indent=1,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        write_schema_sidecar(table, out / "tree.schema.txt")
+        with _replacing(out / "tree.json") as tmp:
+            tmp.write_text(tr.serialize(fair_tree), encoding="utf-8")
+        stats_doc = {"node_count": st.node_count, "sparsity": st.sparsity, "depth": st.depth}
+        with _replacing(out / "stats.json") as tmp:
+            tmp.write_text(json.dumps(stats_doc, indent=1) + "\n", encoding="utf-8")
+        with _replacing(out / "tree.schema.txt") as tmp:
+            write_schema_sidecar(table, tmp)
     print(f"tree: {out / 'tree.json'}")
     print(f"nodes={st.node_count} sparsity={st.sparsity} depth={st.depth}")
     return 0
@@ -187,13 +204,17 @@ def _cmd_relabel(args) -> int:
             )
     else:
         plan_ = rl.plan(rl.census(fair_tree, routing), config.sigma, config.seed)
+    # a plan that cannot be applied is rejected before any output is written
+    relabeled = None if args.plan_only else rl.apply(plan_, routing)
     with _locked_out_dir(config.out_dir) as out:
-        (out / "plan.json").write_text(rl.plan_to_json(plan_), encoding="utf-8")
-        if not args.plan_only:
-            relabeled = rl.apply(plan_, routing)
+        with _replacing(out / "plan.json") as tmp:
+            tmp.write_text(rl.plan_to_json(plan_), encoding="utf-8")
+        if relabeled is not None:
             output = transplant_labels(raw, relabeled.table)
-            write_csv(output, out / "relabeled.csv")
-            write_schema_sidecar(relabeled.table, out / "relabeled.schema.txt")
+            with _replacing(out / "relabeled.csv") as tmp:
+                write_csv(output, tmp)
+            with _replacing(out / "relabeled.schema.txt") as tmp:
+                write_schema_sidecar(relabeled.table, tmp)
             print(f"relabeled data: {out / 'relabeled.csv'}")
     flips = sum(a.count for a in plan_.actions)
     print(f"plan: {out / 'plan.json'} (leaves={len(plan_.actions)} flips={flips})")
@@ -222,13 +243,14 @@ def _cmd_audit(args) -> int:
     out = config.out_dir
     if args.out or args.roc:
         with _locked_out_dir(out):
-            _write_report_csv(report, out / "report.csv")
+            with _replacing(out / "report.csv") as tmp:
+                _write_report_csv(report, tmp)
             if args.roc:
                 if not args.scores:
                     raise ConfigError("--roc requires --scores naming a numeric score column")
                 scores = table.floats(args.scores)
                 series = roc_points(scores, table.positive_mask, table.favored_mask)
-                with open(out / "roc.csv", "w", newline="", encoding="utf-8") as fh:
+                with _replacing(out / "roc.csv") as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
                     csv.writer(fh, lineterminator="\n").writerows(roc_csv_rows(series))
                 print(f"roc: {out / 'roc.csv'}")
     return 0
@@ -250,7 +272,7 @@ def _cmd_report(args) -> int:
     if not subgroups:
         print("(no subgroups at or above the threshold)")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(Path(args.out)) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["leaf_id", "disc", "fav_pos", "fav_neg", "dep_pos", "dep_neg", "conditions"])
             for s in subgroups:
@@ -268,8 +290,10 @@ def _cmd_sweep(args) -> int:
     cfg = ev.TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate, seed=config.seed)
     result = ev.sweep(table, config.criterion, grid, config.seed, cfg, folds=args.folds)
     with _locked_out_dir(config.out_dir) as out:
-        result.to_csv(out / "sweep.csv")
-        (out / "manifest.json").write_text(result.manifest_json(), encoding="utf-8")
+        with _replacing(out / "sweep.csv") as tmp:
+            result.to_csv(tmp)
+        with _replacing(out / "manifest.json") as tmp:
+            tmp.write_text(result.manifest_json(), encoding="utf-8")
     base = result.baseline()
     best = min(result.variant_rows("raw"), key=lambda r: abs(r.dp_mean))
     print(f"baseline: dp={base.dp_mean:+.4f} aod={base.aod_mean:+.4f} "

@@ -218,9 +218,12 @@ class DataTable:
 
     Finalized (categorical or discretized) columns carry integer code arrays
     indexing into their spec's outcomes; numeric columns carry parsed floats
-    (NaN where missing) until discretized. Derived tables (``subset``,
-    ``with_positive_mask``) share or slice those arrays instead of encoding
-    their columns again.
+    (NaN where missing) until discretized. A table built from cells encodes
+    every column. A derived table (``subset``, ``with_positive_mask``,
+    ``discretize``, ``conform_to_schema``) shares or slices the arrays of
+    every column whose cells and spec it keeps, takes a binned column's codes
+    from its bin index, and encodes only the rest: a replaced label column and
+    any column whose spec differs from the source's.
     """
 
     def __init__(self, schema: TableSchema, columns: dict[str, np.ndarray]):
@@ -234,12 +237,20 @@ class DataTable:
                 n = col.shape[0]
             elif col.shape[0] != n:
                 raise DataError(f"column {name!r} has {col.shape[0]} rows, expected {n}")
-            cells[name] = _frozen(col)
+            cells[name] = col
+        self._fill(schema, cells, {}, {})
 
-        codes: dict[str, np.ndarray] = {}
-        floats: dict[str, np.ndarray] = {}
+    def _fill(self, schema, cells, codes, floats) -> None:
+        """Encode every column that has no codes or floats yet, check the label
+        and sensitive declarations, and take the arrays, frozen, as this table's."""
         for spec in schema.attributes:
-            _store_column(spec, schema.missing_tokens, cells[spec.name], codes, floats)
+            if spec.finalized and spec.name not in codes:
+                codes[spec.name] = _encode(spec, schema.missing_tokens, cells[spec.name])
+            elif spec.kind == "numeric" and not spec.finalized and spec.name not in floats:
+                floats[spec.name] = _parse_floats(spec.name, schema.missing_tokens, cells[spec.name])
+        for arrays in (cells, codes, floats):
+            for col in arrays.values():
+                _frozen(col)
 
         for role, spec_col, values in (
             ("label", schema.label.column, (schema.label.positive, schema.label.negative)),
@@ -252,42 +263,37 @@ class DataTable:
                 extra = sorted(set(outcomes) - set(values))
                 raise ConfigError(f"{role} column {spec_col!r} has undeclared values {extra}")
 
-        favored = cells[schema.sensitive.column] == schema.sensitive.favored
-        self._fill(schema, cells, codes, floats, favored)
-
-    def _fill(self, schema, cells, codes, floats, favored) -> None:
         self.schema = schema
         self._columns = cells
         self._n = int(cells[schema.label.column].shape[0])
         self._codes = codes
         self._floats = floats
         self._positive = _frozen(cells[schema.label.column] == schema.label.positive)
-        self._favored = _frozen(favored)
+        self._favored = _frozen(cells[schema.sensitive.column] == schema.sensitive.favored)
         # group-class code per row: 0 = favored+, 1 = favored-, 2 = deprived+, 3 = deprived-
         self.gc_codes = _frozen(np.where(self._favored, 0, 2) + np.where(self._positive, 0, 1))
         self._fingerprint: str | None = None
 
-    def _derive(self, rows: np.ndarray | None, label_cells: np.ndarray | None) -> "DataTable":
-        """This table restricted to ``rows`` (all when None), with the label
-        column replaced by ``label_cells`` (kept when None).
+    def _derive(self, schema: TableSchema, rows: np.ndarray | None = None, replaced=None) -> "DataTable":
+        """This table under ``schema``, restricted to ``rows`` (all when None),
+        with the cells of each ``replaced`` column swapped for a pair
+        ``(cells, codes)``, where codes may be None.
 
-        Codes and floats of every unchanged column are shared or sliced, never
-        re-encoded; only a replaced label column is encoded again.
+        A column keeps its codes and floats when its cells stay and its spec
+        and the missing tokens are the source's; ``_fill`` encodes the rest.
         """
-
-        def take(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-            if rows is None:
-                return dict(arrays)
-            return {name: _frozen(col[rows]) for name, col in arrays.items()}
-
-        cells, codes, floats = take(self._columns), take(self._codes), take(self._floats)
-        if label_cells is not None:
-            spec = self.schema.spec(self.schema.label.column)
-            cells[spec.name] = _frozen(label_cells)
-            _store_column(spec, self.schema.missing_tokens, cells[spec.name], codes, floats)
-        favored = self._favored if rows is None else self._favored[rows]
+        replaced = replaced or {}
+        same = set(self.schema.attributes) if schema.missing_tokens == self.schema.missing_tokens else set()
+        kept = [a.name for a in schema.attributes if a in same and a.name not in replaced]
+        cells = {a.name: self._columns[a.name] for a in schema.attributes}
+        cells.update((name, col) for name, (col, _) in replaced.items())
+        codes = {name: self._codes[name] for name in kept if name in self._codes}
+        codes.update((name, col) for name, (_, col) in replaced.items() if col is not None)
+        floats = {name: self._floats[name] for name in kept if name in self._floats}
+        if rows is not None:
+            cells, codes, floats = ({n: col[rows] for n, col in d.items()} for d in (cells, codes, floats))
         table = DataTable.__new__(DataTable)
-        table._fill(self.schema, cells, codes, floats, favored)
+        table._fill(schema, cells, codes, floats)
         return table
 
     # -- accessors ---------------------------------------------------------
@@ -335,7 +341,7 @@ class DataTable:
     # -- construction of derived tables -------------------------------------
 
     def subset(self, indices: np.ndarray) -> "DataTable":
-        return self._derive(np.asarray(indices), None)
+        return self._derive(self.schema, rows=np.asarray(indices))
 
     def with_positive_mask(self, positive: np.ndarray) -> "DataTable":
         """New table whose label column encodes the given positive/negative flags."""
@@ -343,20 +349,13 @@ class DataTable:
         if positive.shape != (self._n,):
             raise ConfigError("label mask has wrong length")
         lbl = self.schema.label
-        return self._derive(None, np.where(positive, lbl.positive, lbl.negative).astype(object))
+        cells = np.where(positive, lbl.positive, lbl.negative).astype(object)
+        return self._derive(self.schema, replaced={lbl.column: (cells, None)})
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _store_column(spec: AttributeSpec, missing_tokens, cells, codes, floats) -> None:
-    """Encode one column: codes when finalized, parsed floats when numeric."""
-    if spec.finalized:
-        codes[spec.name] = _frozen(_encode(spec, missing_tokens, cells))
-    elif spec.kind == "numeric":
-        floats[spec.name] = _frozen(_parse_floats(spec.name, missing_tokens, cells))
 
 
 def _encode(spec: AttributeSpec, missing_tokens, values: np.ndarray) -> np.ndarray:
@@ -631,12 +630,14 @@ def _bin_labels(cuts: tuple[float, ...]) -> list[str]:
     return labels
 
 
-def _bin_cells(values: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
-    """Bin label per value under the cut points; NaN becomes ``MISSING``."""
+def _bin_cells(values: np.ndarray, cuts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Bin label and bin index per value; NaN becomes ``MISSING`` at index
+    ``len(_bin_labels(cuts))``, which is ``MISSING``'s code when the outcomes
+    are the bin labels then ``MISSING``, so the index is the column's codes."""
     labels = np.array(_bin_labels(cuts) + [MISSING], dtype=object)
     idx = np.searchsorted(np.asarray(cuts), values, side="left")
     idx[np.isnan(values)] = len(labels) - 1
-    return labels[idx]
+    return labels[idx], idx
 
 
 def discretize(table: DataTable, rule: DiscretizationRule) -> DataTable:
@@ -654,16 +655,13 @@ def discretize(table: DataTable, rule: DiscretizationRule) -> DataTable:
         raise DataError("cannot discretize an empty table")
     cuts = rule.cut_points or fit_cut_points(table, rule)
     values = table.floats(rule.column)
-    has_missing = bool(np.isnan(values).any())
     labels = _bin_labels(cuts)
-    outcomes = tuple(labels + [MISSING]) if has_missing else tuple(labels)
+    outcomes = tuple(labels + [MISSING]) if np.isnan(values).any() else tuple(labels)
 
     new_spec = AttributeSpec(rule.column, "numeric", outcomes, tuple(cuts))
     attrs = tuple(new_spec if a.name == rule.column else a for a in table.schema.attributes)
-    schema = replace(table.schema, attributes=attrs)
-    cols = {name: table.column(name) for name in table.schema.column_names}
-    cols[rule.column] = _bin_cells(values, cuts)
-    return DataTable(schema, cols)
+    binned = {rule.column: _bin_cells(values, cuts)}
+    return table._derive(replace(table.schema, attributes=attrs), replaced=binned)
 
 
 def discretize_all(
@@ -687,19 +685,20 @@ def conform_to_schema(table: DataTable, schema: TableSchema) -> DataTable:
     """
     if tuple(table.schema.column_names) != tuple(schema.column_names):
         raise DataError("column names do not match the reference schema")
-    cols = {}
+    binned = {}
     for spec in schema.attributes:
-        ours = table.schema.spec(spec.name)
-        if spec.kind == "numeric" and spec.finalized and not ours.finalized:
+        if spec.kind == "numeric" and spec.finalized and not table.schema.spec(spec.name).finalized:
             values = table.floats(spec.name)
             if MISSING not in spec.outcomes and np.isnan(values).any():
                 raise DataError(
                     f"column {spec.name!r} has missing values unseen when the schema was built"
                 )
-            cols[spec.name] = _bin_cells(values, spec.cut_points)
-        else:
-            cols[spec.name] = table.column(spec.name)
-    return DataTable(schema, cols)
+            cells, idx = _bin_cells(values, spec.cut_points)
+            labels = _bin_labels(spec.cut_points)
+            # outcomes out of bin order (a hand-edited schema) are encoded from the cells
+            in_bin_order = list(spec.outcomes) in (labels, labels + [MISSING])
+            binned[spec.name] = (cells, idx if in_bin_order else None)
+    return table._derive(schema, replaced=binned)
 
 
 def transplant_labels(destination: DataTable, source: DataTable) -> DataTable:

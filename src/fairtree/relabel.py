@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataTable, GroupCounts
-from .errors import ConfigError, DataError, IntegrityError
-from .tree import FairTree, leaf_disc, route
+from .errors import ConfigError, DataError
+from .tree import FairTree, json_typed, leaf_disc, route
 
 PLAN_FORMAT = "fairtree-plan/1"
 
@@ -196,12 +196,12 @@ def apply(plan_: RelabelPlan, table: DataTable) -> RelabeledTable:
         if act.action == PROMOTE:
             wrong = rows[favored[rows] | positive[rows]]
             if wrong.size:
-                raise IntegrityError(f"row {int(wrong[0])}: promote target is not a deprived negative")
+                raise DataError(f"row {int(wrong[0])}: promote target is not a deprived negative")
             positive[rows] = True
         elif act.action == DEMOTE:
             wrong = rows[~favored[rows] | ~positive[rows]]
             if wrong.size:
-                raise IntegrityError(f"row {int(wrong[0])}: demote target is not a favored positive")
+                raise DataError(f"row {int(wrong[0])}: demote target is not a favored positive")
             positive[rows] = False
         else:
             raise DataError(f"unknown action {act.action!r}")
@@ -225,20 +225,30 @@ def plan_to_json(plan_: RelabelPlan) -> str:
 
 
 def plan_from_json(text: str) -> RelabelPlan:
+    """Parse an untrusted plan document; anything malformed raises DataError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed plan document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
-        raise DataError(f"unsupported plan document format {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != PLAN_FORMAT:
+        raise DataError(f"unsupported plan document format {fmt!r}")
     try:
         actions = tuple(
-            LeafAction(int(a["leaf"]), a["action"], int(a["count"]), tuple(int(r) for r in a["rows"]))
-            for a in doc["actions"]
+            LeafAction(
+                json_typed(a["leaf"], int, "leaf id"),
+                a["action"],
+                json_typed(a["count"], int, "count"),
+                tuple(json_typed(r, int, "row id") for r in json_typed(a["rows"], list, "rows")),
+            )
+            for a in json_typed(doc["actions"], list, "actions")
         )
+        sigma = doc["sigma"]
+        if type(sigma) not in (int, float) or not 0.0 <= sigma <= 2.0:
+            raise DataError(f"plan sigma must be a number in [0, 2], got {sigma!r:.40}")
         plan_ = RelabelPlan(
-            float(doc["sigma"]),
-            int(doc["seed"]),
+            float(sigma),
+            json_typed(doc["seed"], int, "seed"),
             actions,
             doc["table_fingerprint"],
             doc["tree_digest"],

@@ -330,10 +330,18 @@ def serialize(tree: FairTree) -> str:
     return json.dumps(doc, indent=1, ensure_ascii=False) + "\n"
 
 
+def json_typed(value, kind: type, what: str):
+    """``value`` when its JSON type is ``kind``, else DataError. Documents are
+    untrusted: a float or boolean where an integer belongs is not truncated."""
+    if type(value) is not kind:
+        raise DataError(f"{what} must be a JSON {kind.__name__}, got {value!r:.40}")
+    return value
+
+
 def _node_from_json(doc: dict, depth: int) -> TreeNode:
     kind = doc.get("kind")
     if kind == "leaf":
-        counts = GroupCounts(*(int(c) for c in doc["counts"]))
+        counts = GroupCounts(*(json_typed(c, int, "leaf count") for c in doc["counts"]))
         if min(counts.as_tuple()) < 0:
             raise DataError(f"leaf {doc['id']}: negative counts {counts.as_tuple()}")
         disc = float(doc["disc"])
@@ -348,9 +356,9 @@ def _node_from_json(doc: dict, depth: int) -> TreeNode:
             raise DataError(f"leaf {doc['id']}: unknown majority tag {majority!r}")
         if (majority == "positive") != (counts.pos >= counts.neg):
             raise DataError(f"leaf {doc['id']}: stored majority does not match its counts")
-        if int(doc["depth"]) != depth:
+        if json_typed(doc["depth"], int, "leaf depth") != depth:
             raise DataError(f"leaf {doc['id']}: stored depth {doc['depth']} != structural depth {depth}")
-        return Leaf(int(doc["id"]), counts, expected, majority == "positive", depth)
+        return Leaf(json_typed(doc["id"], int, "leaf id"), counts, expected, majority == "positive", depth)
     if kind == "internal":
         children = {o: _node_from_json(c, depth + 1) for o, c in doc["children"].items()}
         if not children:
@@ -386,7 +394,7 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
     """Parse and validate a tree document; rejects corrupted or mismatched input."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != TREE_FORMAT:
@@ -396,7 +404,7 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
         raise DataError(f"unknown criterion tag {criterion!r}")
     try:
         schema = TableSchema.from_json(doc["schema"])
-        config = BuildConfig(int(doc["config"]["min_rows"]))
+        config = BuildConfig(json_typed(doc["config"]["min_rows"], int, "min_rows"))
         reuse = doc["config"]["attribute_reuse"]
         root = _node_from_json(doc["root"], 0)
         stored_fp = doc["schema_fingerprint"]

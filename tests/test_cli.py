@@ -1,8 +1,11 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
+from fairtree import cli
 from fairtree.cli import main
 from fairtree.data import LabelSpec, SensitiveSpec, load_csv, write_csv
 from fairtree.datasets import make_german
@@ -48,6 +51,15 @@ class TestBuild:
         assert run("build", "--data", str(german_csv), *SPEC_FLAGS,
                    "--criterion", "euclid", "--out", str(out)) == 0
         assert deserialize((out / "tree.json").read_text(encoding="utf-8")).criterion == "euclid"
+
+    def test_locked_out_dir_names_its_owner_and_stays_locked(self, german_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".fairtree.lock").write_text("4242@elsewhere\n", encoding="utf-8")
+        assert run("build", "--data", str(german_csv), *SPEC_FLAGS, "--out", str(out)) == 2
+        assert "locked by 4242@elsewhere" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [".fairtree.lock"]
+        assert (out / ".fairtree.lock").read_text(encoding="utf-8") == "4242@elsewhere\n"
 
     def test_unreadable_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -118,6 +130,53 @@ class TestRelabel:
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--from-plan", str(planned / "plan.json"), "--out", str(tmp_path / "b")) == 3
         assert "different tree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "5", "[" * 100_000 + "]" * 100_000],
+                             ids=["list", "string", "number", "deep-nesting"])
+    def test_plan_that_is_not_a_plan_object_exits_3(self, german_csv, built, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
+
+    def test_plan_with_an_illegal_target_exits_3(self, german_csv, built, tmp_path, capsys):
+        planned = tmp_path / "plan"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(planned)) == 0
+        doc = json.loads((planned / "plan.json").read_text(encoding="utf-8"))
+        favored = load_csv(german_csv, LabelSpec("credit_risk", "good", "bad"),
+                           SensitiveSpec("age", ">25", "<=25")).favored_mask
+        listed = {r for act in doc["actions"] for r in act["rows"]}
+        act = doc["actions"][0]
+        # only a deprived row may be promoted, only a favored row demoted
+        wrong_group = favored if act["action"] == "promote" else ~favored
+        act["rows"][0] = next(int(r) for r in np.flatnonzero(wrong_group) if r not in listed)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
+        assert "target is not" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_failed_write_keeps_the_previous_output(self, german_csv, built, tmp_path, monkeypatch):
+        out = tmp_path / "rel"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--out", str(out)) == 0
+        before = (out / "relabeled.csv").read_bytes()
+        locks = []
+
+        def write_partway(table, path):
+            locks.append((out / ".fairtree.lock").read_text(encoding="utf-8"))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("credit_risk,age\ngood,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_csv", write_partway)
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "1.0", "--out", str(out)) == 3
+        assert locks == [f"{os.getpid()}@{platform.node()}\n"]
+        assert (out / "relabeled.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["plan.json", "relabeled.csv", "relabeled.schema.txt"]
 
     def test_plan_with_out_of_range_row_exits_3(self, german_csv, built, tmp_path, capsys):
         planned = tmp_path / "plan"

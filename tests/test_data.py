@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import fairtree.data
 from conftest import toy_table
 from fairtree.data import (
     MISSING,
@@ -23,6 +24,7 @@ from fairtree.data import (
     write_csv,
     write_schema_sidecar,
 )
+from fairtree.datasets import make_german
 from fairtree.errors import ConfigError, DataError
 
 
@@ -230,6 +232,12 @@ class TestDiscretize:
         conformed = conform_to_schema(t, d.schema)
         assert list(conformed.column("x")) == expected
         assert conformed.fingerprint == d.fingerprint
+        # a reference schema listing the bins out of order still codes by outcome
+        shuffled = tuple(reversed(d.schema.spec("x").outcomes))
+        attrs = tuple(replace(a, outcomes=shuffled) if a.name == "x" else a for a in d.schema.attributes)
+        conformed = conform_to_schema(t, replace(d.schema, attributes=attrs))
+        assert list(conformed.column("x")) == expected
+        assert [shuffled[c] for c in conformed.codes("x")] == expected
 
     def test_conform_rejects_missing_values_unseen_by_the_schema(self):
         def table(x):
@@ -364,6 +372,13 @@ def assert_same_table(derived: DataTable, built: DataTable) -> None:
     assert derived.fingerprint == built.fingerprint
 
 
+def bin_by_hand(values: np.ndarray, spec) -> np.ndarray:
+    """Cells of ``values`` binned under a discretized spec: a value's outcome is
+    picked by how many cut points lie below it; NaN is ``MISSING``."""
+    return np.array([MISSING if np.isnan(v) else spec.outcomes[sum(c < v for c in spec.cut_points)]
+                     for v in values], dtype=object)
+
+
 class TestDerivedTables:
     """Derived tables share or slice arrays; they must equal a table built afresh."""
 
@@ -384,7 +399,37 @@ class TestDerivedTables:
             cols = {n: table.column(n)[idx] for n in table.schema.column_names}
             assert_same_table(table.subset(idx), DataTable(table.schema, cols))
 
-    def test_derived_tables_share_unchanged_codes(self, german):
+    @given(raw=raw_tables(), other=raw_tables())
+    def test_discretize_and_conform_equal_a_built_table(self, raw, other):
+        discretized = discretize_all(raw)
+        cols = {n: discretized.column(n) for n in discretized.schema.column_names}
+        assert_same_table(discretized, DataTable(discretized.schema, cols))
+        # under another draw's schema the categorical column is encoded again
+        for schema in (discretized.schema, discretize_all(other).schema):
+            cols = {n: raw.column(n) for n in schema.column_names}
+            cols["num"] = bin_by_hand(raw.floats("num"), schema.spec("num"))
+            try:
+                built = DataTable(schema, cols)
+            except DataError:
+                with pytest.raises(DataError):
+                    conform_to_schema(raw, schema)
+                continue
+            assert_same_table(conform_to_schema(raw, schema), built)
+
+    def test_derived_tables_share_unchanged_codes(self, german, monkeypatch):
         relabeled = german.with_positive_mask(~german.positive_mask)
         assert relabeled.codes("purpose") is german.codes("purpose")
         assert relabeled.codes("credit_risk") is not german.codes("credit_risk")
+        raw = make_german()
+
+        def not_called(*args):
+            raise AssertionError("a derived table encoded a column it already held")
+
+        monkeypatch.setattr(fairtree.data, "_encode", not_called)
+        monkeypatch.setattr(fairtree.data, "_parse_floats", not_called)
+        discretized = discretize_all(raw)
+        conformed = conform_to_schema(raw, discretized.schema)
+        assert discretized.codes("purpose") is raw.codes("purpose")
+        assert conformed.codes("purpose") is raw.codes("purpose")
+        assert conformed.codes("duration_months") is not discretized.codes("duration_months")
+        assert np.array_equal(conformed.codes("duration_months"), discretized.codes("duration_months"))

@@ -1,9 +1,10 @@
-"""Pinned tree, plan and sweep digests: the pipeline must reproduce these bytes.
+"""Pinned table, tree, plan and sweep digests: the pipeline must reproduce these bytes.
 
-The digests hash the serialized tree, the serialized sigma-0 plan and the
-sweep CSV, so any change in split scoring, tie-breaking, leaf order, row
-picking, classifier arithmetic or document layout shows up here. Re-pin only
-with a change that says which bytes move and why.
+The digests hash the discretized and conformed tables (schema and every
+cell), the serialized tree, the serialized sigma-0 plan and the sweep CSV, so
+any change in binning, split scoring, tie-breaking, leaf order, row picking,
+classifier arithmetic or document layout shows up here. Re-pin only with a
+change that says which bytes move and why.
 """
 
 import hashlib
@@ -11,9 +12,23 @@ import hashlib
 import pytest
 
 from fairtree.cli import _parse_grid
+from fairtree.data import conform_to_schema, discretize_all
+from fairtree.datasets import make_compas, make_german
 from fairtree.eval import TrainConfig, sweep
 from fairtree.relabel import census, plan
 from fairtree.tree import build
+
+TABLE_GOLDEN = {"german": "1cd57f5bc5a2bb9a", "compas": "31995cc50cfe4ce6"}
+
+
+@pytest.mark.parametrize("dataset", sorted(TABLE_GOLDEN))
+def test_discretized_and_conformed_table_fingerprints_are_pinned(request, dataset):
+    raw = {"german": make_german, "compas": make_compas}[dataset]()
+    discretized = request.getfixturevalue(dataset)
+    assert discretize_all(raw).fingerprint == TABLE_GOLDEN[dataset]
+    assert discretized.fingerprint == TABLE_GOLDEN[dataset]
+    assert conform_to_schema(raw, discretized.schema).fingerprint == TABLE_GOLDEN[dataset]
+
 
 GOLDEN = {
     ("german", "kl"): ("8fadbe8f1ebdd7cf", "ecf48ab0176bc509"),

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -280,7 +281,41 @@ class TestApply:
                 assert after == before
 
 
+def _first_action(doc: dict, **fields) -> dict:
+    doc["actions"][0].update(fields)
+    return doc
+
+
+# each mutation of a valid plan document, with the message it must raise
+UNTRUSTED_PLANS = {
+    "not-an-object": (lambda doc: [doc], "format"),
+    "actions-not-a-list": (lambda doc: dict(doc, actions={}), "actions"),
+    "float-row-id": (
+        lambda doc: _first_action(doc, rows=[r + 0.5 for r in doc["actions"][0]["rows"]]),
+        "row id",
+    ),
+    "float-leaf-id": (lambda doc: _first_action(doc, leaf=doc["actions"][0]["leaf"] + 0.5), "leaf id"),
+    "float-count": (lambda doc: _first_action(doc, count=float(doc["actions"][0]["count"])), "count"),
+    "boolean-seed": (lambda doc: dict(doc, seed=True), "seed"),
+    "sigma-above-two": (lambda doc: dict(doc, sigma=2.5), "sigma"),
+    "negative-sigma": (lambda doc: dict(doc, sigma=-0.1), "sigma"),
+    "sigma-as-text": (lambda doc: dict(doc, sigma="0.5"), "sigma"),
+}
+
+
+@pytest.fixture(scope="module")
+def german_plan_text(german):
+    return plan_to_json(plan(census(build(german, "kl"), german), 0.0, seed=11))
+
+
 class TestPlanDocuments:
+    @pytest.mark.parametrize("mutation", sorted(UNTRUSTED_PLANS))
+    def test_untrusted_plan_rejected(self, german_plan_text, mutation):
+        mutate, message = UNTRUSTED_PLANS[mutation]
+        assert plan_from_json(german_plan_text).actions
+        with pytest.raises(DataError, match=message):
+            plan_from_json(json.dumps(mutate(json.loads(german_plan_text))))
+
     def test_round_trip(self, german):
         tree = build(german, "kl")
         p = plan(census(tree, german), 0.8, seed=11)

@@ -349,13 +349,22 @@ def _undeclared_outcome(doc):
     root["fallback"] = "no-such-outcome"
 
 
+def _first_leaf(doc) -> dict:
+    return next(n for n in _json_nodes(doc["root"]) if n["kind"] == "leaf")
+
+
 def _negative_leaf_counts(doc):
     # consistent disc and majority, so only the sign of the counts is wrong
-    leaf = next(n for n in _json_nodes(doc["root"]) if n["kind"] == "leaf")
+    leaf = _first_leaf(doc)
     counts = GroupCounts(*leaf["counts"]) + GroupCounts(3, -(leaf["counts"][1] + 2), 0, 0)
     leaf["counts"] = list(counts.as_tuple())
     leaf["disc"] = leaf_disc(counts)
     leaf["majority"] = "positive" if counts.pos >= counts.neg else "negative"
+
+
+def _float_leaf_counts(doc):
+    leaf = _first_leaf(doc)
+    leaf["counts"] = [float(c) for c in leaf["counts"]]
 
 
 def _duplicate_leaf_id(doc):
@@ -402,6 +411,14 @@ UNTRUSTED_DOCUMENTS = {
     "duplicate-leaf-id": (lambda text: _edited(text, _duplicate_leaf_id), "duplicate leaf id"),
     "negative-leaf-counts": (lambda text: _edited(text, _negative_leaf_counts), "negative counts"),
     "deep-nesting": (_deeply_nested, "malformed"),
+    # integers come only from JSON integers, never by truncating a float or boolean
+    "float-min-rows": (lambda text: _edited(text, lambda d: d["config"].update(min_rows=1.9)), "min_rows"),
+    "boolean-min-rows": (lambda text: _edited(text, lambda d: d["config"].update(min_rows=True)), "min_rows"),
+    "float-leaf-id": (
+        lambda text: _edited(text, lambda d: _first_leaf(d).update(id=_first_leaf(d)["id"] + 0.5)),
+        "leaf id",
+    ),
+    "float-leaf-counts": (lambda text: _edited(text, _float_leaf_counts), "leaf count"),
 }
 
 
