@@ -83,15 +83,18 @@ def _locked_out_dir(out_dir: Path):
 
 
 @contextlib.contextmanager
-def _replacing(path: Path):
-    """Yield a temporary path beside ``path`` and move it onto ``path`` once the
-    block succeeds, so a crash leaves the old output, never a partial one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _replacing(*paths: Path):
+    """Yield a temporary path beside each of ``paths`` and move them onto
+    ``paths`` only once the block has written all of them, so a failed run
+    leaves the previous outputs, never a partial file or a mixed set."""
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        yield tmp
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _out_dir(args) -> Path:
@@ -169,14 +172,12 @@ def _cmd_build(args) -> int:
     table = discretize_all(_load_table(args, config), strategy=config.binning, bin_count=config.bins)
     fair_tree = tr.build(table, config.criterion, tr.BuildConfig(min_rows=args.min_rows))
     st = tr.stats(fair_tree)
+    stats_doc = {"node_count": st.node_count, "sparsity": st.sparsity, "depth": st.depth}
     with _locked_out_dir(config.out_dir) as out:
-        with _replacing(out / "tree.json") as tmp:
-            tmp.write_text(tr.serialize(fair_tree), encoding="utf-8")
-        stats_doc = {"node_count": st.node_count, "sparsity": st.sparsity, "depth": st.depth}
-        with _replacing(out / "stats.json") as tmp:
-            tmp.write_text(json.dumps(stats_doc, indent=1) + "\n", encoding="utf-8")
-        with _replacing(out / "tree.schema.txt") as tmp:
-            write_schema_sidecar(table, tmp)
+        with _replacing(out / "tree.json", out / "stats.json", out / "tree.schema.txt") as tmps:
+            tmps[0].write_text(tr.serialize(fair_tree), encoding="utf-8")
+            tmps[1].write_text(json.dumps(stats_doc, indent=1) + "\n", encoding="utf-8")
+            write_schema_sidecar(table, tmps[2])
     print(f"tree: {out / 'tree.json'}")
     print(f"nodes={st.node_count} sparsity={st.sparsity} depth={st.depth}")
     return 0
@@ -207,14 +208,13 @@ def _cmd_relabel(args) -> int:
     # a plan that cannot be applied is rejected before any output is written
     relabeled = None if args.plan_only else rl.apply(plan_, routing)
     with _locked_out_dir(config.out_dir) as out:
-        with _replacing(out / "plan.json") as tmp:
-            tmp.write_text(rl.plan_to_json(plan_), encoding="utf-8")
+        names = ["plan.json"] if relabeled is None else ["plan.json", "relabeled.csv", "relabeled.schema.txt"]
+        with _replacing(*(out / name for name in names)) as tmps:
+            tmps[0].write_text(rl.plan_to_json(plan_), encoding="utf-8")
+            if relabeled is not None:
+                write_csv(transplant_labels(raw, relabeled.table), tmps[1])
+                write_schema_sidecar(relabeled.table, tmps[2])
         if relabeled is not None:
-            output = transplant_labels(raw, relabeled.table)
-            with _replacing(out / "relabeled.csv") as tmp:
-                write_csv(output, tmp)
-            with _replacing(out / "relabeled.schema.txt") as tmp:
-                write_schema_sidecar(relabeled.table, tmp)
             print(f"relabeled data: {out / 'relabeled.csv'}")
     flips = sum(a.count for a in plan_.actions)
     print(f"plan: {out / 'plan.json'} (leaves={len(plan_.actions)} flips={flips})")
@@ -241,18 +241,19 @@ def _cmd_audit(args) -> int:
     report = fairness_report(table.positive_mask, preds, table.favored_mask)
     print(report.to_text())
     out = config.out_dir
+    if args.roc:
+        if not args.scores:
+            raise ConfigError("--roc requires --scores naming a numeric score column")
+        series = roc_points(table.floats(args.scores), table.positive_mask, table.favored_mask)
     if args.out or args.roc:
-        with _locked_out_dir(out):
-            with _replacing(out / "report.csv") as tmp:
-                _write_report_csv(report, tmp)
+        names = ["report.csv", "roc.csv"] if args.roc else ["report.csv"]
+        with _locked_out_dir(out), _replacing(*(out / name for name in names)) as tmps:
+            _write_report_csv(report, tmps[0])
             if args.roc:
-                if not args.scores:
-                    raise ConfigError("--roc requires --scores naming a numeric score column")
-                scores = table.floats(args.scores)
-                series = roc_points(scores, table.positive_mask, table.favored_mask)
-                with _replacing(out / "roc.csv") as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+                with open(tmps[1], "w", newline="", encoding="utf-8") as fh:
                     csv.writer(fh, lineterminator="\n").writerows(roc_csv_rows(series))
-                print(f"roc: {out / 'roc.csv'}")
+        if args.roc:
+            print(f"roc: {out / 'roc.csv'}")
     return 0
 
 
@@ -272,7 +273,7 @@ def _cmd_report(args) -> int:
     if not subgroups:
         print("(no subgroups at or above the threshold)")
     if args.out:
-        with _replacing(Path(args.out)) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(Path(args.out)) as (tmp,), open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["leaf_id", "disc", "fav_pos", "fav_neg", "dep_pos", "dep_neg", "conditions"])
             for s in subgroups:
@@ -290,10 +291,9 @@ def _cmd_sweep(args) -> int:
     cfg = ev.TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate, seed=config.seed)
     result = ev.sweep(table, config.criterion, grid, config.seed, cfg, folds=args.folds)
     with _locked_out_dir(config.out_dir) as out:
-        with _replacing(out / "sweep.csv") as tmp:
-            result.to_csv(tmp)
-        with _replacing(out / "manifest.json") as tmp:
-            tmp.write_text(result.manifest_json(), encoding="utf-8")
+        with _replacing(out / "sweep.csv", out / "manifest.json") as tmps:
+            result.to_csv(tmps[0])
+            tmps[1].write_text(result.manifest_json(), encoding="utf-8")
     base = result.baseline()
     best = min(result.variant_rows("raw"), key=lambda r: abs(r.dp_mean))
     print(f"baseline: dp={base.dp_mean:+.4f} aod={base.aod_mean:+.4f} "

@@ -250,12 +250,14 @@ def plan_from_json(text: str) -> RelabelPlan:
             float(sigma),
             json_typed(doc["seed"], int, "seed"),
             actions,
-            doc["table_fingerprint"],
-            doc["tree_digest"],
-            doc.get("row_picker", ROW_PICKER),
+            json_typed(doc["table_fingerprint"], str, "table_fingerprint"),
+            json_typed(doc["tree_digest"], str, "tree_digest"),
+            json_typed(doc["row_picker"], str, "row_picker"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed plan document: {exc}") from exc
+    if plan_.row_picker != ROW_PICKER:
+        raise DataError(f"unknown row_picker {plan_.row_picker!r:.40}; plans are drawn with {ROW_PICKER}")
     for act in plan_.actions:
         if act.action not in (PROMOTE, DEMOTE):
             raise DataError(f"unknown action {act.action!r} in plan")

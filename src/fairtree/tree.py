@@ -1,7 +1,7 @@
 """Greedy multiway tree construction over divergence gain ratios.
 
 Trees grow to full depth: a categorical attribute is consumed along its path,
-and recursion stops only when no eligible candidate has a strictly positive
+and a node stops growing only when no eligible candidate has a strictly positive
 gain ratio, when a node falls below the row floor, or when attributes run
 out. Leaves carry exact group counts and their discrimination score.
 """
@@ -16,14 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from . import divergence as dv
-from .data import DataTable, GroupCounts, TableSchema, group_counts
+from .data import DataTable, GroupCounts, TableSchema
 from .errors import ConfigError, DataError
 from .divergence import SplitEvaluation
 
 TREE_FORMAT = "fairtree/1"
-
-#: Ratio differences at or below this are ties, broken by declaration order.
-TIE_EPS = 1e-12
 
 CRITERIA = dv.MEASURES
 
@@ -139,52 +136,32 @@ def leaf_disc(counts: GroupCounts) -> float:
     return (f_pos - d_pos) + ((1.0 - d_pos) - (1.0 - f_pos))
 
 
+#: Open nodes are scored in blocks of at most this many count cells (nodes x
+#: attributes x outcomes x 4 group-class slots), which bounds the kernel's
+#: temporaries whatever the number of nodes at a depth.
+SCORE_CELLS = 1 << 14
+
+
 def evaluate_splits(
     table: DataTable, rows: np.ndarray, attributes: tuple[str, ...], criterion: str
 ) -> list[SplitEvaluation]:
-    """Score every candidate attribute at a node, in declaration order.
-
-    A candidate is eligible only when its raw gain reaches the average raw
-    gain over all candidates, which stops near-zero normalizers from
-    inflating weak tests. Nodes where one group is absent fall back to the
-    single-group entropy/Gini gain.
-    """
+    """Score every candidate attribute at one node, in the given order: a
+    one-node view of ``divergence.score_splits``, which ``build`` calls once
+    per block of open nodes."""
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}")
     if len(attributes) == 0:
         return []
-    parent = group_counts(table, rows)
-    fallback_mode = parent.n_fav == 0 or parent.n_dep == 0
+    codes = np.stack([table.codes(a)[rows] for a in attributes], axis=1)
+    width = max(len(table.schema.spec(a).outcomes) for a in attributes)
     gc = table.gc_codes[rows]
-    laplace = dv.LAPLACE[criterion]
-
-    scored = []
-    for attr in attributes:
-        k = len(table.schema.spec(attr).outcomes)
-        codes = table.codes(attr)[rows]
-        joint = np.bincount(codes * 4 + gc, minlength=4 * k).reshape(k, 4)
-        observed = np.nonzero(joint.sum(axis=1))[0]
-        children = [
-            GroupCounts(int(joint[i, 0]), int(joint[i, 1]), int(joint[i, 2]), int(joint[i, 3]))
-            for i in observed
-        ]
-        if fallback_mode:
-            raw_gain = dv.fallback_gain(parent, children, criterion)
-        else:
-            raw_gain = dv.divergence_gain(parent, children, criterion)
-        fav_out = joint[observed, 0] + joint[observed, 1]
-        dep_out = joint[observed, 2] + joint[observed, 3]
-        fav_dist, dep_dist = dv.outcome_distributions(fav_out, dep_out, laplace=laplace)
-        if criterion == "kl":
-            normalizer = dv.kl_normalizer(parent, fav_dist, dep_dist)
-        else:
-            normalizer = dv.e_normalizer(parent, fav_dist, dep_dist)
-        scored.append((attr, raw_gain, normalizer))
-
-    mean_gain = sum(g for _, g, _ in scored) / len(scored)
+    counts = dv.histogram(codes, gc, np.zeros(len(rows), dtype=np.intp), 1, width)
+    parent = np.bincount(gc, minlength=4)[:, None]
+    s = dv.score_splits(parent, counts, np.ones((1, len(attributes)), dtype=bool), criterion)
     return [
-        SplitEvaluation(attr, g, nrm, dv.gain_ratio(g, nrm), eligible=g >= mean_gain)
-        for attr, g, nrm in scored
+        SplitEvaluation(a, float(s.raw_gain[0, j]), float(s.normalizer[0, j]),
+                        float(s.ratio[0, j]), bool(s.eligible[0, j]))
+        for j, a in enumerate(attributes)
     ]
 
 
@@ -192,19 +169,23 @@ def choose_split(evaluations: list[SplitEvaluation]) -> str | None:
     """Pick the eligible candidate with the best strictly positive ratio.
 
     Ties within TIE_EPS go to the earlier-declared attribute. None means the
-    node becomes a leaf.
+    node becomes a leaf. A one-node view of ``divergence.choose``.
     """
-    best = max((e.ratio for e in evaluations if e.eligible), default=dv.INELIGIBLE_RATIO)
-    if best <= 0.0:
+    if not evaluations:
         return None
-    for e in evaluations:
-        if e.eligible and e.ratio > 0.0 and e.ratio >= best - TIE_EPS:
-            return e.attribute
-    return None
+    ratio = np.array([e.ratio for e in evaluations])
+    j = int(dv.choose(ratio, np.array([e.eligible for e in evaluations])))
+    return evaluations[j].attribute if j >= 0 else None
 
 
 def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = None) -> FairTree:
-    """Grow a tree over the table's feature columns (label and sensitive excluded)."""
+    """Grow a tree over the table's feature columns (label and sensitive excluded).
+
+    Growth is level-wise: one histogram per depth scores every open node of
+    that depth through ``divergence.score_splits``. Leaf ids are assigned
+    afterwards in a preorder walk, so the tree is the one a depth-first
+    recursion would grow, leaf ids included.
+    """
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}")
     config = config or BuildConfig()
@@ -214,33 +195,86 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
     if pending:
         raise DataError(f"numeric columns must be discretized before building: {pending}")
 
-    next_id = iter(range(table.n_rows * 2 + 1))
+    features = table.schema.feature_names
+    outcomes = [table.schema.spec(a).outcomes for a in features]
+    width = max((len(o) for o in outcomes), default=1)
+    codes = np.zeros((table.n_rows, 0), dtype=np.intp)
+    if features:
+        codes = np.stack([table.codes(a) for a in features], axis=1)
+    gc = table.gc_codes
+    block = max(1, SCORE_CELLS // (len(features) * width * 4 or 1))
 
-    def make_leaf(counts: GroupCounts, depth: int) -> Leaf:
-        return Leaf(next(next_id), counts, leaf_disc(counts), counts.pos >= counts.neg, depth)
+    # per grown node, in creation order (parents before children)
+    node_counts: list[GroupCounts] = []
+    node_depth: list[int] = []
+    node_split: list[tuple[int, int] | None] = []  # (attribute index, fallback code)
+    node_children: list[list[tuple[int, int]]] = []  # (outcome code, node index)
 
-    def grow(rows: np.ndarray, attrs: tuple[str, ...], depth: int) -> TreeNode:
-        counts = group_counts(table, rows)
-        attribute = None
-        if len(rows) >= config.min_rows and attrs:
-            attribute = choose_split(evaluate_splits(table, rows, attrs, criterion))
-        if attribute is None:
-            return make_leaf(counts, depth)
-        codes = table.codes(attribute)[rows]
-        remaining = tuple(a for a in attrs if a != attribute)
-        children: dict[str, TreeNode] = {}
-        fallback, fallback_size = None, -1
-        for code, outcome in enumerate(table.schema.spec(attribute).outcomes):
-            sel = rows[codes == code]
-            if sel.size == 0:
-                continue
-            if sel.size > fallback_size:
-                fallback, fallback_size = outcome, sel.size
-            children[outcome] = grow(sel, remaining, depth + 1)
-        return Internal(attribute, children, fallback)
+    rows = np.arange(table.n_rows)
+    node_of = np.zeros(table.n_rows, dtype=np.intp)  # each row's node among the open ones
+    open_attrs = np.ones((1, len(features)), dtype=bool)
+    depth = 0
+    while rows.size:
+        first, n_open = len(node_counts), len(open_attrs)
+        row_gc = gc[rows]
+        counts = np.bincount(node_of * 4 + row_gc, minlength=n_open * 4).reshape(n_open, 4)
+        scored = np.nonzero((counts.sum(1) >= config.min_rows) & open_attrs.any(1))[0]
+        choice = np.full(n_open, -1)
+        fallback = np.zeros(n_open, dtype=np.intp)
+        # rows grouped by the scored node they belong to (rows of other nodes first),
+        # so that each block of scored nodes owns one run of ``order``
+        slot = np.full(n_open, -1)
+        slot[scored] = np.arange(scored.size)
+        row_slot = slot[node_of]
+        order = np.argsort(row_slot, kind="stable")
+        bounds = np.searchsorted(row_slot[order], np.arange(0, scored.size + block, block))
+        for b, start in enumerate(range(0, scored.size, block)):
+            nodes = scored[start:start + block]
+            sel = order[bounds[b]:bounds[b + 1]]
+            hist = dv.histogram(codes[rows[sel]], row_gc[sel], row_slot[sel] - start, nodes.size, width)
+            scores = dv.score_splits(counts[nodes].T, hist, open_attrs[nodes], criterion)
+            choice[nodes] = scores.choice
+            chosen = hist[:, :, np.arange(nodes.size), np.maximum(scores.choice, 0)].sum(0)
+            fallback[nodes] = chosen.argmax(0)
+        for c, a, f in zip(counts.tolist(), choice.tolist(), fallback.tolist()):
+            node_counts.append(GroupCounts(*c))
+            node_depth.append(depth)
+            node_split.append((a, f) if a >= 0 else None)
+            node_children.append([])
 
-    root = grow(np.arange(table.n_rows), table.schema.feature_names, 0)
-    return FairTree(root, criterion, config, table.schema)
+        # rows of split nodes move to their children, numbered by (parent, outcome)
+        keep = choice[node_of] >= 0
+        rows, node_of = rows[keep], node_of[keep]
+        split_attr = choice[node_of]
+        keys, node_of = np.unique(node_of * width + codes[rows, split_attr], return_inverse=True)
+        node_of = node_of.reshape(-1)
+        parents, child_codes = np.divmod(keys, width)
+        open_attrs = open_attrs[parents]
+        open_attrs[np.arange(keys.size), choice[parents]] = False
+        for j, (p, code) in enumerate(zip(parents.tolist(), child_codes.tolist())):
+            node_children[first + p].append((code, first + n_open + j))
+        depth += 1
+
+    # leaf ids in preorder: depth-first, children in outcome (declaration) order
+    leaf_id: dict[int, int] = {}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if node_children[i]:
+            stack.extend(child for _, child in reversed(node_children[i]))
+        else:
+            leaf_id[i] = len(leaf_id)
+    built: list[TreeNode | None] = [None] * len(node_counts)
+    for i in reversed(range(len(node_counts))):
+        if node_split[i] is None:
+            c = node_counts[i]
+            built[i] = Leaf(leaf_id[i], c, leaf_disc(c), c.pos >= c.neg, node_depth[i])
+        else:
+            attr, fallback_code = node_split[i]
+            names = outcomes[attr]
+            children = {names[code]: built[child] for code, child in node_children[i]}
+            built[i] = Internal(features[attr], children, names[fallback_code])
+    return FairTree(built[0], criterion, config, table.schema)
 
 
 def route(tree: FairTree, table: DataTable) -> np.ndarray:
@@ -344,7 +378,9 @@ def _node_from_json(doc: dict, depth: int) -> TreeNode:
         counts = GroupCounts(*(json_typed(c, int, "leaf count") for c in doc["counts"]))
         if min(counts.as_tuple()) < 0:
             raise DataError(f"leaf {doc['id']}: negative counts {counts.as_tuple()}")
-        disc = float(doc["disc"])
+        disc = doc["disc"]
+        if type(disc) not in (int, float):
+            raise DataError(f"leaf {doc['id']}: disc must be a JSON number, got {disc!r:.40}")
         expected = leaf_disc(counts)
         if abs(disc - expected) > 1e-9:
             raise DataError(

@@ -163,6 +163,7 @@ class TestRelabel:
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--sigma", "0", "--out", str(out)) == 0
         before = (out / "relabeled.csv").read_bytes()
+        plan_before = (out / "plan.json").read_bytes()
         locks = []
 
         def write_partway(table, path):
@@ -176,6 +177,8 @@ class TestRelabel:
                    "--sigma", "1.0", "--out", str(out)) == 3
         assert locks == [f"{os.getpid()}@{platform.node()}\n"]
         assert (out / "relabeled.csv").read_bytes() == before
+        # the outputs are replaced as one set: no new plan beside the old data
+        assert (out / "plan.json").read_bytes() == plan_before
         assert sorted(p.name for p in out.iterdir()) == ["plan.json", "relabeled.csv", "relabeled.schema.txt"]
 
     def test_plan_with_out_of_range_row_exits_3(self, german_csv, built, tmp_path, capsys):

@@ -10,6 +10,7 @@ from fairtree.data import GroupCounts
 from fairtree.divergence import (
     INELIGIBLE_RATIO,
     LAPLACE,
+    TIE_EPS,
     class_probs,
     conditional_divergence,
     divergence_gain,
@@ -20,6 +21,7 @@ from fairtree.divergence import (
     kl,
     kl_normalizer,
     outcome_distributions,
+    score_splits,
     sq_euclid,
 )
 from fairtree.errors import IntegrityError
@@ -302,3 +304,64 @@ def test_normalizer_matches_termwise_oracle(part, measure):
         ours = e_normalizer(parent, fav_dist, dep_dist)
     ref = oracle.normalizer(parent.as_tuple(), [c.as_tuple() for c in children], measure)
     assert ours == pytest.approx(ref, abs=1e-10)
+
+
+# -- the batch kernel against the oracle ----------------------------------------
+
+GROUP_SLOTS = {"both": (0, 1, 2, 3), "favored only": (0, 1), "deprived only": (2, 3)}
+
+
+@st.composite
+def node_batches(draw):
+    """Rows of a few nodes as (group-class slot, outcome code per attribute).
+
+    Attributes declare 1-4 outcomes and are padded to the widest, so the
+    count tensor has single-outcome attributes, padded outcomes no row takes,
+    one-group (fallback) nodes and children where a group is empty.
+    """
+    outcome_counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        slots = GROUP_SLOTS[draw(st.sampled_from(sorted(GROUP_SLOTS)))]
+        rows = draw(st.lists(
+            st.tuples(st.sampled_from(slots), st.tuples(*(st.integers(0, k - 1) for k in outcome_counts))),
+            min_size=1, max_size=12,
+        ))
+        candidates = draw(st.lists(st.booleans(), min_size=len(outcome_counts),
+                                   max_size=len(outcome_counts)).filter(any))
+        nodes.append((rows, candidates))
+    return outcome_counts, nodes
+
+
+@given(batch=node_batches(), measure=st.sampled_from(["kl", "euclid"]))
+@settings(max_examples=300)
+def test_score_splits_matches_the_oracle(batch, measure):
+    outcome_counts, nodes = batch
+    n_attrs, width = len(outcome_counts), max(outcome_counts)
+    counts = np.zeros((4, width, len(nodes), n_attrs), dtype=np.int64)
+    parent = np.zeros((4, len(nodes)), dtype=np.int64)
+    for i, (rows, _) in enumerate(nodes):
+        for slot, codes in rows:
+            parent[slot, i] += 1
+            for a, code in enumerate(codes):
+                counts[slot, code, i, a] += 1
+    candidates = np.array([c for _, c in nodes])
+    scores = score_splits(parent, counts, candidates, measure)
+
+    for i, (rows, cand) in enumerate(nodes):
+        oracle_rows = [codes + (slot < 2, slot % 2 == 0) for slot, codes in rows]
+        for a in range(n_attrs):
+            ref = oracle.split_metrics(oracle_rows, a, n_attrs, measure)
+            assert scores.raw_gain[i, a] == pytest.approx(ref["raw_gain"], abs=1e-10)
+            assert scores.normalizer[i, a] == pytest.approx(ref["normalizer"], abs=1e-10)
+        # eligibility and the choice follow the contract's rules on the kernel's own scores
+        gains = [scores.raw_gain[i, a] for a in range(n_attrs) if cand[a]]
+        mean_gain = sum(gains) / len(gains)
+        eligible = [cand[a] and scores.raw_gain[i, a] >= mean_gain for a in range(n_attrs)]
+        assert scores.eligible[i].tolist() == eligible
+        for a in range(n_attrs):
+            assert scores.ratio[i, a] == gain_ratio(scores.raw_gain[i, a], scores.normalizer[i, a])
+        best = max((scores.ratio[i, a] for a in range(n_attrs) if eligible[a]), default=INELIGIBLE_RATIO)
+        picks = [a for a in range(n_attrs)
+                 if eligible[a] and scores.ratio[i, a] > 0.0 and scores.ratio[i, a] >= best - TIE_EPS]
+        assert scores.choice[i] == (picks[0] if best > 0.0 else -1)

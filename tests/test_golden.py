@@ -9,11 +9,12 @@ change that says which bytes move and why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from fairtree.cli import _parse_grid
-from fairtree.data import conform_to_schema, discretize_all
-from fairtree.datasets import make_compas, make_german
+from fairtree.data import conform_to_schema, discretize_all, load_csv, write_csv
+from fairtree.datasets import make_adult, make_compas, make_german
 from fairtree.eval import TrainConfig, sweep
 from fairtree.relabel import census, plan
 from fairtree.tree import build
@@ -55,3 +56,26 @@ def test_sweep_bytes_are_pinned(german, criterion, tmp_path):
     out = tmp_path / "sweep.csv"
     result.to_csv(out)
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == SWEEP_GOLDEN[criterion]
+
+
+ADULT_SAMPLE_ROWS = 8000
+ADULT_GOLDEN = {"kl": "6d0da3830e85c056", "euclid": "fc02c3d99eae3c70"}
+
+
+@pytest.fixture(scope="module")
+def adult_sample():
+    """The seed-42 8,000-row adult sample, drawn as the benchmark's stand-in is."""
+    raw = make_adult(seed=42)
+    keep = np.random.default_rng([42, 7]).permutation(raw.n_rows)[:ADULT_SAMPLE_ROWS]
+    return raw.subset(np.sort(keep))
+
+
+@pytest.mark.parametrize("criterion", sorted(ADULT_GOLDEN))
+def test_adult_sample_tree_digests_are_pinned(adult_sample, criterion, tmp_path):
+    in_memory = discretize_all(adult_sample)
+    assert build(in_memory, criterion).digest == ADULT_GOLDEN[criterion]
+    # the same table read back from CSV, as the benchmark and the CLI see it
+    path = tmp_path / "adult.csv"
+    write_csv(adult_sample, path)
+    schema = adult_sample.schema
+    assert discretize_all(load_csv(path, schema.label, schema.sensitive)).fingerprint == in_memory.fingerprint

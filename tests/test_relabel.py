@@ -300,6 +300,10 @@ UNTRUSTED_PLANS = {
     "sigma-above-two": (lambda doc: dict(doc, sigma=2.5), "sigma"),
     "negative-sigma": (lambda doc: dict(doc, sigma=-0.1), "sigma"),
     "sigma-as-text": (lambda doc: dict(doc, sigma="0.5"), "sigma"),
+    "numeric-table-fingerprint": (lambda doc: dict(doc, table_fingerprint=123), "table_fingerprint"),
+    "list-tree-digest": (lambda doc: dict(doc, tree_digest=[doc["tree_digest"]]), "tree_digest"),
+    "numeric-row-picker": (lambda doc: dict(doc, row_picker=7), "row_picker"),
+    "unknown-row-picker": (lambda doc: dict(doc, row_picker="random.Random"), "row_picker"),
 }
 
 

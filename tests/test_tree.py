@@ -24,6 +24,7 @@ from fairtree.tree import (
     route,
     serialize,
     stats,
+    walk,
 )
 
 
@@ -171,6 +172,26 @@ class TestBuild:
             assert group_counts(t, rows) == leaf.counts
             assert abs(leaf.disc - leaf_disc(leaf.counts)) <= 1e-12
             assert leaf.majority_positive == (leaf.counts.pos >= leaf.counts.neg)
+
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    def test_row_order_does_not_change_the_tree(self, german, criterion):
+        shuffled = german.subset(np.random.default_rng(5).permutation(german.n_rows))
+        assert build(shuffled, criterion).digest == build(german, criterion).digest
+
+    def test_duplicated_rows_double_euclid_leaf_counts(self, german):
+        # euclid estimates every distribution from raw frequencies, so doubling
+        # each row leaves every score, and with them the tree's shape, unchanged
+        once = build(german, "euclid")
+        twice = build(german.subset(np.repeat(np.arange(german.n_rows), 2)), "euclid")
+        nodes_once, nodes_twice = list(walk(once.root)), list(walk(twice.root))
+        assert len(nodes_once) == len(nodes_twice) > 1
+        for (a, path_a), (b, path_b) in zip(nodes_once, nodes_twice):
+            assert path_a == path_b and type(a) is type(b)
+            if isinstance(a, Leaf):
+                assert (b.id, b.disc, b.depth) == (a.id, a.disc, a.depth)
+                assert b.counts.as_tuple() == tuple(2 * c for c in a.counts.as_tuple())
+            else:
+                assert (b.attribute, b.fallback_outcome) == (a.attribute, a.fallback_outcome)
 
     @given(t=small_tables(), criterion=st.sampled_from(["kl", "euclid"]))
     @settings(max_examples=60)
@@ -367,6 +388,11 @@ def _float_leaf_counts(doc):
     leaf["counts"] = [float(c) for c in leaf["counts"]]
 
 
+def _boolean_disc(doc):
+    leaf = next(n for n in _json_nodes(doc["root"]) if n["kind"] == "leaf" and n["disc"] == 0.0)
+    leaf["disc"] = False
+
+
 def _duplicate_leaf_id(doc):
     leaves = [n for n in _json_nodes(doc["root"]) if n["kind"] == "leaf"]
     leaves[1]["id"] = leaves[0]["id"]
@@ -419,6 +445,12 @@ UNTRUSTED_DOCUMENTS = {
         "leaf id",
     ),
     "float-leaf-counts": (lambda text: _edited(text, _float_leaf_counts), "leaf count"),
+    # a leaf's disc comes only from a JSON number, even when its value matches the counts
+    "disc-as-text": (
+        lambda text: _edited(text, lambda d: _first_leaf(d).update(disc=str(_first_leaf(d)["disc"]))),
+        "disc",
+    ),
+    "boolean-disc": (lambda text: _edited(text, _boolean_disc), "disc"),
 }
 
 
