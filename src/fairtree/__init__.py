@@ -15,7 +15,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, DataError, FairtreeError, IntegrityError, UndefinedMetricError
-from .eval import LinearModel, TrainConfig, kfold, split, sweep, train_linear
+from .eval import LinearModel, TrainConfig, kfold, split, sweep, train_linear, training_losses
 from .metrics import (
     FairnessReport,
     GroupConfusion,
@@ -27,7 +27,6 @@ from .metrics import (
     roc_points,
 )
 from .relabel import (
-    RelabeledTable,
     RelabelPlan,
     apply,
     census,

@@ -97,6 +97,14 @@ def _replacing(*paths: Path):
             tmp.unlink(missing_ok=True)
 
 
+def _read_document(path: str) -> str:
+    """A ``tree.json`` or ``plan.json`` as text; bytes that are not UTF-8 are a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _out_dir(args) -> Path:
     if args.out:
         return Path(args.out)
@@ -184,7 +192,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
-    fair_tree = tr.deserialize(Path(args.tree).read_text(encoding="utf-8"))
+    fair_tree = tr.deserialize(_read_document(args.tree))
     schema = fair_tree.schema
     config = RunConfig(
         data=Path(args.data).resolve(),
@@ -197,7 +205,7 @@ def _cmd_relabel(args) -> int:
     raw = load_csv(config.data, schema.label, schema.sensitive, missing_tokens=schema.missing_tokens)
     routing = conform_to_schema(raw, schema)
     if args.from_plan:
-        plan_ = rl.plan_from_json(Path(args.from_plan).read_text(encoding="utf-8"))
+        plan_ = rl.plan_from_json(_read_document(args.from_plan))
         if plan_.tree_digest != fair_tree.digest:
             raise DataError(
                 f"the plan was built from a different tree (plan {plan_.tree_digest}, "
@@ -212,8 +220,8 @@ def _cmd_relabel(args) -> int:
         with _replacing(*(out / name for name in names)) as tmps:
             tmps[0].write_text(rl.plan_to_json(plan_), encoding="utf-8")
             if relabeled is not None:
-                write_csv(transplant_labels(raw, relabeled.table), tmps[1])
-                write_schema_sidecar(relabeled.table, tmps[2])
+                write_csv(transplant_labels(raw, relabeled), tmps[1])
+                write_schema_sidecar(relabeled, tmps[2])
         if relabeled is not None:
             print(f"relabeled data: {out / 'relabeled.csv'}")
     flips = sum(a.count for a in plan_.actions)
@@ -265,7 +273,7 @@ def _write_report_csv(report: FairnessReport, path: Path) -> None:
 
 
 def _cmd_report(args) -> int:
-    fair_tree = tr.deserialize(Path(args.tree).read_text(encoding="utf-8"))
+    fair_tree = tr.deserialize(_read_document(args.tree))
     subgroups = tr.extract_subgroups(fair_tree, args.min_disc, args.top_k)
     print(f"{'No.':>4}  {'disc':>6}  {'fav+:fav- / dep+:dep-':>22}  conditions")
     for i, s in enumerate(subgroups, start=1):

@@ -419,15 +419,19 @@ def load_csv(
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            raw_rows = []
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+                raw_rows.append(row)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-        raw_rows = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-            raw_rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
     columns = {
         name: np.array([row[j] for row in raw_rows], dtype=object) for j, name in enumerate(header)

@@ -36,14 +36,19 @@ class TrainConfig:
 
 @dataclass
 class LinearModel:
-    """Logistic model over one-hot features; predicts positive at probability >= 0.5."""
+    """Logistic model over one-hot features; predicts positive at probability >= 0.5.
+
+    Fitted on one label vector, ``weights`` has one entry per feature and
+    ``bias`` is a scalar. Fitted on a matrix of m label vectors, ``weights`` is
+    (features, m), ``bias`` has m entries, and scores and predictions have one
+    column per label vector.
+    """
 
     weights: np.ndarray
-    bias: float
+    bias: float | np.ndarray
     feature_names: tuple[str, ...]
     schema_fingerprint: str
     config: TrainConfig
-    losses: tuple[float, ...]
 
     def scores(self, table: DataTable) -> np.ndarray:
         X = one_hot(table)[0]
@@ -80,28 +85,82 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, ez / d)
 
 
-def train_linear(table: DataTable, config: TrainConfig | None = None) -> LinearModel:
-    """Fit by full-batch gradient descent; loss is non-increasing at the default rate."""
+def train_linear(
+    table: DataTable, config: TrainConfig | None = None, labels: np.ndarray | None = None
+) -> LinearModel:
+    """Fit by full-batch gradient descent; loss is non-increasing at the default rate.
+
+    ``labels`` is a boolean mask of positive rows (default: the table's own
+    labels) or a (rows, m) boolean matrix whose m columns are fitted at once,
+    each from the same seeded start. The descent is shape-agnostic, so every
+    column follows its own one-vector fit up to the rounding of the matrix
+    products.
+    """
     config = config or TrainConfig()
+    X, names, y = _fit_inputs(table, labels)
+    w, b = _descend(X, y, config)
+    return LinearModel(w, b, names, table.schema.fingerprint, config)
+
+
+def training_losses(
+    table: DataTable, config: TrainConfig | None = None, labels: np.ndarray | None = None
+) -> np.ndarray:
+    """Mean cross-entropy before each epoch's update of ``train_linear``'s descent.
+
+    The fit itself never computes it; this replays the same descent and
+    returns one value per epoch, or an (epochs, m) array for a label matrix.
+    """
+    config = config or TrainConfig()
+    X, _, y = _fit_inputs(table, labels)
+    losses = []
+
+    def record(p: np.ndarray) -> None:
+        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+        losses.append(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc), axis=0))
+
+    _descend(X, y, config, record)
+    return np.array(losses)
+
+
+def _fit_inputs(table: DataTable, labels) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """One-hot features, their names, and the checked labels as floats."""
     if table.n_rows < 2:
         raise DataError("training needs at least two rows")
-    y = table.positive_mask.astype(float)
-    if y.min() == y.max():
-        raise DataError("training data has a single class")
+    labels = table.positive_mask if labels is None else np.asarray(labels)
+    if labels.dtype != bool or labels.ndim not in (1, 2) or labels.shape[0] != table.n_rows:
+        raise ConfigError(
+            f"labels must be a boolean vector or matrix with {table.n_rows} rows, "
+            f"got {labels.dtype} of shape {labels.shape}"
+        )
+    y = labels.astype(float)
+    single = np.flatnonzero(np.atleast_1d(y.min(axis=0) == y.max(axis=0)))
+    if single.size:
+        where = f" (label column {single[0]})" if y.ndim == 2 else ""
+        raise DataError(f"training data has a single class{where}")
     X, names = one_hot(table)
-    n = table.n_rows
-    rng = np.random.default_rng(config.seed)
-    w = rng.normal(0.0, 0.01, X.shape[1])
-    b = 0.0
-    losses = []
+    return X, names, y
+
+
+def _descend(X: np.ndarray, y: np.ndarray, config: TrainConfig, per_epoch=None):
+    """Gradient descent on the mean cross-entropy from seeded start weights.
+
+    ``y`` is one label vector or a (rows, m) matrix; every column starts from
+    the same weights, and the products and means below serve both shapes.
+    ``per_epoch`` sees each epoch's probabilities before its update.
+    """
+    n = X.shape[0]
+    w0 = np.random.default_rng(config.seed).normal(0.0, 0.01, X.shape[1])
+    w = np.empty(w0.shape + y.shape[1:])
+    w.T[...] = w0  # every column starts from w0
+    b = np.zeros(y.shape[1:])
     for _ in range(config.epochs):
         p = _sigmoid(X @ w + b)
-        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-        losses.append(float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+        if per_epoch is not None:
+            per_epoch(p)
         grad = p - y
         w -= config.learning_rate * (X.T @ grad) / n
-        b -= config.learning_rate * float(grad.mean())
-    return LinearModel(w, b, names, table.schema.fingerprint, config, tuple(losses))
+        b -= config.learning_rate * grad.mean(axis=0)
+    return w, b[()]  # a scalar bias for one label vector
 
 
 # -- deterministic partitions --------------------------------------------------
@@ -200,10 +259,12 @@ def sweep(
     """Cross-validated relabeling sweep over the discrimination threshold.
 
     Per fold: grow one tree on the training portion and take one census of
-    each portion through it (neither depends on sigma), then for each sigma
-    relabel the training data, fit the classifier, and evaluate on the untouched test fold ("raw") and on the
-    test fold relabeled through the same tree ("relabeled"). The baseline row
-    is the classifier with no preprocessing at all.
+    each portion through it (neither depends on sigma), then relabel both
+    portions at every sigma. One fit covers the unrelabeled training labels
+    and every distinct relabeling of them; each sigma's classifier is
+    evaluated on the untouched test fold ("raw") and on the test fold
+    relabeled through the same tree ("relabeled"). The baseline row is the
+    classifier with no preprocessing at all.
     """
     train_config = train_config or TrainConfig()
     if any(not 0.0 <= s <= 2.0 for s in sigma_grid):
@@ -213,32 +274,35 @@ def sweep(
     fold_pairs = kfold(table, folds, seed)
     for f, (train, test) in enumerate(fold_pairs):
         tree = build(train, criterion)
-        groups = test.favored_mask
-        cfg = replace(train_config, seed=_fold_seed(train_config.seed, f, 0))
-
-        base_preds = train_linear(train, cfg).predict(test)
-        per_key.setdefault(("baseline", None), []).append(
-            _metrics(test.positive_mask, base_preds, groups)
-        )
-        # Features and cfg are fixed within a fold and the fit is deterministic,
-        # so one fit per distinct set of training labels gives every prediction.
-        preds_by_labels = {train.positive_mask.tobytes(): base_preds}
         train_census, test_census = rl.census(tree, train), rl.census(tree, test)
-
+        train_labels, test_labels = [], []
         for i, sigma in enumerate(sigma_grid):
             p_train = rl.plan(train_census, sigma, _fold_seed(seed, f, 100 + i))
-            relabeled_train = rl.apply(p_train, train).table
-            labels = relabeled_train.positive_mask.tobytes()
-            if labels not in preds_by_labels:
-                preds_by_labels[labels] = train_linear(relabeled_train, cfg).predict(test)
-            preds = preds_by_labels[labels]
-            per_key.setdefault(("raw", sigma), []).append(
-                _metrics(test.positive_mask, preds, groups)
-            )
+            train_labels.append(rl.apply(p_train, train).positive_mask)
             p_test = rl.plan(test_census, sigma, _fold_seed(seed, f, 500 + i))
-            relabeled_test = rl.apply(p_test, test).table
+            test_labels.append(rl.apply(p_test, test).positive_mask)
+
+        # Features and cfg are fixed within a fold and the fit is deterministic,
+        # so one column per distinct set of training labels (the baseline's
+        # first) gives every prediction, all fitted in one descent.
+        column_of: dict[bytes, int] = {}
+        for labels in [train.positive_mask] + train_labels:
+            column_of.setdefault(labels.tobytes(), len(column_of))
+        Y = np.stack([np.frombuffer(key, dtype=bool) for key in column_of], axis=1)
+        cfg = replace(train_config, seed=_fold_seed(train_config.seed, f, 0))
+        preds = train_linear(train, cfg, Y).predict(test)
+
+        groups = test.favored_mask
+        per_key.setdefault(("baseline", None), []).append(
+            _metrics(test.positive_mask, preds[:, 0], groups)
+        )
+        for sigma, train_y, test_y in zip(sigma_grid, train_labels, test_labels):
+            fold_preds = preds[:, column_of[train_y.tobytes()]]
+            per_key.setdefault(("raw", sigma), []).append(
+                _metrics(test.positive_mask, fold_preds, groups)
+            )
             per_key.setdefault(("relabeled", sigma), []).append(
-                _metrics(relabeled_test.positive_mask, preds, groups)
+                _metrics(test_y, fold_preds, groups)
             )
 
     rows = [_aggregate("baseline", None, per_key[("baseline", None)])]

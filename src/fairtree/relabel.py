@@ -93,13 +93,6 @@ class RelabelPlan:
 
 
 @dataclass(frozen=True)
-class RelabeledTable:
-    table: DataTable
-    source_fingerprint: str
-    plan_digest: str
-
-
-@dataclass(frozen=True)
 class LeafCensus:
     """A leaf with disc > 0 on one table: what any plan at sigma <= disc does there."""
 
@@ -175,7 +168,7 @@ def plan(census_: Census, sigma: float, seed: int) -> RelabelPlan:
     )
 
 
-def apply(plan_: RelabelPlan, table: DataTable) -> RelabeledTable:
+def apply(plan_: RelabelPlan, table: DataTable) -> DataTable:
     """Execute a plan: flip the selected labels, leaving every other cell untouched."""
     if plan_.table_fingerprint != table.fingerprint:
         raise DataError(
@@ -205,7 +198,7 @@ def apply(plan_: RelabelPlan, table: DataTable) -> RelabeledTable:
             positive[rows] = False
         else:
             raise DataError(f"unknown action {act.action!r}")
-    return RelabeledTable(table.with_positive_mask(positive), table.fingerprint, plan_.digest)
+    return table.with_positive_mask(positive)
 
 
 def plan_to_json(plan_: RelabelPlan) -> str:

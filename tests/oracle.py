@@ -6,9 +6,16 @@ mirrored from the contract: base-2 logs, add-one smoothing in KL mode (classes
 and outcome distributions), raw frequencies in Euclid mode, empty groups as
 uniform distributions, the 1e-9 normalizer guard, and eligibility at or above
 the mean raw gain.
+
+The one exception is ``logistic_descent``: a frozen copy of the reference
+classifier's one-vector gradient descent loop with its per-epoch loss, kept
+as the bitwise reference for ``train_linear`` and ``training_losses`` on one
+label vector.
 """
 
 import math
+
+import numpy as np
 
 NORM_EPS = 1e-9
 
@@ -160,3 +167,32 @@ def best_attribute(rows, n_attrs, criterion):
         if m["raw_gain"] >= mean_gain and m["ratio"] > 0.0 and m["ratio"] >= best - 1e-12:
             return j, metrics
     return None, metrics
+
+
+# -- reference classifier --------------------------------------------------------
+
+
+def logistic_descent(X, y, epochs, learning_rate, seed):
+    """The one-vector logistic regression loop, verbatim: (weights, bias, losses)."""
+
+    def sigmoid(z):  # the masked form, bitwise equal to the package's sigmoid
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 0.01, X.shape[1])
+    b = 0.0
+    losses = []
+    for _ in range(epochs):
+        p = sigmoid(X @ w + b)
+        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+        losses.append(float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+        grad = p - y
+        w -= learning_rate * (X.T @ grad) / n
+        b -= learning_rate * float(grad.mean())
+    return w, b, losses

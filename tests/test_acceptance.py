@@ -209,7 +209,7 @@ def test_c3_exhaustive_and_sampled_oracle_equivalence():
 def german_relabeled(german):
     tree = build(german, "kl")
     p = plan(census(tree, german), 0.0, seed=42)
-    out = apply(p, german).table
+    out = apply(p, german)
     return german, tree, p, out
 
 

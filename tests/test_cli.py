@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import platform
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairtree import cli
 from fairtree.cli import main
@@ -192,6 +198,112 @@ class TestRelabel:
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
         assert "outside" in capsys.readouterr().err
+
+
+def _with_invalid_utf8(src: Path, dst: Path) -> Path:
+    """A copy of ``src`` with a 0xff byte, which no UTF-8 text contains, in its middle."""
+    data = src.read_bytes()
+    dst.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+    return dst
+
+
+class TestInvalidUtf8:
+    """Input that is not UTF-8 is bad data: exit 3 naming the file, no traceback."""
+
+    def _assert_rejected(self, capsys, path, *argv):
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8" in err and "Traceback" not in err
+
+    def test_build_data(self, german_csv, tmp_path, capsys):
+        bad = _with_invalid_utf8(german_csv, tmp_path / "bad.csv")
+        self._assert_rejected(capsys, bad, "build", "--data", str(bad), *SPEC_FLAGS,
+                              "--out", str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+
+    def test_relabel_data(self, german_csv, built, tmp_path, capsys):
+        bad = _with_invalid_utf8(german_csv, tmp_path / "bad.csv")
+        self._assert_rejected(capsys, bad, "relabel", "--tree", str(built), "--data", str(bad),
+                              "--out", str(tmp_path / "o"))
+
+    def test_relabel_tree(self, german_csv, built, tmp_path, capsys):
+        bad = _with_invalid_utf8(built, tmp_path / "tree.json")
+        self._assert_rejected(capsys, bad, "relabel", "--tree", str(bad), "--data",
+                              str(german_csv), "--out", str(tmp_path / "o"))
+
+    def test_relabel_from_plan(self, german_csv, built, tmp_path, capsys):
+        planned = tmp_path / "plan"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(planned)) == 0
+        bad = _with_invalid_utf8(planned / "plan.json", tmp_path / "plan.json")
+        self._assert_rejected(capsys, bad, "relabel", "--tree", str(built), "--data",
+                              str(german_csv), "--from-plan", str(bad), "--out", str(tmp_path / "o"))
+
+    def test_report_tree(self, built, tmp_path, capsys):
+        bad = _with_invalid_utf8(built, tmp_path / "tree.json")
+        self._assert_rejected(capsys, bad, "report", "--tree", str(bad))
+
+
+#: CSV faults a fuzzed input carries, with the exit codes each may give. A BOM
+#: or NUL byte that lands in a feature name or cell is only data, so the run may
+#: succeed; every other fault is a configuration or data error.
+CSV_FAULTS = {
+    "ragged": (3,),
+    "bom": (0, 2, 3),
+    "duplicate_header": (3,),
+    "nul": (0, 2, 3),
+    "invalid_utf8": (3,),
+    "empty": (3,),
+    "third_label_value": (2, 3),
+}
+
+
+@st.composite
+def faulty_csv(draw):
+    names = draw(st.permutations(["a", "b", "grp", "cls"]))
+    n = draw(st.integers(4, 12))
+    cells = {
+        "a": draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=n, max_size=n)),
+        "b": draw(st.lists(st.integers(0, 9).map(str), min_size=n, max_size=n)),
+        "grp": ["fav", "dep"] * (n // 2) + ["fav"] * (n % 2),
+        "cls": ["yes", "no", "no"] * n,
+    }
+    rows = [list(names)] + [[cells[c][i] for c in names] for i in range(n)]
+    fault = draw(st.sampled_from(sorted(CSV_FAULTS)))
+    i = draw(st.integers(1, n))
+    if fault == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["extra"]
+    elif fault == "duplicate_header":
+        rows[0][draw(st.integers(1, 3))] = rows[0][0]
+    elif fault == "third_label_value":
+        rows[i][names.index("cls")] = "maybe"
+    text = "".join(",".join(row) + "\n" for row in rows)
+    if fault == "bom":
+        text = "\ufeff" + text
+    elif fault == "nul":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\x00" + text[at:]
+    data = text.encode("utf-8")
+    if fault == "invalid_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + data[at:]
+    elif fault == "empty":
+        data = b""
+    return fault, data
+
+
+@given(case=faulty_csv())
+def test_fuzzed_csv_exits_2_or_3_never_4(case):
+    fault, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("build", "--data", str(path), "--label", "cls", "--positive", "yes",
+                       "--sensitive", "grp", "--favored", "fav", "--out", str(Path(tmp) / "o"))
+    assert code in CSV_FAULTS[fault], (fault, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import toy_table
+from fairtree import eval as ev
 from fairtree.data import group_counts
 from fairtree.errors import ConfigError, DataError
-from fairtree.eval import SweepResult, TrainConfig, _sigmoid, kfold, split, sweep, train_linear
+from fairtree.eval import (
+    SweepResult,
+    TrainConfig,
+    _sigmoid,
+    kfold,
+    one_hot,
+    split,
+    sweep,
+    train_linear,
+    training_losses,
+)
 from fairtree.metrics import fairness_report
 from fairtree.relabel import census, plan
 from fairtree.tree import build
@@ -60,14 +74,83 @@ class TestTrainLinear:
         assert (m1.weights == m2.weights).all() and m1.bias == m2.bias
 
     def test_loss_non_increasing(self, german):
-        model = train_linear(german, TrainConfig(epochs=150, learning_rate=0.1, seed=0))
-        diffs = np.diff(np.array(model.losses))
+        losses = training_losses(german, TrainConfig(epochs=150, learning_rate=0.1, seed=0))
+        diffs = np.diff(losses)
         assert (diffs <= 1e-9).all()
 
     def test_single_class_rejected(self):
         t = toy_table({"x": [0, 1]}, favored=[1, 0], positive=[1, 1])
         with pytest.raises(DataError, match="single class"):
             train_linear(t)
+
+
+@pytest.fixture(scope="module")
+def german_folds(german):
+    return kfold(german, 2, seed=3)
+
+
+class TestBatchedFit:
+    """A label matrix is fitted in one descent; each column matches its own fit."""
+
+    CFG = TrainConfig(seed=11)
+
+    def test_one_vector_fit_is_bitwise_the_reference_loop(self, german_folds):
+        train = german_folds[0][0]
+        cfg = TrainConfig(epochs=150, learning_rate=0.1, seed=7)
+        model = train_linear(train, cfg)
+        w, b, losses = oracle.logistic_descent(
+            one_hot(train)[0], train.positive_mask.astype(float), cfg.epochs, cfg.learning_rate,
+            cfg.seed,
+        )
+        assert np.array_equal(model.weights.view(np.int64), w.view(np.int64))
+        assert np.float64(model.bias).view(np.int64) == np.float64(b).view(np.int64)
+        assert np.array_equal(training_losses(train, cfg), np.array(losses))
+
+    @given(fold=st.integers(0, 1), m=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+           rate=st.floats(0.0, 0.5))
+    @settings(max_examples=12)
+    def test_every_column_matches_its_one_vector_fit(self, german_folds, fold, m, seed, rate):
+        train, test = german_folds[fold]
+        flips = np.random.default_rng(seed).random((train.n_rows, m)) < rate
+        labels = train.positive_mask[:, None] ^ flips
+        batched = train_linear(train, self.CFG, labels)
+        preds = batched.predict(test)
+        assert batched.weights.shape == (len(batched.feature_names), m)
+        assert preds.shape == (test.n_rows, m)
+        for j in range(m):
+            single = train_linear(train, self.CFG, labels[:, j])
+            assert np.abs(batched.weights[:, j] - single.weights).max() <= 1e-12
+            assert abs(batched.bias[j] - single.bias) <= 1e-12
+            assert np.array_equal(preds[:, j], single.predict(test))
+
+    def test_batched_losses_match_one_vector_losses(self, german_folds):
+        train = german_folds[0][0]
+        labels = np.stack([train.positive_mask, ~train.positive_mask], axis=1)
+        batched = training_losses(train, self.CFG, labels)
+        assert batched.shape == (self.CFG.epochs, 2)
+        for j in range(2):
+            alone = training_losses(train, self.CFG, labels[:, j])
+            assert np.abs(batched[:, j] - alone).max() <= 1e-12
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_a_single_class_column_is_rejected(self, german_folds, column):
+        train = german_folds[0][0]
+        labels = np.stack([train.positive_mask] * 3, axis=1)
+        labels[:, column] = column == 0
+        with pytest.raises(DataError, match=f"single class \\(label column {column}\\)"):
+            train_linear(train, self.CFG, labels)
+
+    def test_labels_must_be_a_boolean_row_mask(self, german_folds):
+        train = german_folds[0][0]
+        with pytest.raises(ConfigError):
+            train_linear(train, self.CFG, train.positive_mask.astype(int))
+        with pytest.raises(ConfigError):
+            train_linear(train, self.CFG, train.positive_mask[1:])
+
+    def test_too_few_rows_rejected(self):
+        t = toy_table({"x": [0]}, favored=[1], positive=[1])
+        with pytest.raises(DataError, match="at least two rows"):
+            train_linear(t, labels=np.ones((1, 2), dtype=bool))
 
 
 class TestSplits:
@@ -131,6 +214,20 @@ class TestSweep:
             rep = fairness_report(test.positive_mask, model.predict(test), test.favored_mask)
             dps.append(rep.dp)
         assert result.baseline().dp_mean == np.array(dps).mean()
+
+    def test_one_fit_per_fold(self, mini_sweep, monkeypatch):
+        small, grid, cfg, result = mini_sweep
+        widths = []
+
+        def counted(table, config=None, labels=None):
+            widths.append(labels.shape[1])
+            return train_linear(table, config, labels)
+
+        monkeypatch.setattr(ev, "train_linear", counted)
+        again = sweep(small, "kl", grid, seed=4, train_config=cfg, folds=3)
+        assert again.rows == result.rows
+        assert len(widths) == 3
+        assert all(1 <= w <= 1 + len(grid) for w in widths)
 
     def test_reproducible(self, mini_sweep):
         small, grid, cfg, result = mini_sweep

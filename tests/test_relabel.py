@@ -226,8 +226,8 @@ class TestApply:
         t = toy_table({"a": [0, 0, 0, 0]}, favored=[1, 1, 0, 0], positive=[1, 0, 1, 0])
         tree = build(t, "kl")
         out = apply(plan(census(tree, t), 2.0, seed=0), t)
-        assert list(out.table.column("cls")) == list(t.column("cls"))
-        assert out.source_fingerprint == t.fingerprint
+        assert list(out.column("cls")) == list(t.column("cls"))
+        assert out.fingerprint == t.fingerprint
 
     def test_fingerprint_mismatch_refused(self, german):
         tree = build(german, "kl")
@@ -241,7 +241,7 @@ class TestApply:
     def test_label_only_mutation_and_direction(self, t, sigma, seed):
         tree = build(t, "euclid")
         p = plan(census(tree, t), sigma, seed)
-        out = apply(p, t).table
+        out = apply(p, t)
         for name in t.schema.column_names:
             if name == t.schema.label.column:
                 continue
@@ -265,7 +265,7 @@ class TestApply:
         # rounding bound; reversed leaves (disc < 0) are untouched by design
         tree = build(t, "kl")
         p = plan(census(tree, t), 0.0, seed=5)
-        out = apply(p, t).table
+        out = apply(p, t)
         leaf_of = route(tree, t)
         for leaf in tree.leaves():
             rows = np.nonzero(leaf_of == leaf.id)[0]
