@@ -98,9 +98,13 @@ def _replacing(*paths: Path):
 
 
 def _read_document(path: str) -> str:
-    """A ``tree.json`` or ``plan.json`` as text; bytes that are not UTF-8 are a data error."""
+    """A ``tree.json`` or ``plan.json`` as text; bytes that are not UTF-8 are a data error.
+
+    Newlines are not translated, so the text is exactly the bytes on disk, which
+    a tree's digest covers.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -183,7 +187,8 @@ def _cmd_build(args) -> int:
     stats_doc = {"node_count": st.node_count, "sparsity": st.sparsity, "depth": st.depth}
     with _locked_out_dir(config.out_dir) as out:
         with _replacing(out / "tree.json", out / "stats.json", out / "tree.schema.txt") as tmps:
-            tmps[0].write_text(tr.serialize(fair_tree), encoding="utf-8")
+            # the exact bytes that ``deserialize`` digests when the tree is read back
+            tmps[0].write_bytes(tr.serialize(fair_tree).encode("utf-8"))
             tmps[1].write_text(json.dumps(stats_doc, indent=1) + "\n", encoding="utf-8")
             write_schema_sidecar(table, tmps[2])
     print(f"tree: {out / 'tree.json'}")

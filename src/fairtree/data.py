@@ -363,14 +363,12 @@ def _encode(spec: AttributeSpec, missing_tokens, values: np.ndarray) -> np.ndarr
     if MISSING in lut:
         for tok in missing_tokens:
             lut.setdefault(tok, lut[MISSING])
-    uniq, inverse = np.unique(values, return_inverse=True)
     try:
-        uniq_codes = np.array([lut[u] for u in uniq], dtype=np.int64)
+        return np.fromiter(map(lut.__getitem__, values.tolist()), np.int64, count=values.shape[0])
     except KeyError as exc:
         raise DataError(
             f"value {exc.args[0]!r} in column {spec.name!r} is not among its declared outcomes"
         ) from exc
-    return uniq_codes[inverse]
 
 
 def _parse_floats(name: str, missing_tokens, values: np.ndarray) -> np.ndarray:
@@ -548,9 +546,7 @@ def write_csv(table: DataTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(names)
-        cols = [table.column(name) for name in names]
-        for i in range(table.n_rows):
-            writer.writerow([col[i] for col in cols])
+        writer.writerows(zip(*(table.column(name).tolist() for name in names)))
 
 
 def write_schema_sidecar(table: DataTable, path) -> None:

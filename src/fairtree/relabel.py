@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import DataTable, GroupCounts
 from .errors import ConfigError, DataError
-from .tree import FairTree, json_typed, leaf_disc, route
+from .tree import FairTree, json_typed, route
 
 PLAN_FORMAT = "fairtree-plan/1"
 
@@ -123,19 +123,24 @@ def census(tree: FairTree, table: DataTable) -> Census:
     leaf_of = route(tree, table)  # also checks the schema pairing
     ids, slot, sizes = np.unique(leaf_of, return_inverse=True, return_counts=True)
     joint = np.bincount(slot * 4 + table.gc_codes, minlength=4 * ids.size).reshape(-1, 4)
+    # leaf_disc over every routed leaf at once, in its operation order
+    fav_pos, fav_neg, dep_pos, dep_neg = joint.T
+    n_fav, n_dep = fav_pos + fav_neg, dep_pos + dep_neg
+    f_pos = fav_pos / np.maximum(n_fav, 1)
+    d_pos = dep_pos / np.maximum(n_dep, 1)
+    disc = np.where((n_fav > 0) & (n_dep > 0), (f_pos - d_pos) + ((1.0 - d_pos) - (1.0 - f_pos)), 0.0)
+    # discriminatory leaves in tree leaf order
+    order = np.fromiter((leaf.id for leaf in tree.leaves()), np.int64)
+    by_id = np.argsort(order)
+    rank = by_id[np.searchsorted(order, ids, sorter=by_id)]
+    repaired = np.flatnonzero(disc > 0.0)
+    repaired = repaired[np.argsort(rank[repaired], kind="stable")]
     # a stable sort keeps each leaf's rows ascending
     by_leaf = np.argsort(slot, kind="stable")
     ends = np.cumsum(sizes)
-    slot_of = {int(leaf_id): k for k, leaf_id in enumerate(ids)}
     leaves: list[LeafCensus] = []
-    for leaf in tree.leaves():
-        k = slot_of.get(leaf.id)
-        if k is None:
-            continue
-        counts = GroupCounts(*(int(c) for c in joint[k]))
-        disc = leaf_disc(counts)
-        if disc <= 0.0:
-            continue
+    for k in repaired.tolist():
+        counts = GroupCounts(*joint[k].tolist())
         rows = by_leaf[ends[k] - sizes[k] : ends[k]]
         gc = table.gc_codes[rows]
         if counts.pos >= counts.neg:
@@ -144,7 +149,7 @@ def census(tree: FairTree, table: DataTable) -> Census:
         else:
             action, p = DEMOTE, demote_count(counts)
             candidates = rows[gc == 0]  # favored positives
-        leaves.append(LeafCensus(leaf.id, disc, action, p, candidates))
+        leaves.append(LeafCensus(int(ids[k]), float(disc[k]), action, p, candidates))
     return Census(tuple(leaves), table.fingerprint, tree.digest)
 
 

@@ -98,8 +98,9 @@ class FairTree:
 
     @cached_property
     def digest(self) -> str:
-        """Hash of the serialized document, computed once per tree."""
-        return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()[:16]
+        """Hash of the tree document: of the text ``deserialize`` read, or else
+        of ``serialize``'s text, computed once per tree."""
+        return _text_digest(serialize(self))
 
     def leaves(self) -> list[Leaf]:
         return [node for node, _ in walk(self.root) if isinstance(node, Leaf)]
@@ -364,6 +365,10 @@ def serialize(tree: FairTree) -> str:
     return json.dumps(doc, indent=1, ensure_ascii=False) + "\n"
 
 
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def json_typed(value, kind: type, what: str):
     """``value`` when its JSON type is ``kind``, else DataError. Documents are
     untrusted: a float or boolean where an integer belongs is not truncated."""
@@ -427,7 +432,12 @@ def _check_against_schema(root: TreeNode, schema: TableSchema) -> None:
 
 
 def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> FairTree:
-    """Parse and validate a tree document; rejects corrupted or mismatched input."""
+    """Parse and validate a tree document; rejects corrupted or mismatched input.
+
+    The tree's digest is the hash of ``text`` itself, so plans bind to the
+    document as read. ``serialize`` reproduces the text of every document it
+    wrote, so such a tree keeps the digest it had when it was built.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -453,4 +463,6 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
     if expected_schema_fingerprint is not None and stored_fp != expected_schema_fingerprint:
         raise DataError("tree was built against a different schema than expected")
     _check_against_schema(root, schema)
-    return FairTree(root, criterion, config, schema)
+    tree = FairTree(root, criterion, config, schema)
+    vars(tree)["digest"] = _text_digest(text)  # fills the cached property
+    return tree

@@ -7,15 +7,21 @@ and outcome distributions), raw frequencies in Euclid mode, empty groups as
 uniform distributions, the 1e-9 normalizer guard, and eligibility at or above
 the mean raw gain.
 
-The one exception is ``logistic_descent``: a frozen copy of the reference
-classifier's one-vector gradient descent loop with its per-epoch loss, kept
-as the bitwise reference for ``train_linear`` and ``training_losses`` on one
-label vector.
+The exceptions are frozen copies of earlier package code, kept as bitwise
+references: ``logistic_descent``, the reference classifier's one-vector
+gradient descent loop with its per-epoch loss (for ``train_linear`` and
+``training_losses`` on one label vector); ``encode_by_unique``, the column
+encoder over ``np.unique`` (for ``data._encode``); and ``write_csv_by_row``,
+the row-at-a-time CSV writer (for ``data.write_csv``).
 """
 
+import csv
 import math
 
 import numpy as np
+
+from fairtree.data import MISSING
+from fairtree.errors import DataError
 
 NORM_EPS = 1e-9
 
@@ -196,3 +202,33 @@ def logistic_descent(X, y, epochs, learning_rate, seed):
         w -= learning_rate * (X.T @ grad) / n
         b -= learning_rate * float(grad.mean())
     return w, b, losses
+
+
+# -- tables ----------------------------------------------------------------------
+
+
+def encode_by_unique(spec, missing_tokens, values):
+    """The column encoder over ``np.unique``, verbatim: codes into ``spec.outcomes``."""
+    lut = {o: i for i, o in enumerate(spec.outcomes)}
+    if MISSING in lut:
+        for tok in missing_tokens:
+            lut.setdefault(tok, lut[MISSING])
+    uniq, inverse = np.unique(values, return_inverse=True)
+    try:
+        uniq_codes = np.array([lut[u] for u in uniq], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(
+            f"value {exc.args[0]!r} in column {spec.name!r} is not among its declared outcomes"
+        ) from exc
+    return uniq_codes[inverse]
+
+
+def write_csv_by_row(table, path):
+    """The row-at-a-time CSV writer, verbatim."""
+    names = table.schema.column_names
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(names)
+        cols = [table.column(name) for name in names]
+        for i in range(table.n_rows):
+            writer.writerow([col[i] for col in cols])

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from fairtree import cli
 from fairtree.cli import main
 from fairtree.data import LabelSpec, SensitiveSpec, load_csv, write_csv
 from fairtree.datasets import make_german
-from fairtree.tree import deserialize
+from fairtree.tree import deserialize, serialize
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,19 @@ class TestRelabel:
                    "--from-plan", str(planned / "plan.json"), "--out", str(tmp_path / "b")) == 3
         assert "different tree" in capsys.readouterr().err
 
+    def test_undeclared_category_exits_3_naming_the_column(self, german_csv, built, tmp_path, capsys):
+        lines = german_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        column = lines[0].rstrip("\n").split(",").index("purpose")
+        cells = lines[1].split(",")
+        cells[column] = "time_machine"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines[:1] + [",".join(cells)] + lines[2:]), encoding="utf-8")
+        assert run("relabel", "--tree", str(built), "--data", str(bad),
+                   "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "'time_machine' in column 'purpose'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", ["[]", '"x"', "5", "[" * 100_000 + "]" * 100_000],
                              ids=["list", "string", "number", "deep-nesting"])
     def test_plan_that_is_not_a_plan_object_exits_3(self, german_csv, built, tmp_path, text):
@@ -198,6 +212,37 @@ class TestRelabel:
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
         assert "outside" in capsys.readouterr().err
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestTreeDigest:
+    """A tree's digest is the hash of its ``tree.json`` bytes as read."""
+
+    def test_build_written_tree_digests_its_file_bytes(self, built):
+        tree = deserialize(cli._read_document(str(built)))
+        assert tree.digest == _digest(built.read_bytes())
+        assert tree.digest == _digest(serialize(tree).encode("utf-8"))
+
+    @pytest.mark.parametrize("reformat", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: json.dumps(json.loads(data), indent=2).encode("utf-8"),
+    ], ids=["crlf", "reindented"])
+    def test_a_reformatted_copy_is_another_tree(self, german_csv, built, tmp_path, capsys, reformat):
+        copy = tmp_path / "tree.json"
+        copy.write_bytes(reformat(built.read_bytes()))
+        assert copy.read_bytes() != built.read_bytes()
+        assert deserialize(cli._read_document(str(copy))).digest == _digest(copy.read_bytes())
+        planned = tmp_path / "plan"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(planned)) == 0
+        capsys.readouterr()
+        assert run("relabel", "--tree", str(copy), "--data", str(german_csv),
+                   "--from-plan", str(planned / "plan.json"), "--out", str(tmp_path / "b")) == 3
+        assert "different tree" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 def _with_invalid_utf8(src: Path, dst: Path) -> Path:

@@ -6,9 +6,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import fairtree.data
+import oracle
 from conftest import toy_table
 from fairtree.data import (
     MISSING,
+    AttributeSpec,
     DataTable,
     DiscretizationRule,
     GroupCounts,
@@ -119,6 +121,13 @@ class TestLoadCsv:
         assert list(t.column("job")) == ["a", "?", ""]
 
 
+#: Cells that CSV quoting must handle: separators, quotes, line breaks,
+#: missing tokens and non-ASCII text.
+TRICKY_CELLS = ["x,y", 'say "hi"', '"', "two\nlines", "crlf\r\nline", "\r", "", "?",
+                "Zürich", "東京", "naïve, \"quoted\"\r\n"]
+TRICKY_CHARS = st.sampled_from([",", '"', "\n", "\r", " ", "a", "?", "é", "東", "\u2400"])
+
+
 class TestWriteCsv:
     def test_round_trip(self, mini_csv, tmp_path):
         t = load_csv(mini_csv, LABEL, SENSITIVE)
@@ -142,6 +151,17 @@ class TestWriteCsv:
         assert '"x,y"' in out.read_text(encoding="utf-8")
         t2 = load_csv(out, t.schema.label, t.schema.sensitive)
         assert list(t2.column("a")) == ["x,y", "plain"]
+
+    @given(cells=st.lists(st.one_of(st.sampled_from(TRICKY_CELLS), st.text(TRICKY_CHARS)),
+                          min_size=1, max_size=12))
+    def test_bytes_equal_the_row_at_a_time_writer(self, tmp_path_factory, cells):
+        n = len(cells)
+        t = toy_table({"a": cells, "b": cells[::-1]}, favored=[i % 2 for i in range(n)],
+                      positive=[i % 3 == 0 for i in range(n)])
+        out = tmp_path_factory.mktemp("csv")
+        write_csv(t, out / "new.csv")
+        oracle.write_csv_by_row(t, out / "old.csv")
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
     def test_sidecar_records_cuts_and_specs(self, mini_csv, tmp_path):
         t = discretize_all(load_csv(mini_csv, LABEL, SENSITIVE), bin_count=2)
@@ -307,6 +327,39 @@ class TestGroupCounts:
         left = group_counts(t, np.arange(split_at))
         right = group_counts(t, np.arange(split_at, 10))
         assert left + right == group_counts(t)
+
+
+@st.composite
+def encodable_columns(draw):
+    """A categorical spec, missing tokens, and cells drawn from the declared
+    outcomes, the missing tokens and (sometimes) undeclared values."""
+    declared = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        declared.append(MISSING)
+    tokens = tuple(draw(st.lists(st.sampled_from(["", "?", "NA"]), unique=True)))
+    undeclared = draw(st.lists(st.text(max_size=3), max_size=2))
+    pool = declared + list(tokens) + undeclared
+    cells = draw(st.lists(st.sampled_from(pool), max_size=30))
+    spec = AttributeSpec("col", "categorical", tuple(declared))
+    return spec, tokens, np.array(cells, dtype=object)
+
+
+class TestEncode:
+    @given(column=encodable_columns())
+    def test_lookup_equals_the_unique_encoder(self, column):
+        spec, tokens, cells = column
+        try:
+            expected = oracle.encode_by_unique(spec, tokens, cells)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                fairtree.data._encode(spec, tokens, cells)
+            for message in (str(exc), str(raised.value)):
+                named = [v for v in set(cells.tolist()) if f"value {v!r} in column 'col'" in message]
+                assert named, message
+            return
+        codes = fairtree.data._encode(spec, tokens, cells)
+        assert codes.dtype == expected.dtype
+        assert np.array_equal(codes, expected)
 
 
 class TestDataTableInvariants:

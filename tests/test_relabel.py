@@ -21,7 +21,7 @@ from fairtree.relabel import (
     plan_to_json,
     promote_count,
 )
-from fairtree.tree import build, leaf_disc, route
+from fairtree.tree import build, deserialize, leaf_disc, route, serialize
 from test_tree import small_tables
 
 
@@ -184,6 +184,25 @@ class TestCensus:
             wanted = 3 if c.action == PROMOTE else 0
             assert np.array_equal(c.candidates, rows[t.gc_codes[rows] == wanted])
         assert (found.table_fingerprint, found.tree_digest) == (t.fingerprint, tree.digest)
+
+    def test_keeps_tree_leaf_order_when_leaf_ids_are_not_ascending(self, german):
+        built = build(german, "kl")
+        doc = json.loads(serialize(built))
+        stack, n_leaves = [doc["root"]], len(built.leaves())
+        while stack:
+            node = stack.pop()
+            if node["kind"] == "leaf":
+                node["id"] = n_leaves - 1 - node["id"]
+            else:
+                stack.extend(node["children"].values())
+        renumbered = deserialize(json.dumps(doc))
+        assert [leaf.id for leaf in renumbered.leaves()] == list(range(n_leaves))[::-1]
+        before, after = census(built, german), census(renumbered, german)
+        assert len(after.leaves) == len(before.leaves) > 1
+        for b, a in zip(before.leaves, after.leaves):
+            assert (a.leaf_id, a.disc, a.action, a.count) == \
+                (n_leaves - 1 - b.leaf_id, b.disc, b.action, b.count)
+            assert np.array_equal(a.candidates, b.candidates)
 
     def test_routes_once_for_every_sigma(self, german, monkeypatch):
         import fairtree.relabel as rl

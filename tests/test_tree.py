@@ -477,6 +477,16 @@ class TestFairTree:
             tree.criterion = "euclid"
 
 
+    def test_deserialized_digest_hashes_the_text_without_serializing(self, tree_text, monkeypatch):
+        import hashlib
+
+        import fairtree.tree as tr
+
+        monkeypatch.setattr(tr, "serialize", lambda x: pytest.fail("serialize called"))
+        for text in (tree_text, tree_text.replace("\n", "\r\n")):
+            assert deserialize(text).digest == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("mutation", sorted(UNTRUSTED_DOCUMENTS))
     def test_untrusted_document_rejected(self, tree_text, mutation):
