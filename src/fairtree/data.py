@@ -193,16 +193,35 @@ class TableSchema:
 
     @staticmethod
     def from_json(doc: dict) -> "TableSchema":
+        """The schema a document records. Values are taken only from their own
+        JSON types: text compared as a number would bin cells silently wrong."""
+
+        def text(value, what):
+            return json_typed(value, str, f"schema {what}")
+
+        def texts(values, what):
+            return tuple(text(v, what) for v in json_typed(values, list, f"schema {what}s"))
+
         try:
-            label = LabelSpec(doc["label"]["column"], doc["label"]["positive"], doc["label"]["negative"])
+            label = LabelSpec(
+                *(text(doc["label"][k], "label value") for k in ("column", "positive", "negative"))
+            )
             sens = SensitiveSpec(
-                doc["sensitive"]["column"], doc["sensitive"]["favored"], doc["sensitive"]["deprived"]
+                *(text(doc["sensitive"][k], "sensitive value") for k in ("column", "favored", "deprived"))
             )
             attrs = tuple(
-                AttributeSpec(a["name"], a["kind"], tuple(a["outcomes"]), tuple(a["cut_points"]))
-                for a in doc["attributes"]
+                AttributeSpec(
+                    text(a["name"], "column name"),
+                    text(a["kind"], "kind"),
+                    texts(a["outcomes"], "outcome"),
+                    tuple(
+                        json_typed(c, (int, float), "schema cut point")
+                        for c in json_typed(a["cut_points"], list, "schema cut points")
+                    ),
+                )
+                for a in json_typed(doc["attributes"], list, "schema attributes")
             )
-            missing = tuple(doc.get("missing_tokens", DEFAULT_MISSING_TOKENS))
+            missing = texts(doc.get("missing_tokens", list(DEFAULT_MISSING_TOKENS)), "missing token")
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed schema document: {exc}") from exc
         return TableSchema(attrs, label, sens, missing)
@@ -358,6 +377,17 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def json_typed(value, kind, what: str):
+    """``value`` when its JSON type is ``kind`` (a type or a tuple of types),
+    else DataError. Documents are untrusted: a float or boolean where an integer
+    belongs is not truncated, and text where a number belongs is not compared."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DataError(f"{what} must be a JSON {names}, got {value!r:.40}")
+    return value
+
+
 def _encode(spec: AttributeSpec, missing_tokens, values: np.ndarray) -> np.ndarray:
     lut = {o: i for i, o in enumerate(spec.outcomes)}
     if MISSING in lut:
@@ -408,10 +438,14 @@ def load_csv(
 
     Columns listed in ``numeric_columns`` must parse as floats; columns in
     ``categorical_columns`` are never treated as numeric. Everything else is
-    inferred: a column whose non-missing values all parse as floats is numeric
-    and left unfinalized for discretization. The label and sensitive columns
-    are always categorical. Unresolved ``negative``/``deprived`` values are
-    inferred when the column has exactly one other observed value.
+    inferred from each column's set of distinct values, taken once: a column
+    whose distinct non-missing values all parse as floats is numeric and left
+    unfinalized for discretization; otherwise its sorted distinct values (plus
+    ``MISSING`` when a missing token occurs) are its outcomes. The label and
+    sensitive columns are always categorical. Unresolved ``negative``/``deprived``
+    values are inferred when the column has exactly one other observed value.
+    A byte-order mark that hides the label or sensitive column name is a data
+    error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -430,6 +464,10 @@ def load_csv(
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header and header[0][:1] == "\ufeff" and header[0][1:] in (label.column, sensitive.column):
+        raise DataError(
+            f"{path}: the file begins with a byte-order mark, read as part of column name {header[0][1:]!r}"
+        )
 
     columns = {
         name: np.array([row[j] for row in raw_rows], dtype=object) for j, name in enumerate(header)
@@ -461,7 +499,6 @@ def table_from_columns(
         if col not in header:
             raise ConfigError(f"{role} column {col!r} not found in {source}")
 
-    n = len(next(iter(columns.values()))) if columns else 0
     columns = {name: np.asarray(col, dtype=object) for name, col in columns.items()}
 
     missing = set(missing_tokens)
@@ -471,40 +508,26 @@ def table_from_columns(
     )
 
     specs = []
-    for name in header:
-        values = columns[name]
+    for name, values in columns.items():
         if name == label.column:
             specs.append(AttributeSpec(name, "categorical", (label.positive, label.negative)))
             continue
         if name == sensitive.column:
             specs.append(AttributeSpec(name, "categorical", (sensitive.favored, sensitive.deprived)))
             continue
-        non_missing = [v for v in values if v not in missing]
-        declared_numeric = name in numeric_columns
-        if declared_numeric:
-            for i, v in enumerate(values):
-                if v not in missing:
-                    try:
-                        float(v)
-                    except ValueError:
-                        raise DataError(
-                            f"{source}: row {i + 1}: cannot parse {v!r} in declared numeric column {name!r}"
-                        ) from None
-        is_numeric = declared_numeric or (
-            name not in categorical_columns and bool(non_missing) and _all_float(non_missing)
-        )
-        if is_numeric:
+        distinct = set(values.tolist())
+        present = distinct - missing
+        if name in numeric_columns or (name not in categorical_columns and present and _all_float(present)):
             specs.append(AttributeSpec(name, "numeric"))
         else:
-            outcomes = sorted(set(non_missing))
-            if len(non_missing) < len(values):
-                outcomes.append(MISSING)
-            if not outcomes:
-                outcomes = [MISSING] if n else []
+            outcomes = sorted(present) + ([MISSING] if distinct & missing else [])
             specs.append(AttributeSpec(name, "categorical", tuple(outcomes)))
 
     schema = TableSchema(tuple(specs), label, sensitive, tuple(missing_tokens))
-    return DataTable(schema, columns)
+    try:
+        return DataTable(schema, columns)
+    except DataError as exc:  # a declared numeric cell that does not parse, or a short column
+        raise DataError(f"{source}: {exc}") from None
 
 
 def _all_float(values) -> bool:

@@ -17,15 +17,15 @@ unchanged.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataTable, GroupCounts
+from .data import DataTable, GroupCounts, json_typed
 from .errors import ConfigError, DataError
-from .tree import FairTree, json_typed, route
+from .tree import FairTree, route
 
 PLAN_FORMAT = "fairtree-plan/1"
 
@@ -37,8 +37,6 @@ DEMOTE = "demote"
 
 
 def _round_half_away(x: float) -> int:
-    import math
-
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
@@ -86,10 +84,6 @@ class RelabelPlan:
     table_fingerprint: str
     tree_digest: str
     row_picker: str = ROW_PICKER
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(plan_to_json(self).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

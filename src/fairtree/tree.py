@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import divergence as dv
-from .data import DataTable, GroupCounts, TableSchema
+from .data import DataTable, GroupCounts, TableSchema, json_typed
 from .errors import ConfigError, DataError
 from .divergence import SplitEvaluation
 
@@ -369,15 +369,10 @@ def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def json_typed(value, kind: type, what: str):
-    """``value`` when its JSON type is ``kind``, else DataError. Documents are
-    untrusted: a float or boolean where an integer belongs is not truncated."""
-    if type(value) is not kind:
-        raise DataError(f"{what} must be a JSON {kind.__name__}, got {value!r:.40}")
-    return value
-
-
-def _node_from_json(doc: dict, depth: int) -> TreeNode:
+def _node_from_json(doc: dict, path: tuple[str, ...], features: dict, leaf_ids: set[int]) -> TreeNode:
+    """A node and its subtree, each node checked as it is built. ``path`` holds
+    the attributes split on above it; ``features`` maps each finalized feature
+    column to its declared outcomes; ``leaf_ids`` gathers the ids read so far."""
     kind = doc.get("kind")
     if kind == "leaf":
         counts = GroupCounts(*(json_typed(c, int, "leaf count") for c in doc["counts"]))
@@ -397,38 +392,31 @@ def _node_from_json(doc: dict, depth: int) -> TreeNode:
             raise DataError(f"leaf {doc['id']}: unknown majority tag {majority!r}")
         if (majority == "positive") != (counts.pos >= counts.neg):
             raise DataError(f"leaf {doc['id']}: stored majority does not match its counts")
-        if json_typed(doc["depth"], int, "leaf depth") != depth:
-            raise DataError(f"leaf {doc['id']}: stored depth {doc['depth']} != structural depth {depth}")
-        return Leaf(json_typed(doc["id"], int, "leaf id"), counts, expected, majority == "positive", depth)
+        if json_typed(doc["depth"], int, "leaf depth") != len(path):
+            raise DataError(f"leaf {doc['id']}: stored depth {doc['depth']} != structural depth {len(path)}")
+        leaf_id = json_typed(doc["id"], int, "leaf id")
+        if leaf_id in leaf_ids:
+            raise DataError(f"duplicate leaf id {leaf_id}")
+        leaf_ids.add(leaf_id)
+        return Leaf(leaf_id, counts, expected, majority == "positive", len(path))
     if kind == "internal":
-        children = {o: _node_from_json(c, depth + 1) for o, c in doc["children"].items()}
+        attribute = doc["attribute"]
+        declared = features.get(attribute) if isinstance(attribute, str) else None
+        if declared is None:
+            raise DataError(f"split attribute {attribute!r} is not a finalized feature column")
+        if attribute in path:
+            raise DataError(f"attribute {attribute!r} is split on twice along one path")
+        undeclared = [o for o in doc["children"] if o not in declared]
+        if undeclared:
+            raise DataError(f"attribute {attribute!r} has undeclared outcomes {undeclared}")
+        path += (attribute,)
+        children = {o: _node_from_json(c, path, features, leaf_ids) for o, c in doc["children"].items()}
         if not children:
             raise DataError("internal node with no children")
         if doc["fallback"] not in children:
             raise DataError(f"fallback outcome {doc['fallback']!r} is not a child")
-        return Internal(doc["attribute"], children, doc["fallback"])
+        return Internal(attribute, children, doc["fallback"])
     raise DataError(f"unknown node kind {kind!r}")
-
-
-def _check_against_schema(root: TreeNode, schema: TableSchema) -> None:
-    """Reject trees that split on anything but a finalized feature column, split
-    on one twice along a path, name undeclared outcomes, or repeat a leaf id."""
-    features = {name: schema.spec(name) for name in schema.feature_names}
-    leaf_ids: set[int] = set()
-    for node, path in walk(root):
-        if isinstance(node, Leaf):
-            if node.id in leaf_ids:
-                raise DataError(f"duplicate leaf id {node.id}")
-            leaf_ids.add(node.id)
-            continue
-        spec = features.get(node.attribute) if isinstance(node.attribute, str) else None
-        if spec is None or not spec.finalized:
-            raise DataError(f"split attribute {node.attribute!r} is not a finalized feature column")
-        if any(a == node.attribute for a, _ in path):
-            raise DataError(f"attribute {node.attribute!r} is split on twice along one path")
-        undeclared = [o for o in node.children if o not in spec.outcomes]
-        if undeclared:
-            raise DataError(f"attribute {node.attribute!r} has undeclared outcomes {undeclared}")
 
 
 def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> FairTree:
@@ -452,7 +440,9 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
         schema = TableSchema.from_json(doc["schema"])
         config = BuildConfig(json_typed(doc["config"]["min_rows"], int, "min_rows"))
         reuse = doc["config"]["attribute_reuse"]
-        root = _node_from_json(doc["root"], 0)
+        specs = [schema.spec(a) for a in schema.feature_names]
+        features = {s.name: frozenset(s.outcomes) for s in specs if s.finalized}
+        root = _node_from_json(doc["root"], (), features, set())
         stored_fp = doc["schema_fingerprint"]
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError, RecursionError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
@@ -462,7 +452,6 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
         raise DataError("schema fingerprint does not match the embedded schema")
     if expected_schema_fingerprint is not None and stored_fp != expected_schema_fingerprint:
         raise DataError("tree was built against a different schema than expected")
-    _check_against_schema(root, schema)
     tree = FairTree(root, criterion, config, schema)
     vars(tree)["digest"] = _text_digest(text)  # fills the cached property
     return tree

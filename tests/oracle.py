@@ -11,8 +11,9 @@ The exceptions are frozen copies of earlier package code, kept as bitwise
 references: ``logistic_descent``, the reference classifier's one-vector
 gradient descent loop with its per-epoch loss (for ``train_linear`` and
 ``training_losses`` on one label vector); ``encode_by_unique``, the column
-encoder over ``np.unique`` (for ``data._encode``); and ``write_csv_by_row``,
-the row-at-a-time CSV writer (for ``data.write_csv``).
+encoder over ``np.unique`` (for ``data._encode``); ``write_csv_by_row``, the
+row-at-a-time CSV writer (for ``data.write_csv``); and ``table_by_cell``, the
+per-cell type inference loop (for ``data.table_from_columns``).
 """
 
 import csv
@@ -20,8 +21,15 @@ import math
 
 import numpy as np
 
-from fairtree.data import MISSING
-from fairtree.errors import DataError
+from fairtree.data import (
+    DEFAULT_MISSING_TOKENS,
+    MISSING,
+    AttributeSpec,
+    DataTable,
+    TableSchema,
+    _resolve_binary,
+)
+from fairtree.errors import ConfigError, DataError
 
 NORM_EPS = 1e-9
 
@@ -232,3 +240,74 @@ def write_csv_by_row(table, path):
         cols = [table.column(name) for name in names]
         for i in range(table.n_rows):
             writer.writerow([col[i] for col in cols])
+
+
+def table_by_cell(
+    columns,
+    label,
+    sensitive,
+    *,
+    numeric_columns=(),
+    categorical_columns=(),
+    missing_tokens=DEFAULT_MISSING_TOKENS,
+    source="<memory>",
+):
+    """``table_from_columns`` with its per-cell type inference loop, verbatim."""
+    header = list(columns)
+    for col, role in ((label.column, "label"), (sensitive.column, "sensitive")):
+        if col not in header:
+            raise ConfigError(f"{role} column {col!r} not found in {source}")
+
+    n = len(next(iter(columns.values()))) if columns else 0
+    columns = {name: np.asarray(col, dtype=object) for name, col in columns.items()}
+
+    missing = set(missing_tokens)
+    label = _resolve_binary(label, "positive", "negative", columns[label.column], missing, "label")
+    sensitive = _resolve_binary(
+        sensitive, "favored", "deprived", columns[sensitive.column], missing, "sensitive"
+    )
+
+    specs = []
+    for name in header:
+        values = columns[name]
+        if name == label.column:
+            specs.append(AttributeSpec(name, "categorical", (label.positive, label.negative)))
+            continue
+        if name == sensitive.column:
+            specs.append(AttributeSpec(name, "categorical", (sensitive.favored, sensitive.deprived)))
+            continue
+        non_missing = [v for v in values if v not in missing]
+        declared_numeric = name in numeric_columns
+        if declared_numeric:
+            for i, v in enumerate(values):
+                if v not in missing:
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise DataError(
+                            f"{source}: row {i + 1}: cannot parse {v!r} in declared numeric column {name!r}"
+                        ) from None
+        is_numeric = declared_numeric or (
+            name not in categorical_columns and bool(non_missing) and _all_float(non_missing)
+        )
+        if is_numeric:
+            specs.append(AttributeSpec(name, "numeric"))
+        else:
+            outcomes = sorted(set(non_missing))
+            if len(non_missing) < len(values):
+                outcomes.append(MISSING)
+            if not outcomes:
+                outcomes = [MISSING] if n else []
+            specs.append(AttributeSpec(name, "categorical", tuple(outcomes)))
+
+    schema = TableSchema(tuple(specs), label, sensitive, tuple(missing_tokens))
+    return DataTable(schema, columns)
+
+
+def _all_float(values) -> bool:
+    try:
+        for v in values:
+            float(v)
+    except ValueError:
+        return False
+    return True

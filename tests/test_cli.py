@@ -68,6 +68,18 @@ class TestBuild:
         assert sorted(p.name for p in out.iterdir()) == [".fairtree.lock"]
         assert (out / ".fairtree.lock").read_text(encoding="utf-8") == "4242@elsewhere\n"
 
+    @pytest.mark.parametrize("first", ["credit_risk", "age"])
+    def test_byte_order_mark_before_label_or_sensitive_exits_3(self, german_csv, tmp_path, capsys, first):
+        lines = german_csv.read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines]
+        j = rows[0].index(first)
+        bad = tmp_path / "bom.csv"
+        bad.write_text("\ufeff" + "".join(",".join([r[j]] + r[:j] + r[j + 1:]) + "\n" for r in rows),
+                       encoding="utf-8")
+        assert run("build", "--data", str(bad), *SPEC_FLAGS, "--out", str(tmp_path / "o")) == 3
+        assert "byte-order mark" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1\n", encoding="utf-8")
@@ -107,6 +119,21 @@ class TestRelabel:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert run("relabel", "--tree", str(bad), "--data", str(german_csv),
                    "--sigma", "0", "--out", str(tmp_path / "rel")) == 3
+        assert not (tmp_path / "rel").exists()
+
+    def test_tree_with_cut_points_as_text_exits_3(self, german_csv, built, tmp_path, capsys):
+        # text cut points would be compared as text when binning, so the tree is refused
+        # even with its schema fingerprint recomputed
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        for spec in doc["schema"]["attributes"]:
+            spec["cut_points"] = [str(c) for c in spec["cut_points"]]
+        blob = json.dumps(doc["schema"], sort_keys=True, ensure_ascii=False).encode("utf-8")
+        doc["schema_fingerprint"] = hashlib.sha256(blob).hexdigest()[:16]
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("relabel", "--tree", str(bad), "--data", str(german_csv),
+                   "--sigma", "0", "--out", str(tmp_path / "rel")) == 3
+        assert "cut point" in capsys.readouterr().err
         assert not (tmp_path / "rel").exists()
 
     def test_sigma_out_of_range_exits_2(self, german_csv, built, tmp_path):

@@ -362,6 +362,63 @@ class TestEncode:
         assert np.array_equal(codes, expected)
 
 
+#: Cells a column may hold: numbers in several spellings, missing tokens,
+#: text, NUL and non-ASCII characters.
+NUMBER_CELLS = st.one_of(
+    st.sampled_from(["", "?", "NA", "nan", "-inf", "1e3", " 7 ", "1_0"]),
+    st.integers(-99, 99).map(str),
+    st.floats(allow_nan=False).map(repr),
+)
+ANY_CELLS = st.one_of(NUMBER_CELLS, st.sampled_from(["\x00", "1\x00", "0x1", "é", "東京"]), st.text(max_size=3))
+
+
+@st.composite
+def inference_inputs(draw):
+    """Feature columns of string cells beside a binary label and sensitive
+    column, each feature declared numeric, categorical, both or neither."""
+    n = draw(st.integers(0, 8))
+    columns = {
+        "grp": np.array(draw(st.lists(st.sampled_from(["fav", "dep"]), min_size=n, max_size=n)), dtype=object),
+        "cls": np.array(draw(st.lists(st.sampled_from(["yes", "no"]), min_size=n, max_size=n)), dtype=object),
+    }
+    numeric, categorical = [], []
+    for j in range(draw(st.integers(1, 4))):
+        cells = draw(st.sampled_from([NUMBER_CELLS, ANY_CELLS]))
+        columns[f"f{j}"] = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=object)
+        declared = draw(st.sampled_from(["numeric", "categorical", "both", "neither"]))
+        if declared in ("numeric", "both"):
+            numeric.append(f"f{j}")
+        if declared in ("categorical", "both"):
+            categorical.append(f"f{j}")
+    order = draw(st.permutations(list(columns)))
+    options = dict(
+        numeric_columns=tuple(numeric),
+        categorical_columns=tuple(categorical),
+        missing_tokens=tuple(draw(st.lists(st.sampled_from(["", "?", "NA"]), unique=True))),
+    )
+    return {name: columns[name] for name in order}, options
+
+
+class TestTypeInference:
+    @given(case=inference_inputs())
+    def test_distinct_values_infer_what_the_cell_loop_inferred(self, case):
+        columns, options = case
+        label, sensitive = LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep")
+        try:
+            expected = oracle.table_by_cell(columns, label, sensitive, **options)
+        except (ConfigError, DataError) as exc:
+            with pytest.raises((ConfigError, DataError)) as raised:
+                table_from_columns(columns, label, sensitive, **options)
+            assert type(raised.value) is type(exc)
+            # the same file, row, value and column
+            assert str(raised.value) == str(exc).replace(" declared numeric ", " numeric ")
+            return
+        table = table_from_columns(columns, label, sensitive, **options)
+        assert table.schema.attributes == expected.schema.attributes
+        assert table.schema.fingerprint == expected.schema.fingerprint
+        assert table.fingerprint == expected.fingerprint
+
+
 class TestDataTableInvariants:
     def test_undeclared_value_rejected(self):
         schema_table = toy_table({"a": ["x", "y"]}, favored=[1, 0], positive=[1, 0])

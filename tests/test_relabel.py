@@ -344,7 +344,7 @@ class TestPlanDocuments:
         p = plan(census(tree, german), 0.8, seed=11)
         again = plan_from_json(plan_to_json(p))
         assert again == p
-        assert again.digest == p.digest
+        assert plan_to_json(again) == plan_to_json(p)
 
     def test_malformed_rejected(self):
         with pytest.raises(DataError):

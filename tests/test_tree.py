@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -398,6 +399,22 @@ def _duplicate_leaf_id(doc):
     leaves[1]["id"] = leaves[0]["id"]
 
 
+def _schema_edited(change):
+    """A schema edit with the stored fingerprint recomputed, so only the value
+    types are wrong."""
+
+    def edit(doc):
+        change(doc["schema"])
+        blob = json.dumps(doc["schema"], sort_keys=True, ensure_ascii=False).encode("utf-8")
+        doc["schema_fingerprint"] = hashlib.sha256(blob).hexdigest()[:16]
+
+    return lambda text: _edited(text, edit)
+
+
+def _binned(schema) -> dict:
+    return next(a for a in schema["attributes"] if a["cut_points"])
+
+
 def _deeply_nested(text: str) -> str:
     nested = '{"kind": "leaf", "id": 0, "counts": [1, 0, 0, 0], "disc": 0.0, ' \
              '"majority": "positive", "depth": 900}'
@@ -451,6 +468,14 @@ UNTRUSTED_DOCUMENTS = {
         "disc",
     ),
     "boolean-disc": (lambda text: _edited(text, _boolean_disc), "disc"),
+    # schema values come only from their own JSON types, even under a matching fingerprint
+    "cut-points-as-text": (
+        _schema_edited(lambda s: _binned(s).update(cut_points=[str(c) for c in _binned(s)["cut_points"]])),
+        "cut point",
+    ),
+    "boolean-cut-point": (_schema_edited(lambda s: _binned(s)["cut_points"].__setitem__(0, True)), "cut point"),
+    "numeric-outcome": (_schema_edited(lambda s: s["attributes"][0]["outcomes"].__setitem__(0, 1)), "outcome"),
+    "numeric-missing-token": (_schema_edited(lambda s: s["missing_tokens"].__setitem__(0, 0)), "missing token"),
 }
 
 
@@ -462,7 +487,6 @@ def tree_text(german):
 class TestFairTree:
     def test_frozen_and_digest_serializes_once(self, monkeypatch):
         import dataclasses
-        import hashlib
 
         import fairtree.tree as tr
 
@@ -478,8 +502,6 @@ class TestFairTree:
 
 
     def test_deserialized_digest_hashes_the_text_without_serializing(self, tree_text, monkeypatch):
-        import hashlib
-
         import fairtree.tree as tr
 
         monkeypatch.setattr(tr, "serialize", lambda x: pytest.fail("serialize called"))
@@ -494,6 +516,12 @@ class TestSerialization:
         assert isinstance(deserialize(tree_text).root, Internal)
         with pytest.raises(DataError, match=message):
             deserialize(mutate(tree_text))
+
+    def test_deserialize_walks_the_document_once(self, tree_text, monkeypatch):
+        import fairtree.tree as tr
+
+        monkeypatch.setattr(tr, "walk", lambda root: pytest.fail("walk called"))
+        assert isinstance(deserialize(tree_text).root, Internal)
 
     def test_round_trip(self, german):
         tree = build(german.subset(np.arange(200)), "kl")
