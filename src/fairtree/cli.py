@@ -12,11 +12,13 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import platform
 import sys
 import traceback
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from . import eval as ev
@@ -36,25 +38,6 @@ from .errors import ConfigError, DataError, FairtreeError, UndefinedMetricError
 from .metrics import FairnessReport, fairness_report, roc_csv_rows, roc_points
 
 OUT_DIR_ENV = "FAIRTREE_OUT"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation settings shared by the pipeline commands."""
-
-    data: Path
-    label: LabelSpec
-    sensitive: SensitiveSpec
-    criterion: str = "kl"
-    binning: str = "equal-frequency"
-    bins: int = 4
-    sigma: float = 0.0
-    seed: int = 42
-    out_dir: Path = Path(".")
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= 2.0:
-            raise ConfigError(f"sigma must lie in [0, 2], got {self.sigma}")
 
 
 @contextlib.contextmanager
@@ -110,9 +93,7 @@ def _read_document(path: str) -> str:
 
 
 def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(OUT_DIR_ENV, "."))
+    return Path(args.out or os.environ.get(OUT_DIR_ENV, ".")).resolve()
 
 
 def _add_spec_args(sub: argparse.ArgumentParser) -> None:
@@ -135,27 +116,13 @@ def _add_binning_args(sub: argparse.ArgumentParser) -> None:
                      default="equal-frequency", help="discretization strategy")
 
 
-def _run_config(args, **overrides) -> RunConfig:
-    fields = dict(
-        data=Path(args.data).resolve(),
-        label=LabelSpec(args.label, args.positive, args.negative),
-        sensitive=SensitiveSpec(args.sensitive, args.favored, args.deprived),
-        out_dir=_out_dir(args).resolve(),
-    )
-    for name in ("criterion", "binning", "bins", "seed"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    fields.update(overrides)
-    return RunConfig(**fields)
-
-
-def _load_table(args, config: RunConfig):
+def _load_table(args, categorical: tuple[str, ...] = ()):
     return load_csv(
-        config.data,
-        config.label,
-        config.sensitive,
+        Path(args.data).resolve(),
+        LabelSpec(args.label, args.positive, args.negative),
+        SensitiveSpec(args.sensitive, args.favored, args.deprived),
         numeric_columns=tuple(args.numeric),
-        categorical_columns=tuple(args.categorical),
+        categorical_columns=categorical + tuple(args.categorical),
     )
 
 
@@ -164,8 +131,10 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ConfigError(f"bad grid spec {spec!r}; expected start:stop:step") from None
-    if step <= 0 or stop < start:
-        raise ConfigError(f"bad grid spec {spec!r}; need step > 0 and stop >= start")
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"bad grid spec {spec!r}; start, stop and step must be finite")
+    if not 0.0 <= start <= stop <= 2.0 or step <= 0:
+        raise ConfigError(f"bad grid spec {spec!r}; need 0 <= start <= stop <= 2 and step > 0")
     values, i = [], 0
     while True:
         v = round(start + i * step, 12)
@@ -180,16 +149,14 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _cmd_build(args) -> int:
-    config = _run_config(args)
-    table = discretize_all(_load_table(args, config), strategy=config.binning, bin_count=config.bins)
-    fair_tree = tr.build(table, config.criterion, tr.BuildConfig(min_rows=args.min_rows))
+    table = discretize_all(_load_table(args), strategy=args.binning, bin_count=args.bins)
+    fair_tree = tr.build(table, args.criterion, tr.BuildConfig(min_rows=args.min_rows))
     st = tr.stats(fair_tree)
-    stats_doc = {"node_count": st.node_count, "sparsity": st.sparsity, "depth": st.depth}
-    with _locked_out_dir(config.out_dir) as out:
+    with _locked_out_dir(_out_dir(args)) as out:
         with _replacing(out / "tree.json", out / "stats.json", out / "tree.schema.txt") as tmps:
             # the exact bytes that ``deserialize`` digests when the tree is read back
             tmps[0].write_bytes(tr.serialize(fair_tree).encode("utf-8"))
-            tmps[1].write_text(json.dumps(stats_doc, indent=1) + "\n", encoding="utf-8")
+            tmps[1].write_text(json.dumps(asdict(st), indent=1) + "\n", encoding="utf-8")
             write_schema_sidecar(table, tmps[2])
     print(f"tree: {out / 'tree.json'}")
     print(f"nodes={st.node_count} sparsity={st.sparsity} depth={st.depth}")
@@ -199,15 +166,11 @@ def _cmd_build(args) -> int:
 def _cmd_relabel(args) -> int:
     fair_tree = tr.deserialize(_read_document(args.tree))
     schema = fair_tree.schema
-    config = RunConfig(
-        data=Path(args.data).resolve(),
-        label=schema.label,
-        sensitive=schema.sensitive,
-        sigma=args.sigma,
-        seed=args.seed,
-        out_dir=_out_dir(args).resolve(),
+    if not 0.0 <= args.sigma <= 2.0:
+        raise ConfigError(f"sigma must lie in [0, 2], got {args.sigma}")
+    raw = load_csv(
+        Path(args.data).resolve(), schema.label, schema.sensitive, missing_tokens=schema.missing_tokens
     )
-    raw = load_csv(config.data, schema.label, schema.sensitive, missing_tokens=schema.missing_tokens)
     routing = conform_to_schema(raw, schema)
     if args.from_plan:
         plan_ = rl.plan_from_json(_read_document(args.from_plan))
@@ -217,10 +180,10 @@ def _cmd_relabel(args) -> int:
                 f"tree {fair_tree.digest})"
             )
     else:
-        plan_ = rl.plan(rl.census(fair_tree, routing), config.sigma, config.seed)
+        plan_ = rl.plan(rl.census(fair_tree, routing), args.sigma, args.seed)
     # a plan that cannot be applied is rejected before any output is written
     relabeled = None if args.plan_only else rl.apply(plan_, routing)
-    with _locked_out_dir(config.out_dir) as out:
+    with _locked_out_dir(_out_dir(args)) as out:
         names = ["plan.json"] if relabeled is None else ["plan.json", "relabeled.csv", "relabeled.schema.txt"]
         with _replacing(*(out / name for name in names)) as tmps:
             tmps[0].write_text(rl.plan_to_json(plan_), encoding="utf-8")
@@ -235,14 +198,7 @@ def _cmd_relabel(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    config = _run_config(args)
-    table = load_csv(
-        config.data,
-        config.label,
-        config.sensitive,
-        categorical_columns=tuple([args.predictions] + args.categorical),
-        numeric_columns=tuple(args.numeric),
-    )
+    table = _load_table(args, categorical=(args.predictions,))
     if args.predictions not in table.schema.column_names:
         raise ConfigError(f"predictions column {args.predictions!r} not found in {args.data}")
     pred_values = table.column(args.predictions)
@@ -253,7 +209,7 @@ def _cmd_audit(args) -> int:
     preds = pred_values == lbl.positive
     report = fairness_report(table.positive_mask, preds, table.favored_mask)
     print(report.to_text())
-    out = config.out_dir
+    out = _out_dir(args)
     if args.roc:
         if not args.scores:
             raise ConfigError("--roc requires --scores naming a numeric score column")
@@ -298,12 +254,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _run_config(args)
-    table = discretize_all(_load_table(args, config), strategy=config.binning, bin_count=config.bins)
+    table = discretize_all(_load_table(args), strategy=args.binning, bin_count=args.bins)
     grid = _parse_grid(args.grid)
-    cfg = ev.TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate, seed=config.seed)
-    result = ev.sweep(table, config.criterion, grid, config.seed, cfg, folds=args.folds)
-    with _locked_out_dir(config.out_dir) as out:
+    cfg = ev.TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed)
+    result = ev.sweep(table, args.criterion, grid, args.seed, cfg, folds=args.folds)
+    with _locked_out_dir(_out_dir(args)) as out:
         with _replacing(out / "sweep.csv", out / "manifest.json") as tmps:
             result.to_csv(tmps[0])
             tmps[1].write_text(result.manifest_json(), encoding="utf-8")
@@ -375,6 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -382,7 +341,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,8 @@ import csv
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -169,26 +170,10 @@ class TableSchema:
 
     def to_json(self) -> dict:
         return {
-            "label": {
-                "column": self.label.column,
-                "positive": self.label.positive,
-                "negative": self.label.negative,
-            },
-            "sensitive": {
-                "column": self.sensitive.column,
-                "favored": self.sensitive.favored,
-                "deprived": self.sensitive.deprived,
-            },
+            "label": asdict(self.label),
+            "sensitive": asdict(self.sensitive),
             "missing_tokens": list(self.missing_tokens),
-            "attributes": [
-                {
-                    "name": a.name,
-                    "kind": a.kind,
-                    "outcomes": list(a.outcomes),
-                    "cut_points": list(a.cut_points),
-                }
-                for a in self.attributes
-            ],
+            "attributes": [asdict(a) for a in self.attributes],
         }
 
     @staticmethod
@@ -226,8 +211,9 @@ class TableSchema:
             raise DataError(f"malformed schema document: {exc}") from exc
         return TableSchema(attrs, label, sens, missing)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
+        """Hash of the schema document, computed once per schema."""
         blob = json.dumps(self.to_json(), sort_keys=True, ensure_ascii=False).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 

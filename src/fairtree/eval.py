@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.learning_rate <= 0:
             raise ConfigError("epochs must be >= 1 and learning_rate positive")
+        rl.check_seed(self.seed)
 
 
 @dataclass
@@ -170,6 +171,7 @@ def split(table: DataTable, test_fraction: float, seed: int) -> tuple[DataTable,
     """Seed-deterministic disjoint train/test partition."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must lie strictly between 0 and 1")
+    rl.check_seed(seed)
     perm = np.random.default_rng(seed).permutation(table.n_rows)
     n_test = int(round(table.n_rows * test_fraction))
     return table.subset(np.sort(perm[n_test:])), table.subset(np.sort(perm[:n_test]))
@@ -181,6 +183,7 @@ def kfold(table: DataTable, k: int, seed: int) -> list[tuple[DataTable, DataTabl
         raise ConfigError("k must be at least 2")
     if k > table.n_rows:
         raise ConfigError(f"k={k} exceeds the number of rows ({table.n_rows})")
+    rl.check_seed(seed)
     perm = np.random.default_rng(seed).permutation(table.n_rows)
     folds = np.array_split(perm, k)
     out = []
@@ -223,20 +226,19 @@ class SweepResult:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["sigma", "variant", "dp_mean", "dp_std", "aod_mean", "aod_std",
-                 "ba_mean", "ba_std", "acc_mean", "acc_std", "folds"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    ["" if r.sigma is None else repr(r.sigma), r.variant,
-                     repr(r.dp_mean), repr(r.dp_std), repr(r.aod_mean), repr(r.aod_std),
-                     repr(r.ba_mean), repr(r.ba_std), repr(r.acc_mean), repr(r.acc_std),
-                     str(r.folds)]
-                )
+            names = [f.name for f in fields(SweepRow)]
+            writer.writerow(names)
+            writer.writerows([_cell(getattr(r, name)) for name in names] for r in self.rows)
 
     def manifest_json(self) -> str:
         return json.dumps(self.manifest, indent=1, sort_keys=True) + "\n"
+
+
+def _cell(value) -> str:
+    """A sweep.csv cell: empty for None, ``repr`` for a float (round-trips exactly)."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _metrics(labels, preds, groups) -> dict[str, float]:
@@ -316,11 +318,7 @@ def sweep(
         "sigma_grid": list(sigma_grid),
         "folds": folds,
         "seed": seed,
-        "train_config": {
-            "epochs": train_config.epochs,
-            "learning_rate": train_config.learning_rate,
-            "seed": train_config.seed,
-        },
+        "train_config": asdict(train_config),
         "row_picker": rl.ROW_PICKER,
         "numpy_version": np.__version__,
         "table_fingerprint": table.fingerprint,

@@ -147,6 +147,12 @@ def census(tree: FairTree, table: DataTable) -> Census:
     return Census(tuple(leaves), table.fingerprint, tree.digest)
 
 
+def check_seed(seed: int) -> None:
+    """Seeds feed ``np.random.default_rng``, which takes only non-negative integers."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def plan(census_: Census, sigma: float, seed: int) -> RelabelPlan:
     """Relabel every censused leaf whose discrimination reaches sigma.
 
@@ -155,6 +161,7 @@ def plan(census_: Census, sigma: float, seed: int) -> RelabelPlan:
     """
     if not 0.0 <= sigma <= 2.0:
         raise ConfigError(f"sigma must lie in [0, 2], got {sigma}")
+    check_seed(seed)
     actions: list[LeafAction] = []
     for leaf in census_.leaves:
         if leaf.disc < sigma:

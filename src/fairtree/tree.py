@@ -322,6 +322,8 @@ def extract_subgroups(
 
     Sorted by discrimination descending, then leaf size descending.
     """
+    if top_k is not None and top_k < 1:
+        raise ConfigError(f"top_k must be at least 1, got {top_k}")
     found = [
         SubgroupDescriptor(node.id, path, node.counts, node.disc)
         for node, path in walk(tree.root)

@@ -80,6 +80,13 @@ class TestBuild:
         assert "byte-order mark" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_warnings_print_one_line_each(self, german_csv, tmp_path, capsys):
+        assert run("build", "--data", str(german_csv), *SPEC_FLAGS, "--out", str(tmp_path / "o")) == 0
+        err = capsys.readouterr().err
+        assert [line.split(" ")[0] for line in err.splitlines()] == ["warning:", "warning:"]
+        assert ".py:" not in err and "warnings.warn(" not in err
+
     def test_unreadable_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1\n", encoding="utf-8")
@@ -139,6 +146,20 @@ class TestRelabel:
     def test_sigma_out_of_range_exits_2(self, german_csv, built, tmp_path):
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--sigma", "2.01", "--out", str(tmp_path / "x")) == 2
+
+    def test_sigma_is_checked_before_the_data_is_read(self, built, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        for extra in ([], ["--from-plan", str(tmp_path / "plan.json")]):
+            assert run("relabel", "--tree", str(built), "--data", str(missing),
+                       "--sigma", "-0.5", *extra, "--out", str(tmp_path / "x")) == 2
+            assert "sigma must lie in [0, 2], got -0.5" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, german_csv, built, tmp_path, capsys):
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--seed", "-1", "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "non-negative" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_plan_only_touches_no_data(self, german_csv, built, tmp_path):
         out = tmp_path / "plan"
@@ -442,10 +463,13 @@ class TestReport:
     def test_empty_result_exits_0(self, german_csv, tmp_path, capsys):
         out = tmp_path / "t"
         assert run("build", "--data", str(german_csv), *SPEC_FLAGS, "--out", str(out)) == 0
-        tree_text = (out / "tree.json").read_text(encoding="utf-8")
-        assert run("report", "--tree", str(out / "tree.json"), "--min-disc", "2.0",
-                   "--top-k", "0") == 0
+        assert run("report", "--tree", str(out / "tree.json"), "--min-disc", "2.1") == 0
         assert "no subgroups" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_exits_2(self, built, capsys, top_k):
+        assert run("report", "--tree", str(built), "--top-k", top_k) == 2
+        assert "top_k must be at least 1" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -464,6 +488,18 @@ class TestSweep:
     def test_bad_grid_exits_2(self, german_csv, tmp_path):
         assert run("sweep", "--data", str(german_csv), *SPEC_FLAGS,
                    "--grid", "0..2", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:1"])
+    def test_non_finite_grid_exits_2(self, german_csv, tmp_path, capsys, grid):
+        assert run("sweep", "--data", str(german_csv), *SPEC_FLAGS,
+                   "--grid", grid, "--out", str(tmp_path / "x")) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, german_csv, tmp_path, capsys):
+        assert run("sweep", "--data", str(german_csv), *SPEC_FLAGS, "--folds", "2",
+                   "--grid", "0:2:1", "--seed", "-3", "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "non-negative" in err and "Traceback" not in err
 
     def test_idempotent_rerun_bytes(self, german_csv, tmp_path):
         out = tmp_path / "sweep"

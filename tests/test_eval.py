@@ -185,6 +185,14 @@ class TestSplits:
         with pytest.raises(ConfigError):
             kfold(german.subset(np.arange(3)), 4, seed=0)
 
+    def test_negative_seeds_rejected(self, german):
+        with pytest.raises(ConfigError, match="non-negative"):
+            split(german, 0.25, seed=-1)
+        with pytest.raises(ConfigError, match="non-negative"):
+            kfold(german, 2, seed=-1)
+        with pytest.raises(ConfigError, match="non-negative"):
+            TrainConfig(seed=-1)
+
 
 @pytest.fixture(scope="module")
 def mini_sweep(german):

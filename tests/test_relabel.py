@@ -93,6 +93,10 @@ class TestPlan:
         with pytest.raises(ConfigError):
             plan(census(tree, german), 2.01, seed=1)
 
+    def test_negative_seed_rejected(self, german):
+        with pytest.raises(ConfigError, match="non-negative"):
+            plan(census(build(german, "kl"), german), 0.0, seed=-1)
+
     def test_sigma_two_keeps_only_perfect_discrimination(self):
         t = strong_table()
         tree = build(t, "euclid")

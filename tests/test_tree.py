@@ -10,7 +10,7 @@ import oracle
 from conftest import table_rows, toy_table
 from fairtree.data import MISSING, GroupCounts, group_counts
 from fairtree.divergence import SplitEvaluation
-from fairtree.errors import DataError
+from fairtree.errors import ConfigError, DataError
 from fairtree.tree import (
     BuildConfig,
     FairTree,
@@ -335,6 +335,11 @@ class TestSubgroups:
 
     def test_top_k(self):
         assert len(extract_subgroups(self._tree(), 0.0, top_k=1)) == 1
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        with pytest.raises(ConfigError, match="top_k must be at least 1"):
+            extract_subgroups(self._tree(), 0.0, top_k=top_k)
 
 
 def _edited(text: str, change) -> str:
