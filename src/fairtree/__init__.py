@@ -1,4 +1,10 @@
-"""Divergence-based decision trees for locating and relabeling discriminatory subgroups."""
+"""Divergence-based decision trees for locating and relabeling discriminatory subgroups.
+
+The names of ``eval``, ``metrics`` and ``relabel`` are loaded on first use
+(PEP 562), so a command that does not run those modules does not import them.
+"""
+
+import importlib
 
 from .data import (
     AttributeSpec,
@@ -15,25 +21,6 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, DataError, FairtreeError, IntegrityError, UndefinedMetricError
-from .eval import LinearModel, TrainConfig, kfold, split, sweep, train_linear, training_losses
-from .metrics import (
-    FairnessReport,
-    GroupConfusion,
-    accuracy,
-    average_odds_difference,
-    balanced_accuracy,
-    demographic_parity,
-    fairness_report,
-    roc_points,
-)
-from .relabel import (
-    RelabelPlan,
-    apply,
-    census,
-    demote_count,
-    plan,
-    promote_count,
-)
 from .tree import (
     BuildConfig,
     FairTree,
@@ -45,5 +32,31 @@ from .tree import (
     serialize,
     stats,
 )
+
+_LAZY = {
+    "eval": ("LinearModel", "TrainConfig", "kfold", "split", "sweep", "train_linear", "training_losses"),
+    "metrics": (
+        "FairnessReport",
+        "GroupConfusion",
+        "accuracy",
+        "average_odds_difference",
+        "balanced_accuracy",
+        "demographic_parity",
+        "fairness_report",
+        "roc_points",
+    ),
+    "relabel": ("RelabelPlan", "apply", "census", "demote_count", "plan", "promote_count"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -21,8 +21,6 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
-from . import eval as ev
-from . import relabel as rl
 from . import tree as tr
 from .data import (
     LabelSpec,
@@ -126,6 +124,17 @@ def _load_table(args, categorical: tuple[str, ...] = ()):
     )
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: NaN and infinities exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -164,6 +173,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
+    from . import relabel as rl
+
     fair_tree = tr.deserialize(_read_document(args.tree))
     schema = fair_tree.schema
     if not 0.0 <= args.sigma <= 2.0:
@@ -254,6 +265,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import eval as ev
+
     table = discretize_all(_load_table(args), strategy=args.binning, bin_count=args.bins)
     grid = _parse_grid(args.grid)
     cfg = ev.TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed)
@@ -293,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r = subs.add_parser("relabel", help="plan and apply promote/demote relabeling")
     r.add_argument("--tree", required=True, help="tree document from `build`")
     r.add_argument("--data", required=True, help="input CSV path")
-    r.add_argument("--sigma", type=float, default=0.0, help="discrimination threshold in [0, 2]")
+    r.add_argument("--sigma", type=_finite_float, default=0.0, help="discrimination threshold in [0, 2]")
     r.add_argument("--seed", type=int, default=42, help="row selection seed")
     r.add_argument("--plan-only", action="store_true", help="emit the plan without touching data")
     r.add_argument("--from-plan", help="apply a previously emitted plan document")
@@ -310,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("report", help="list discriminatory subgroups from a tree")
     p.add_argument("--tree", required=True, help="tree document from `build`")
-    p.add_argument("--min-disc", type=float, default=0.0, help="minimum discrimination")
+    p.add_argument("--min-disc", type=_finite_float, default=0.0, help="minimum discrimination")
     p.add_argument("--top-k", type=int, help="keep only the top K subgroups")
     p.add_argument("--out", help="optional CSV output path")
     p.set_defaults(func=_cmd_report)
@@ -323,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--folds", type=int, default=10)
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--epochs", type=int, default=400)
-    s.add_argument("--learning-rate", type=float, default=0.1)
+    s.add_argument("--learning-rate", type=_finite_float, default=0.1)
     s.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     s.set_defaults(func=_cmd_sweep)
 

@@ -388,17 +388,17 @@ def _encode(spec: AttributeSpec, missing_tokens, values: np.ndarray) -> np.ndarr
 
 
 def _parse_floats(name: str, missing_tokens, values: np.ndarray) -> np.ndarray:
-    missing = set(missing_tokens)
-    out = np.empty(values.shape[0], dtype=float)
-    for i, v in enumerate(values):
-        if v in missing:
-            out[i] = np.nan
-        else:
+    """Each cell as a float, NaN where missing. Each distinct value is parsed
+    once, in order of first occurrence, so a bad cell is named by its first row."""
+    cells = values.tolist()
+    lut = dict.fromkeys(cells, np.nan)
+    for v in lut:
+        if v not in missing_tokens:
             try:
-                out[i] = float(v)
+                lut[v] = float(v)
             except ValueError:
-                raise DataError(f"row {i + 1}: cannot parse {v!r} in numeric column {name!r}") from None
-    return out
+                raise DataError(f"row {cells.index(v) + 1}: cannot parse {v!r} in numeric column {name!r}") from None
+    return np.fromiter(map(lut.__getitem__, cells), float, count=len(cells))
 
 
 def group_counts(table: DataTable, rows: np.ndarray | None = None) -> GroupCounts:

@@ -60,7 +60,9 @@ def _labels(rng, base: np.ndarray, deprived: np.ndarray, multipliers: np.ndarray
 
 
 def _ints(values: np.ndarray) -> np.ndarray:
-    return np.array([str(int(v)) for v in values], dtype=object)
+    """Each value as integer text, formatted once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([str(int(v)) for v in distinct.tolist()], dtype=object)[inverse]
 
 
 def make_german(seed: int = 42) -> DataTable:

@@ -7,8 +7,10 @@ empty group yields the uniform distribution, the zero-support limit of add-one
 smoothing; this is also what makes the empty-group fallbacks coincide with
 classical entropy/Gini gain.
 
-Everything here works on arrays. ``score_splits`` scores every candidate
-attribute of many nodes at once from one count tensor; the single-node
+Everything here works on arrays. ``pair_scores`` scores any set of
+(node, attribute) pairs at once, ``select`` makes each node's choice from
+those scores, and ``score_splits`` runs both over every attribute of many
+nodes from one count tensor; the single-node
 helpers below it (``divergence_gain``, ``fallback_gain``, the normalizers)
 are views over the same functions. Categories come first: a distribution
 runs over axis 0 (classes or outcomes), and a count array's axis 0 is the
@@ -233,26 +235,22 @@ def histogram(codes: np.ndarray, gc: np.ndarray, node: np.ndarray, n_nodes: int,
     return counts.reshape(4, width, n_nodes, n_attrs)
 
 
-def score_splits(parent, counts, candidates, measure: str) -> SplitScores:
-    """Score the candidate tests of many nodes at once.
+def pair_scores(parent, counts, measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Raw gain and normalizer of candidate tests, one per pair (node, attribute).
 
-    ``counts[s, k, i, a]`` counts the rows of node i in group-class slot s
-    (fav_pos, fav_neg, dep_pos, dep_neg) whose attribute a takes outcome k;
-    ``parent[s, i]`` counts node i's own rows, and ``candidates[i, a]`` marks
-    the attributes still open at node i, in declaration order. A candidate
-    is eligible only when its raw gain reaches the average raw gain over the
-    node's candidates, which stops near-zero normalizers from inflating weak
-    tests. Nodes where one group is absent fall back to the single-group
-    entropy/Gini gain.
+    ``counts[s, k, p]`` counts the rows of pair p's node in group-class slot s
+    (fav_pos, fav_neg, dep_pos, dep_neg) whose attribute takes outcome k, and
+    ``parent[s, p]`` counts the node's own rows. Each pair is scored on its
+    own, so a subset of pairs scores as it does among all of them. Nodes where
+    one group is absent fall back to the single-group entropy/Gini gain.
     """
     _check_measure(measure)
-    if (counts.sum(axis=1) != parent[:, :, None]).any():
+    if (counts.sum(axis=1) != parent).any():
         raise IntegrityError("children do not partition the parent's rows")
     laplace = LAPLACE[measure]
-    parent = parent[:, :, None]
     n_fav, n_dep = parent[0] + parent[1], parent[2] + parent[3]
-    one = ((n_fav == 0) | (n_dep == 0))[:, 0]
-    raw_gain = np.empty(candidates.shape)
+    one = (n_fav == 0) | (n_dep == 0)
+    raw_gain = np.empty(one.shape)
     if one.any():
         raw_gain[one] = _single_group_gain(parent[:, one], counts[:, :, one], measure)
     if not one.all():
@@ -261,12 +259,31 @@ def score_splits(parent, counts, candidates, measure: str) -> SplitScores:
 
     fav_out, dep_out = counts[0] + counts[1], counts[2] + counts[3]
     dists = outcome_distributions(fav_out, dep_out, laplace, observed=(fav_out + dep_out) > 0)
-    normalizer = _normalizer(measure, n_fav, n_dep, *dists)
-    ratio = gain_ratio(raw_gain, normalizer)
+    return raw_gain, _normalizer(measure, n_fav, n_dep, *dists)
 
+
+def select(raw_gain, normalizer, candidates) -> SplitScores:
+    """Gain ratios, eligibility and the choice per node, from scores indexed
+    [node, attribute]; only the entries of ``candidates`` are read. A
+    candidate is eligible only when its raw gain reaches the average raw gain
+    over the node's candidates, which stops near-zero normalizers from
+    inflating weak tests."""
+    ratio = gain_ratio(raw_gain, normalizer)
     mean_gain = _ordered_sum(np.where(candidates, raw_gain, 0.0).T) / candidates.sum(-1)
     eligible = candidates & (raw_gain >= mean_gain[:, None])
     return SplitScores(raw_gain, normalizer, ratio, eligible, choose(ratio, eligible))
+
+
+def score_splits(parent, counts, candidates, measure: str) -> SplitScores:
+    """Score every attribute of many nodes at once: ``counts[s, k, i, a]``
+    counts node i's rows in slot s whose attribute a takes outcome k,
+    ``parent[s, i]`` node i's own rows, and ``candidates[i, a]`` marks the
+    attributes still open at node i, in declaration order."""
+    n_nodes, n_attrs = candidates.shape
+    raw_gain, normalizer = pair_scores(
+        np.repeat(parent, n_attrs, axis=1), counts.reshape(4, counts.shape[1], -1), measure
+    )
+    return select(raw_gain.reshape(n_nodes, n_attrs), normalizer.reshape(n_nodes, n_attrs), candidates)
 
 
 # -- one-node views --------------------------------------------------------------

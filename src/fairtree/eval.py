@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -30,8 +31,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate <= 0:
-            raise ConfigError("epochs must be >= 1 and learning_rate positive")
+        if self.epochs < 1 or not 0 < self.learning_rate < math.inf:
+            raise ConfigError("epochs must be >= 1 and learning_rate positive and finite")
         rl.check_seed(self.seed)
 
 

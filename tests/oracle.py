@@ -12,11 +12,14 @@ references: ``logistic_descent``, the reference classifier's one-vector
 gradient descent loop with its per-epoch loss (for ``train_linear`` and
 ``training_losses`` on one label vector); ``encode_by_unique``, the column
 encoder over ``np.unique`` (for ``data._encode``); ``write_csv_by_row``, the
-row-at-a-time CSV writer (for ``data.write_csv``); and ``table_by_cell``, the
-per-cell type inference loop (for ``data.table_from_columns``).
+row-at-a-time CSV writer (for ``data.write_csv``); ``table_by_cell``, the
+per-cell type inference loop (for ``data.table_from_columns``); and
+``serialize_by_dict``, the tree writer over one dict per node and the indenting
+``json`` encoder (for ``tree.serialize``).
 """
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -311,3 +314,38 @@ def _all_float(values) -> bool:
     except ValueError:
         return False
     return True
+
+
+# -- trees -----------------------------------------------------------------------
+
+
+def _node_to_json(node):
+    """One node as a dict, verbatim."""
+    if hasattr(node, "counts"):
+        return {
+            "kind": "leaf",
+            "id": node.id,
+            "counts": list(node.counts.as_tuple()),
+            "disc": node.disc,
+            "majority": "positive" if node.majority_positive else "negative",
+            "depth": node.depth,
+        }
+    return {
+        "kind": "internal",
+        "attribute": node.attribute,
+        "fallback": node.fallback_outcome,
+        "children": {o: _node_to_json(c) for o, c in node.children.items()},
+    }
+
+
+def serialize_by_dict(tree):
+    """The tree writer over one dict per node, verbatim."""
+    doc = {
+        "format": "fairtree/1",
+        "criterion": tree.criterion,
+        "config": {"min_rows": tree.config.min_rows, "attribute_reuse": "consume"},
+        "schema_fingerprint": tree.schema.fingerprint,
+        "schema": tree.schema.to_json(),
+        "root": _node_to_json(tree.root),
+    }
+    return json.dumps(doc, indent=1, ensure_ascii=False) + "\n"

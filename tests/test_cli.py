@@ -4,6 +4,8 @@ import io
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -510,3 +512,42 @@ class TestSweep:
         first = (out / "sweep.csv").read_bytes()
         assert run(*args) == 0
         assert (out / "sweep.csv").read_bytes() == first
+
+
+def _float_options():
+    """(subcommand, option, required options) for every option that takes a float."""
+    subs = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    found = []
+    for name, sub in subs.choices.items():
+        required = [a.option_strings[0] for a in sub._actions if a.required]
+        for action in sub._actions:
+            assert action.type is not float, f"{name} {action.option_strings}: use the finite-float type"
+            if action.type is cli._finite_float:
+                found.append((name, action.option_strings[0], required))
+    return found
+
+
+def test_float_options_are_the_declared_three():
+    assert sorted(opt for _, opt, _ in _float_options()) == ["--learning-rate", "--min-disc", "--sigma"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_every_float_option_rejects_non_finite_values_with_exit_2(tmp_path, capsys, value):
+    for command, option, required in _float_options():
+        argv = [command]
+        for flag in required:
+            argv += [flag, str(tmp_path / "absent")]
+        # with a finite value the command runs and fails on the absent files (exit 3)
+        assert run(*argv, option, "0.5") == 3
+        capsys.readouterr()
+        assert run(*argv, f"{option}={value}") == 2, (command, option)
+        assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_neither_eval_nor_relabel():
+    code = "import sys, fairtree.cli; print(sorted(m for m in sys.modules if m.startswith('fairtree')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env).stdout
+    assert "fairtree.cli" in out
+    assert "fairtree.eval" not in out and "fairtree.relabel" not in out

@@ -418,6 +418,21 @@ class TestTypeInference:
         assert table.schema.fingerprint == expected.schema.fingerprint
         assert table.fingerprint == expected.fingerprint
 
+    @pytest.mark.parametrize("cells,named", [
+        (["1", "zz", "?", "aa", "zz"], "row 2: cannot parse 'zz'"),
+        (["1", "?", "aa", "2", "zz"], "row 3: cannot parse 'aa'"),
+    ])
+    def test_first_bad_cell_in_row_order_is_named(self, cells, named):
+        columns = {
+            "num": np.array(cells, dtype=object),
+            "grp": np.array(["fav", "dep"] * 2 + ["fav"], dtype=object),
+            "cls": np.array(["yes", "no"] * 2 + ["no"], dtype=object),
+        }
+        with pytest.raises(DataError) as raised:
+            table_from_columns(columns, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"),
+                               numeric_columns=("num",))
+        assert str(raised.value) == f"<memory>: {named} in numeric column 'num'"
+
 
 class TestDataTableInvariants:
     def test_undeclared_value_rejected(self):

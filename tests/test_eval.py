@@ -83,6 +83,11 @@ class TestTrainLinear:
         with pytest.raises(DataError, match="single class"):
             train_linear(t)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
+    def test_learning_rate_not_finite_and_positive_rejected(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
 
 @pytest.fixture(scope="module")
 def german_folds(german):

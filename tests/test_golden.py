@@ -14,7 +14,7 @@ import pytest
 
 from fairtree.cli import _parse_grid
 from fairtree.data import conform_to_schema, discretize_all, load_csv, write_csv
-from fairtree.datasets import make_adult, make_compas, make_german
+from fairtree.datasets import GENERATORS, make_adult, make_compas, make_german
 from fairtree.eval import TrainConfig, sweep
 from fairtree.relabel import census, plan, plan_to_json
 from fairtree.tree import build
@@ -81,3 +81,22 @@ def test_adult_sample_tree_digests_are_pinned(adult_sample, criterion, tmp_path)
     write_csv(adult_sample, path)
     schema = adult_sample.schema
     assert discretize_all(load_csv(path, schema.label, schema.sensitive)).fingerprint == in_memory.fingerprint
+
+
+#: sha256 of ``write_csv(GENERATORS[dataset](seed))``, recorded before the
+#: generators formatted their integer columns once per distinct value.
+STANDIN_CSV_GOLDEN = {
+    ("german", 42): "a64b8dad4ce172912b2fabf8366454e61a8ce396bb922beb11cc3c5a20f9fd73",
+    ("german", 7): "82c80fbac9db50a254de39eba6f5d3000d8c10650a47d235f06953cedc525f24",
+    ("compas", 42): "8806e56dc0a26f98dde9e29c4e54ef505b8d91ee0d88230be5a1882a7b818e1e",
+    ("compas", 7): "e771769e74be292661c739c8614e86805ca62b6a9e577da8e58c02f2b5f47d48",
+    ("adult", 42): "5a7e6c32fa97909db8a0456a9cac0f3fb6ee97d6a7d5d2edf638761ad4fb899f",
+    ("adult", 7): "51d7860eb3b45ddf228548ea9464c94ee9673c79950608eb000975fa0ead4b67",
+}
+
+
+@pytest.mark.parametrize("dataset,seed", sorted(STANDIN_CSV_GOLDEN))
+def test_standin_csv_bytes_are_pinned(dataset, seed, tmp_path):
+    path = tmp_path / f"{dataset}.csv"
+    write_csv(GENERATORS[dataset](seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STANDIN_CSV_GOLDEN[dataset, seed]

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -341,6 +341,10 @@ class TestSubgroups:
         with pytest.raises(ConfigError, match="top_k must be at least 1"):
             extract_subgroups(self._tree(), 0.0, top_k=top_k)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="min_disc"):
+            extract_subgroups(self._tree(), float("nan"))
+
 
 def _edited(text: str, change) -> str:
     doc = json.loads(text)
@@ -512,6 +516,43 @@ class TestFairTree:
         monkeypatch.setattr(tr, "serialize", lambda x: pytest.fail("serialize called"))
         for text in (tree_text, tree_text.replace("\n", "\r\n")):
             assert deserialize(text).digest == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+#: Text that JSON must escape or may pass through: quotes, backslashes,
+#: control characters, non-ASCII text and the two JavaScript line separators.
+_awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\t\n\r\u2028\u2029é日🙂'), st.characters()),
+    max_size=6,
+)
+_discs = st.one_of(
+    st.sampled_from([0.0, 2.0, -2.0, 1e-300, 1 / 3, -1 / 3, 0.1 + 0.2]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_leaves = st.builds(
+    Leaf,
+    id=st.integers(0, 10**6),
+    counts=st.builds(GroupCounts, *[st.integers(0, 10**4)] * 4),
+    disc=_discs,
+    majority_positive=st.booleans(),
+    depth=st.integers(0, 30),
+)
+
+
+def _internal(children):
+    return st.builds(
+        Internal,
+        attribute=_awkward_text,
+        children=st.dictionaries(_awkward_text, children, max_size=3),
+        fallback_outcome=_awkward_text,
+    )
+
+
+@given(root=st.recursive(_leaves, _internal, max_leaves=12), min_rows=st.integers(1, 50))
+@example(root=Leaf(0, GroupCounts(1, 0, 0, 1), 0.0, True, 0), min_rows=1)  # a single-leaf tree
+def test_emitter_text_equals_the_dict_and_json_writer(root, min_rows):
+    schema = toy_table({"a": [0, 1]}, favored=[1, 0], positive=[1, 0]).schema
+    tree = FairTree(root, "kl", BuildConfig(min_rows), schema)
+    assert serialize(tree) == oracle.serialize_by_dict(tree)
 
 
 class TestSerialization:
