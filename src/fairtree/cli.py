@@ -114,13 +114,13 @@ def _add_binning_args(sub: argparse.ArgumentParser) -> None:
                      default="equal-frequency", help="discretization strategy")
 
 
-def _load_table(args, categorical: tuple[str, ...] = ()):
+def _load_table(args):
     return load_csv(
         Path(args.data).resolve(),
         LabelSpec(args.label, args.positive, args.negative),
         SensitiveSpec(args.sensitive, args.favored, args.deprived),
         numeric_columns=tuple(args.numeric),
-        categorical_columns=categorical + tuple(args.categorical),
+        categorical_columns=tuple(args.categorical),
     )
 
 
@@ -135,6 +135,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+#: The most values a sweep grid may hold (0:2:0.0002 holds exactly this many).
+MAX_GRID_VALUES = 10_001
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -144,14 +148,14 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"bad grid spec {spec!r}; start, stop and step must be finite")
     if not 0.0 <= start <= stop <= 2.0 or step <= 0:
         raise ConfigError(f"bad grid spec {spec!r}; need 0 <= start <= stop <= 2 and step > 0")
-    values, i = [], 0
-    while True:
-        v = round(start + i * step, 12)
-        if v > stop + 1e-9:
-            break
-        values.append(min(v, stop))
-        i += 1
-    return values
+    # the grid is the i >= 0 with round(start + i * step, 12) <= stop + 1e-9; every
+    # i <= (stop - start) / step is one, and rounding may admit one or two more
+    n = math.floor(min((stop - start) / step, MAX_GRID_VALUES)) + 1
+    while n <= MAX_GRID_VALUES and round(start + n * step, 12) <= stop + 1e-9:
+        n += 1
+    if n > MAX_GRID_VALUES:
+        raise ConfigError(f"bad grid spec {spec!r}; a grid holds at most {MAX_GRID_VALUES} values")
+    return [min(round(start + i * step, 12), stop) for i in range(n)]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -209,7 +213,7 @@ def _cmd_relabel(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    table = _load_table(args, categorical=(args.predictions,))
+    table = _load_table(args)
     if args.predictions not in table.schema.column_names:
         raise ConfigError(f"predictions column {args.predictions!r} not found in {args.data}")
     pred_values = table.column(args.predictions)
@@ -267,8 +271,8 @@ def _cmd_report(args) -> int:
 def _cmd_sweep(args) -> int:
     from . import eval as ev
 
-    table = discretize_all(_load_table(args), strategy=args.binning, bin_count=args.bins)
     grid = _parse_grid(args.grid)
+    table = discretize_all(_load_table(args), strategy=args.binning, bin_count=args.bins)
     cfg = ev.TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed)
     result = ev.sweep(table, args.criterion, grid, args.seed, cfg, folds=args.folds)
     with _locked_out_dir(_out_dir(args)) as out:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -28,6 +29,10 @@ MISSING = "␀missing"
 DEFAULT_MISSING_TOKENS = ("", "?")
 
 SCHEMA_FORMAT = "fairtree-schema/1"
+
+#: Rows ``load_csv`` reads per step: each step's cells are swapped for the
+#: first string read of each distinct text in their column.
+CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -354,7 +359,8 @@ class DataTable:
         if positive.shape != (self._n,):
             raise ConfigError("label mask has wrong length")
         lbl = self.schema.label
-        cells = np.where(positive, lbl.positive, lbl.negative).astype(object)
+        # every cell is one of the two declared strings, not a copy of it
+        cells = np.array([lbl.negative, lbl.positive], dtype=object)[positive.astype(np.intp)]
         return self._derive(self.schema, replaced={lbl.column: (cells, None)})
 
 
@@ -423,7 +429,9 @@ def load_csv(
     """Load an RFC-4180-style CSV (header required, UTF-8) into a DataTable.
 
     Columns listed in ``numeric_columns`` must parse as floats; columns in
-    ``categorical_columns`` are never treated as numeric. Everything else is
+    ``categorical_columns`` are never treated as numeric. A listed column that
+    is not in the header, one listed as both, and a label or sensitive column
+    listed as numeric are configuration errors. Everything else is
     inferred from each column's set of distinct values, taken once: a column
     whose distinct non-missing values all parse as floats is numeric and left
     unfinalized for discretization; otherwise its sorted distinct values (plus
@@ -439,11 +447,7 @@ def load_csv(
             header = next(reader)
             if len(set(header)) != len(header):
                 raise DataError(f"{path}: duplicate column names in header")
-            raw_rows = []
-            for i, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-                raw_rows.append(row)
+            cells = _read_columns(reader, len(header), path)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
         except UnicodeDecodeError as exc:
@@ -455,9 +459,8 @@ def load_csv(
             f"{path}: the file begins with a byte-order mark, read as part of column name {header[0][1:]!r}"
         )
 
-    columns = {
-        name: np.array([row[j] for row in raw_rows], dtype=object) for j, name in enumerate(header)
-    }
+    # each list is let go as soon as its array holds the cells
+    columns = {name: np.array(cells.pop(0), dtype=object) for name in header}
     return table_from_columns(
         columns,
         label,
@@ -467,6 +470,38 @@ def load_csv(
         missing_tokens=missing_tokens,
         source=str(path),
     )
+
+
+def _read_columns(reader, width: int, path) -> list[list[str]]:
+    """The cells of every row after the header, column by column. Rows are
+    read ``CSV_CHUNK_ROWS`` at a time, and a column keeps one string per
+    distinct text: the first one read. Only one chunk's own strings are alive
+    at a time."""
+    columns: list[list[str]] = [[] for _ in range(width)]
+    first_seen: list[dict[str, str]] = [{} for _ in range(width)]
+    n = 0
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(itertools.islice(reader, CSV_CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            _check_widths(rows, width, n, path)  # a row read before the error is named first
+            raise
+        _check_widths(rows, width, n, path)
+        if not rows:
+            return columns
+        for column, seen, cells in zip(columns, first_seen, zip(*rows)):
+            for v in dict.fromkeys(cells):
+                seen.setdefault(v, v)
+            column.extend(map(seen.__getitem__, cells))
+        n += len(rows)
+
+
+def _check_widths(rows: list[list[str]], width: int, n: int, path) -> None:
+    """DataError naming the first of ``rows``, rows ``n + 1`` on, that has not ``width`` fields."""
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise DataError(f"{path}: row {n + i + 1} has {len(rows[i])} fields, expected {width}")
 
 
 def table_from_columns(
@@ -479,11 +514,21 @@ def table_from_columns(
     missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
     source: str = "<memory>",
 ) -> DataTable:
-    """Build a table from ordered string columns with the same inference as load_csv."""
+    """Build a table from ordered string columns with the same inference and
+    the same checks of the column options as load_csv."""
     header = list(columns)
     for col, role in ((label.column, "label"), (sensitive.column, "sensitive")):
         if col not in header:
             raise ConfigError(f"{role} column {col!r} not found in {source}")
+        if col in numeric_columns:
+            raise ConfigError(f"{role} column {col!r} is always categorical; it cannot be declared numeric")
+    for names, kind in ((numeric_columns, "numeric"), (categorical_columns, "categorical")):
+        for name in names:
+            if name not in columns:
+                raise ConfigError(f"{kind} column {name!r} not found in {source}")
+    for name in numeric_columns:
+        if name in categorical_columns:
+            raise ConfigError(f"column {name!r} is declared both numeric and categorical")
 
     columns = {name: np.asarray(col, dtype=object) for name, col in columns.items()}
 

@@ -124,7 +124,8 @@ def census(tree: FairTree, table: DataTable) -> Census:
     d_pos = dep_pos / np.maximum(n_dep, 1)
     disc = np.where((n_fav > 0) & (n_dep > 0), (f_pos - d_pos) + ((1.0 - d_pos) - (1.0 - f_pos)), 0.0)
     # discriminatory leaves in tree leaf order
-    order = np.fromiter((leaf.id for leaf in tree.leaves()), np.int64)
+    nodes = tree.node_table
+    order = nodes.leaf_id[nodes.attribute < 0]
     by_id = np.argsort(order)
     rank = by_id[np.searchsorted(order, ids, sorter=by_id)]
     repaired = np.flatnonzero(disc > 0.0)

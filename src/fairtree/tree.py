@@ -106,6 +106,28 @@ class FairTree:
     def leaves(self) -> list[Leaf]:
         return [node for node, _ in walk(self.root) if isinstance(node, Leaf)]
 
+    @cached_property
+    def node_table(self) -> "NodeTable":
+        """The tree as arrays for ``route``, built once per tree."""
+        return _node_table(self)
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """Every node of a tree, numbered in preorder (the root is node 0).
+
+    An internal node owns one slot of ``child`` per declared outcome of its
+    attribute, from ``offset``; the slot of an outcome with no child of its own
+    holds the fallback child. A row at node ``i`` with outcome code ``c`` moves
+    to ``child[offset[i] + c]``.
+    """
+
+    attribute: np.ndarray  # per node: index into ``attributes``, -1 at a leaf
+    leaf_id: np.ndarray  # per node: the leaf's id, -1 at an internal node
+    offset: np.ndarray  # per node: start of its slots in ``child``, -1 at a leaf
+    child: np.ndarray  # node number per slot
+    attributes: tuple[str, ...]  # the split attributes, in order of first use
+
 
 def walk(root: TreeNode):
     """Preorder ``(node, path)`` pairs, children in dict (declaration) order.
@@ -122,6 +144,40 @@ def walk(root: TreeNode):
                 (child, path + ((node.attribute, outcome),))
                 for outcome, child in reversed(node.children.items())
             )
+
+
+def _node_table(tree: FairTree) -> NodeTable:
+    """One preorder walk of ``tree``. A child fills the one slot of its own
+    outcome when it is numbered; the slots left empty then take the fallback's."""
+    code = {a.name: {o: i for i, o in enumerate(a.outcomes)} for a in tree.schema.attributes}
+    index: dict[str, int] = {}
+    attribute: list[int] = []
+    leaf_id: list[int] = []
+    offset: list[int] = []
+    child: list[int] = []
+    fallback: list[int] = []  # per slot: the slot of its node's fallback outcome
+    stack: list[tuple[TreeNode, int]] = [(tree.root, -1)]
+    while stack:
+        node, slot = stack.pop()
+        if slot >= 0:
+            child[slot] = len(attribute)
+        if type(node) is Leaf:
+            attribute.append(-1)
+            leaf_id.append(node.id)
+            offset.append(-1)
+            continue
+        start, codes = len(child), code[node.attribute]
+        attribute.append(index.setdefault(node.attribute, len(index)))
+        leaf_id.append(-1)
+        offset.append(start)
+        child += [-1] * len(codes)
+        fallback += [start + codes[node.fallback_outcome]] * len(codes)
+        stack.extend((c, start + codes[o]) for o, c in reversed(node.children.items()))
+    slots = np.array(child, dtype=np.intp)
+    empty = slots < 0
+    slots[empty] = slots[np.array(fallback, dtype=np.intp)[empty]]
+    attribute, leaf_id, offset = (np.array(a, dtype=np.intp) for a in (attribute, leaf_id, offset))
+    return NodeTable(attribute, leaf_id, offset, slots, tuple(index))
 
 
 def leaf_disc(counts: GroupCounts) -> float:
@@ -287,29 +343,27 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
 
 
 def route(tree: FairTree, table: DataTable) -> np.ndarray:
-    """Leaf id per row. Outcomes unseen at a node follow its fallback child."""
+    """Leaf id per row. Outcomes unseen at a node follow its fallback child.
+
+    Every row still above a leaf steps one depth per turn through the tree's
+    ``node_table``, so the numpy calls grow with the depth, not the node count.
+    """
     if table.schema.fingerprint != tree.schema_fingerprint:
         raise DataError("table schema does not match the tree's schema")
+    nodes = tree.node_table
+    codes = np.empty((len(nodes.attributes), table.n_rows), dtype=np.int32)
+    for j, name in enumerate(nodes.attributes):
+        codes[j] = table.codes(name)
     out = np.empty(table.n_rows, dtype=np.int64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(table.n_rows))]
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            out[rows] = node.id
-            continue
-        outcomes = tree.schema.spec(node.attribute).outcomes
-        codes = table.codes(node.attribute)[rows]
-        routed = np.zeros(rows.size, dtype=bool)
-        for code, outcome in enumerate(outcomes):
-            child = node.children.get(outcome)
-            if child is None:
-                continue
-            mask = codes == code
-            if mask.any():
-                stack.append((child, rows[mask]))
-                routed |= mask
-        if not routed.all():
-            stack.append((node.children[node.fallback_outcome], rows[~routed]))
+    rows = np.arange(table.n_rows)
+    node = np.zeros(table.n_rows, dtype=np.intp)
+    while rows.size:
+        attr = nodes.attribute[node]
+        at_leaf = attr < 0
+        out[rows[at_leaf]] = nodes.leaf_id[node[at_leaf]]
+        inner = ~at_leaf
+        rows, node, attr = rows[inner], node[inner], attr[inner]
+        node = nodes.child[nodes.offset[node] + codes[attr, rows]]
     return out
 
 

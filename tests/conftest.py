@@ -11,7 +11,7 @@ from fairtree.data import (
     discretize_all,
     table_from_columns,
 )
-from fairtree.datasets import make_compas, make_german
+from fairtree.datasets import make_adult, make_compas, make_german
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]
@@ -73,3 +73,11 @@ def german():
 @pytest.fixture(scope="session")
 def compas():
     return _quiet_discretize(make_compas())
+
+
+@pytest.fixture(scope="session")
+def adult_sample():
+    """The seed-42 8,000-row adult sample, drawn as the benchmark's stand-in is."""
+    raw = make_adult(seed=42)
+    keep = np.random.default_rng([42, 7]).permutation(raw.n_rows)[:8000]
+    return raw.subset(np.sort(keep))

@@ -15,7 +15,10 @@ encoder over ``np.unique`` (for ``data._encode``); ``write_csv_by_row``, the
 row-at-a-time CSV writer (for ``data.write_csv``); ``table_by_cell``, the
 per-cell type inference loop (for ``data.table_from_columns``); and
 ``serialize_by_dict``, the tree writer over one dict per node and the indenting
-``json`` encoder (for ``tree.serialize``).
+``json`` encoder (for ``tree.serialize``); ``load_csv_by_row``, the CSV reader
+that kept every row's own cell strings (for ``data.load_csv``); and
+``route_by_node``, the router with its numpy calls at every node (for
+``tree.route``).
 """
 
 import csv
@@ -31,8 +34,10 @@ from fairtree.data import (
     DataTable,
     TableSchema,
     _resolve_binary,
+    table_from_columns,
 )
 from fairtree.errors import ConfigError, DataError
+from fairtree.tree import Leaf
 
 NORM_EPS = 1e-9
 
@@ -245,6 +250,52 @@ def write_csv_by_row(table, path):
             writer.writerow([col[i] for col in cols])
 
 
+def load_csv_by_row(
+    path,
+    label,
+    sensitive,
+    *,
+    numeric_columns=(),
+    categorical_columns=(),
+    missing_tokens=DEFAULT_MISSING_TOKENS,
+):
+    """``load_csv`` reading one row at a time, each cell its own string, verbatim."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            raw_rows = []
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+                raw_rows.append(row)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, header row required") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header and header[0][:1] == "\ufeff" and header[0][1:] in (label.column, sensitive.column):
+        raise DataError(
+            f"{path}: the file begins with a byte-order mark, read as part of column name {header[0][1:]!r}"
+        )
+
+    columns = {
+        name: np.array([row[j] for row in raw_rows], dtype=object) for j, name in enumerate(header)
+    }
+    return table_from_columns(
+        columns,
+        label,
+        sensitive,
+        numeric_columns=numeric_columns,
+        categorical_columns=categorical_columns,
+        missing_tokens=missing_tokens,
+        source=str(path),
+    )
+
+
 def table_by_cell(
     columns,
     label,
@@ -349,3 +400,28 @@ def serialize_by_dict(tree):
         "root": _node_to_json(tree.root),
     }
     return json.dumps(doc, indent=1, ensure_ascii=False) + "\n"
+
+
+def route_by_node(tree, table):
+    """``route`` over one stack entry per node, verbatim (the schema check aside)."""
+    out = np.empty(table.n_rows, dtype=np.int64)
+    stack = [(tree.root, np.arange(table.n_rows))]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, Leaf):
+            out[rows] = node.id
+            continue
+        outcomes = tree.schema.spec(node.attribute).outcomes
+        codes = table.codes(node.attribute)[rows]
+        routed = np.zeros(rows.size, dtype=bool)
+        for code, outcome in enumerate(outcomes):
+            child = node.children.get(outcome)
+            if child is None:
+                continue
+            mask = codes == code
+            if mask.any():
+                stack.append((child, rows[mask]))
+                routed |= mask
+        if not routed.all():
+            stack.append((node.children[node.fallback_outcome], rows[~routed]))
+    return out

@@ -11,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fairtree import cli
 from fairtree.cli import main
 from fairtree.data import LabelSpec, SensitiveSpec, load_csv, write_csv
 from fairtree.datasets import make_german
+from fairtree.errors import ConfigError
 from fairtree.tree import deserialize, serialize
 
 
@@ -426,8 +427,14 @@ class TestAudit:
         text = capsys.readouterr().out
         assert "demographic parity" in text and "accuracy" in text
 
-    def test_missing_predictions_column_exits_2(self, audit_csv):
+    def test_missing_predictions_column_exits_2(self, audit_csv, capsys):
         assert run("audit", "--data", str(audit_csv), *SPEC_FLAGS, "--predictions", "nope") == 2
+        assert f"predictions column 'nope' not found in {audit_csv}" in capsys.readouterr().err
+
+    def test_unknown_numeric_column_exits_2(self, audit_csv, capsys):
+        assert run("audit", "--data", str(audit_csv), *SPEC_FLAGS, "--predictions", "pred",
+                   "--numeric", "nope") == 2
+        assert "numeric column 'nope' not found" in capsys.readouterr().err
 
     def test_roc_csv(self, audit_csv, tmp_path):
         out = tmp_path / "roc"
@@ -474,6 +481,32 @@ class TestReport:
         assert "top_k must be at least 1" in capsys.readouterr().err
 
 
+class TestColumnOptions:
+    """--numeric and --categorical must name columns of the file, and not the same
+    one twice or the label or sensitive column as numeric."""
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--numeric", "no_such_column", "--categorical", "also_missing"],
+         "numeric column 'no_such_column' not found"),
+        (["--categorical", "also_missing"], "categorical column 'also_missing' not found"),
+        (["--numeric", "duration_months", "--categorical", "duration_months"],
+         "column 'duration_months' is declared both numeric and categorical"),
+        (["--numeric", "credit_risk"], "label column 'credit_risk' is always categorical"),
+        (["--numeric", "age"], "sensitive column 'age' is always categorical"),
+    ])
+    @pytest.mark.parametrize("command", ["build", "audit"])
+    def test_bad_column_option_exits_2(self, german_csv, tmp_path, capsys, command, flags, named):
+        extra = ["--predictions", "credit_risk"] if command == "audit" else []
+        assert run(command, "--data", str(german_csv), *SPEC_FLAGS, *extra, *flags,
+                   "--out", str(tmp_path / "x")) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_declared_columns_still_build(self, german_csv, tmp_path):
+        assert run("build", "--data", str(german_csv), *SPEC_FLAGS, "--numeric", "duration_months",
+                   "--categorical", "installment_rate", "--out", str(tmp_path / "x")) == 0
+
+
 class TestSweep:
     def test_small_sweep_csv(self, german_csv, tmp_path):
         out = tmp_path / "sweep"
@@ -486,6 +519,34 @@ class TestSweep:
         assert len(lines) == 1 + 1 + 6
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5 and manifest["folds"] == 2
+
+    def test_grid_over_the_value_limit_exits_2_at_once(self, german_csv, tmp_path, capsys, monkeypatch):
+        # 2e9 values: refused from its length alone, before the data is read
+        monkeypatch.setattr(cli, "load_csv", lambda *a, **k: pytest.fail("the data was read"))
+        assert run("sweep", "--data", str(german_csv), *SPEC_FLAGS,
+                   "--grid", "0:2:1e-9", "--out", str(tmp_path / "x")) == 2
+        assert f"a grid holds at most {cli.MAX_GRID_VALUES} values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,length", [("0:2:0.0002", 10_001), ("0:2:0.00019998", None),
+                                             ("0:2:5e-324", None), ("0:2:0.1", 21), ("1:1:0.5", 1)])
+    def test_grid_length_limit(self, spec, length):
+        if length is None:
+            with pytest.raises(ConfigError, match="at most 10001 values"):
+                cli._parse_grid(spec)
+        else:
+            assert len(cli._parse_grid(spec)) == length
+
+    @given(start=st.integers(0, 200), width=st.integers(0, 200), step=st.integers(1, 300),
+           scale=st.sampled_from([1e-2, 1e-3, 7e-3]))
+    def test_grid_values_equal_the_stepping_loop(self, start, width, step, scale):
+        start, stop = start * 1e-2, min((start + width) * 1e-2, 2.0)
+        assume(start <= stop)
+        step *= scale
+        values, i = [], 0
+        while (v := round(start + i * step, 12)) <= stop + 1e-9:
+            values.append(min(v, stop))
+            i += 1
+        assert cli._parse_grid(f"{start!r}:{stop!r}:{step!r}") == values
 
     def test_bad_grid_exits_2(self, german_csv, tmp_path):
         assert run("sweep", "--data", str(german_csv), *SPEC_FLAGS,

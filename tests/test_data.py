@@ -1,4 +1,7 @@
+import csv
+import io
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,6 +173,108 @@ class TestWriteCsv:
         text = side.read_text(encoding="utf-8")
         assert "label.positive: good" in text
         assert "column.duration.cut_points:" in text
+
+
+#: Cells of the reader test's feature columns: CSV quoting cases, numbers,
+#: missing tokens and short text.
+READER_CELLS = st.one_of(
+    st.sampled_from(TRICKY_CELLS),
+    st.sampled_from(["1", "2.5", "-3", "1e3", "", "?", "NA"]),
+    st.text(TRICKY_CHARS, max_size=3),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes as ``csv.writer`` lays them out (quotes, embedded line breaks,
+    CRLF or LF line ends, empty fields, missing tokens), maybe spoiled: a row
+    a field short or long, a duplicate header name, a stray quote, a byte that
+    is not UTF-8, a byte-order mark, a cut, or no bytes at all."""
+    features = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=3, unique=True))
+    header = draw(st.permutations(["grp", "cls", *features]))
+    cells = {"grp": st.sampled_from(["fav", "dep"]), "cls": st.sampled_from(["yes", "no"])}
+    rows = [[draw(cells.get(name, READER_CELLS)) for name in header] for _ in range(draw(st.integers(0, 12)))]
+    if rows and draw(st.integers(0, 3)) == 3:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["extra"]
+    if draw(st.integers(0, 9)) == 9:
+        header = header + [header[0]]
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerows([header, *rows])
+    data = buf.getvalue().encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    spoil = draw(st.sampled_from(["none"] * 4 + ["quote", "byte", "bom", "cut", "empty"]))
+    return {
+        "none": data,
+        "quote": data[:at] + b'"' + data[at:],
+        "byte": data[:at] + b"\xff" + data[at:],
+        "bom": "\ufeff".encode("utf-8") + data,
+        "cut": data[:at],
+        "empty": b"",
+    }[spoil]
+
+
+def _load_or_error(loader, path):
+    """The table ``loader`` reads from ``path``, or its error's type and message."""
+    try:
+        return loader(path, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+class TestChunkedReader:
+    """``load_csv`` reads ``CSV_CHUNK_ROWS`` rows at a time and keeps one string
+    per distinct text of a column; it must read what the row-at-a-time reader
+    read, or fail with the same error and message."""
+
+    @given(data=csv_files(), chunk=st.integers(1, 4), field_limit=st.sampled_from([None, 4]))
+    def test_chunks_read_what_the_row_reader_read(self, tmp_path_factory, data, chunk, field_limit):
+        path = tmp_path_factory.mktemp("read") / "in.csv"
+        path.write_bytes(data)
+        # a low field size limit makes csv.Error at a row the strategy chose
+        default_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+        try:
+            with mock.patch.object(fairtree.data, "CSV_CHUNK_ROWS", chunk):
+                table = _load_or_error(load_csv, path)
+            expected = _load_or_error(oracle.load_csv_by_row, path)
+        finally:
+            csv.field_size_limit(default_limit)
+        if isinstance(expected, tuple):
+            assert table == expected
+            return
+        assert table.schema == expected.schema
+        assert table.fingerprint == expected.fingerprint
+        for spec in table.schema.attributes:
+            assert table.column(spec.name).tolist() == expected.column(spec.name).tolist()
+            if spec.finalized:
+                assert np.array_equal(table.codes(spec.name), expected.codes(spec.name))
+            elif spec.kind == "numeric":
+                assert np.array_equal(table.floats(spec.name), expected.floats(spec.name), equal_nan=True)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+    def test_wrong_width_before_a_reader_error_is_named_first(self, tmp_path, chunk):
+        # row 2 is short and row 3 holds a field over the limit, in one chunk or two
+        p = tmp_path / "bad.csv"
+        write_lines(p, ["grp,cls", "fav,yes", "dep", "fav," + "y" * 10, "dep,no"])
+        default_limit = csv.field_size_limit(5)
+        try:
+            with mock.patch.object(fairtree.data, "CSV_CHUNK_ROWS", chunk):
+                table = _load_or_error(load_csv, p)
+            expected = _load_or_error(oracle.load_csv_by_row, p)
+        finally:
+            csv.field_size_limit(default_limit)
+        assert table == expected == (DataError, f"{p}: row 2 has 1 fields, expected 2")
+
+    def test_each_column_holds_one_string_per_distinct_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fairtree.data, "CSV_CHUNK_ROWS", 7)  # texts repeat across chunks
+        path = tmp_path / "german.csv"
+        write_csv(make_german(), path)
+        table = load_csv(path, LabelSpec("credit_risk", "good"), SensitiveSpec("age", ">25"))
+        for name in table.schema.column_names:
+            cells = table.column(name).tolist()
+            assert len({id(v) for v in cells}) == len(set(cells)), name
 
 
 class TestDiscretize:
@@ -404,6 +509,11 @@ class TestTypeInference:
     def test_distinct_values_infer_what_the_cell_loop_inferred(self, case):
         columns, options = case
         label, sensitive = LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep")
+        both = [name for name in options["numeric_columns"] if name in options["categorical_columns"]]
+        if both:
+            with pytest.raises(ConfigError, match=f"column {both[0]!r} is declared both numeric and categorical"):
+                table_from_columns(columns, label, sensitive, **options)
+            return
         try:
             expected = oracle.table_by_cell(columns, label, sensitive, **options)
         except (ConfigError, DataError) as exc:
@@ -432,6 +542,33 @@ class TestTypeInference:
             table_from_columns(columns, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"),
                                numeric_columns=("num",))
         assert str(raised.value) == f"<memory>: {named} in numeric column 'num'"
+
+
+class TestColumnOptions:
+    COLUMNS = {
+        "num": np.array(["1", "2", "3"], dtype=object),
+        "grp": np.array(["fav", "dep", "fav"], dtype=object),
+        "cls": np.array(["yes", "no", "no"], dtype=object),
+    }
+
+    @pytest.mark.parametrize("options,named", [
+        ({"numeric_columns": ("nope",)}, "numeric column 'nope' not found in <memory>"),
+        ({"categorical_columns": ("nope",)}, "categorical column 'nope' not found in <memory>"),
+        ({"numeric_columns": ("num",), "categorical_columns": ("num",)},
+         "column 'num' is declared both numeric and categorical"),
+        ({"numeric_columns": ("cls",)}, "label column 'cls' is always categorical; it cannot be declared numeric"),
+        ({"numeric_columns": ("grp",)}, "sensitive column 'grp' is always categorical; it cannot be declared numeric"),
+    ])
+    def test_unknown_or_conflicting_columns_are_config_errors(self, options, named):
+        with pytest.raises(ConfigError) as raised:
+            table_from_columns(self.COLUMNS, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"),
+                               **options)
+        assert str(raised.value) == named
+
+    def test_label_and_sensitive_may_be_declared_categorical(self):
+        table = table_from_columns(self.COLUMNS, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"),
+                                   categorical_columns=("cls", "grp", "num"))
+        assert table.schema.spec("num").outcomes == ("1", "2", "3")
 
 
 class TestDataTableInvariants:

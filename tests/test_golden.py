@@ -9,12 +9,11 @@ change that says which bytes move and why.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from fairtree.cli import _parse_grid
 from fairtree.data import conform_to_schema, discretize_all, load_csv, write_csv
-from fairtree.datasets import GENERATORS, make_adult, make_compas, make_german
+from fairtree.datasets import GENERATORS, make_compas, make_german
 from fairtree.eval import TrainConfig, sweep
 from fairtree.relabel import census, plan, plan_to_json
 from fairtree.tree import build
@@ -60,16 +59,7 @@ def test_sweep_bytes_are_pinned(german, criterion, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == SWEEP_GOLDEN[criterion]
 
 
-ADULT_SAMPLE_ROWS = 8000
 ADULT_GOLDEN = {"kl": "6d0da3830e85c056", "euclid": "fc02c3d99eae3c70"}
-
-
-@pytest.fixture(scope="module")
-def adult_sample():
-    """The seed-42 8,000-row adult sample, drawn as the benchmark's stand-in is."""
-    raw = make_adult(seed=42)
-    keep = np.random.default_rng([42, 7]).permutation(raw.n_rows)[:ADULT_SAMPLE_ROWS]
-    return raw.subset(np.sort(keep))
 
 
 @pytest.mark.parametrize("criterion", sorted(ADULT_GOLDEN))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import table_rows, toy_table
-from fairtree.data import MISSING, GroupCounts, group_counts
+from fairtree.data import MISSING, GroupCounts, conform_to_schema, discretize_all, group_counts
+from fairtree.datasets import make_adult
 from fairtree.divergence import SplitEvaluation
 from fairtree.errors import ConfigError, DataError
 from fairtree.tree import (
@@ -291,6 +292,58 @@ class TestRouting:
         doubled = german.subset(np.array([5, 5]))
         ids = route(tree, doubled)
         assert ids[0] == ids[1]
+
+
+@st.composite
+def trees_over_tables(draw):
+    """A table of categorical columns, some with missing cells, and a random
+    tree over its schema: each internal node has children for some of its
+    attribute's declared outcomes only (the rest take its fallback child), and
+    a ``MISSING`` child wherever that outcome is declared and drawn."""
+    n = draw(st.integers(1, 30))
+    cols = {f"a{j}": draw(st.lists(st.sampled_from(["x", "y", "z", "?", ""][: draw(st.integers(1, 5))]),
+                                   min_size=n, max_size=n))
+            for j in range(draw(st.integers(1, 4)))}
+    table = toy_table(cols, favored=[i % 2 for i in range(n)], positive=[i % 3 == 0 for i in range(n)])
+    leaf_ids = iter(draw(st.permutations(range(64))))
+
+    def node(depth, unused):
+        if not unused or depth >= 3 or draw(st.booleans()):
+            return Leaf(next(leaf_ids), GroupCounts(0, 0, 0, 0), 0.0, True, depth)
+        attribute = draw(st.sampled_from(sorted(unused)))
+        declared = table.schema.spec(attribute).outcomes
+        kept = draw(st.lists(st.sampled_from(declared), min_size=1, unique=True))
+        children = {o: node(depth + 1, unused - {attribute}) for o in declared if o in kept}
+        return Internal(attribute, children, draw(st.sampled_from(sorted(children))))
+
+    root = node(0, set(table.schema.feature_names))
+    return FairTree(root, "kl", BuildConfig(), table.schema), table
+
+
+class TestNodeTableRouting:
+    """``route`` steps every row down one depth at a time over the tree's node
+    table; it must agree with the per-node router row for row."""
+
+    @given(case=trees_over_tables())
+    def test_random_trees_route_like_the_per_node_router(self, case):
+        tree, table = case
+        for rows in (table, table.subset(np.arange(0))):
+            assert np.array_equal(route(tree, rows), oracle.route_by_node(tree, rows))
+
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    def test_adult_sample_trees_route_like_the_per_node_router(self, adult_sample, criterion):
+        sample = discretize_all(adult_sample)
+        tree = build(sample, criterion)
+        # the full table holds rows whose outcomes some nodes never saw: fallbacks
+        for table in (sample, conform_to_schema(make_adult(seed=42), sample.schema)):
+            assert np.array_equal(route(tree, table), oracle.route_by_node(tree, table))
+
+    def test_node_table_is_built_once_per_tree(self, german):
+        tree = build(german.subset(np.arange(200)), "kl")
+        assert tree.node_table is tree.node_table
+        nodes = tree.node_table
+        # preorder numbering: the table's leaves are the tree's leaves in leaf order
+        assert nodes.leaf_id[nodes.attribute < 0].tolist() == [leaf.id for leaf in tree.leaves()]
 
 
 class TestStats:
