@@ -45,7 +45,7 @@ _LAZY = {
         "fairness_report",
         "roc_points",
     ),
-    "relabel": ("RelabelPlan", "apply", "census", "demote_count", "plan", "promote_count"),
+    "relabel": ("RelabelPlan", "apply", "census", "demote_count", "plan", "promote_count", "relabeled_mask"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -645,22 +645,22 @@ def fit_cut_points(table: DataTable, rule: DiscretizationRule) -> tuple[float, .
     values = np.sort(values[~np.isnan(values)])
     if values.size == 0:
         raise DataError(f"column {rule.column!r} has no numeric values to discretize")
-    distinct = np.unique(values)
-    if distinct.size == 1:
+    # feasible cut positions: between consecutive distinct sorted values
+    bounds = np.nonzero(values[1:] > values[:-1])[0] + 1
+    n_distinct = bounds.size + 1
+    if n_distinct == 1:
         warnings.warn(f"column {rule.column!r} is constant; emitting a single bin")
         return ()
     k = rule.bin_count
-    if k > distinct.size:
+    if k > n_distinct:
         warnings.warn(
-            f"column {rule.column!r} has only {distinct.size} distinct values; "
+            f"column {rule.column!r} has only {n_distinct} distinct values; "
             f"reducing bin count from {k}"
         )
-        k = distinct.size
+        k = n_distinct
     cuts: list[float] = []
     if rule.strategy == "equal-frequency":
         n = values.size
-        # feasible cut positions: between consecutive distinct sorted values
-        bounds = np.nonzero(values[1:] > values[:-1])[0] + 1
         for i in range(1, k):
             r = i * n / k
             j = int(bounds[np.argmin(np.abs(bounds - r))])  # nearest boundary to the rank

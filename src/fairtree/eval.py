@@ -75,16 +75,22 @@ def one_hot(table: DataTable) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.hstack(blocks), tuple(names)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Overflow-free logistic: exp is only ever taken of -|z|.
 
     ``minimum(z, -z)`` is -|z| that keeps a NaN's sign and payload, so every
     element goes through the same IEEE operations as 1/(1+exp(-z)) for z >= 0
-    and exp(z)/(1+exp(z)) otherwise.
+    and exp(z)/(1+exp(z)) otherwise. The result is written to ``out`` if given.
     """
-    ez = np.exp(np.minimum(z, -z))
+    pos = z >= 0
+    ez = np.negative(z, out=out)
+    np.minimum(z, ez, out=ez)
+    np.exp(ez, out=ez)
     d = 1.0 + ez
-    return np.where(z >= 0, 1.0 / d, ez / d)
+    # the numerator, 1 where z >= 0 and exp(-|z|) elsewhere: exp(-|z|) <= 1, and
+    # maximum returns a NaN as it is; unlike a masked copy, it does not branch
+    np.maximum(ez, pos, out=ez)
+    return np.divide(ez, d, out=ez)
 
 
 def train_linear(
@@ -148,20 +154,32 @@ def _descend(X: np.ndarray, y: np.ndarray, config: TrainConfig, per_epoch=None):
 
     ``y`` is one label vector or a (rows, m) matrix; every column starts from
     the same weights, and the products and means below serve both shapes.
-    ``per_epoch`` sees each epoch's probabilities before its update.
+    ``per_epoch`` sees each epoch's probabilities before its update, in a
+    buffer that the next epoch overwrites. Every epoch runs in the buffers
+    allocated here, with the operations of ``p = sigmoid(X @ w + b)``,
+    ``w -= rate * (X.T @ (p - y)) / n`` and ``b -= rate * (p - y).mean(axis=0)``.
     """
     n = X.shape[0]
+    rate = config.learning_rate
     w0 = np.random.default_rng(config.seed).normal(0.0, 0.01, X.shape[1])
     w = np.empty(w0.shape + y.shape[1:])
     w.T[...] = w0  # every column starts from w0
     b = np.zeros(y.shape[1:])
+    z, p, step, db = np.empty(y.shape), np.empty(y.shape), np.empty(w.shape), np.empty(b.shape)
     for _ in range(config.epochs):
-        p = _sigmoid(X @ w + b)
+        np.matmul(X, w, out=z)
+        z += b
+        _sigmoid(z, out=p)
         if per_epoch is not None:
             per_epoch(p)
-        grad = p - y
-        w -= config.learning_rate * (X.T @ grad) / n
-        b -= config.learning_rate * grad.mean(axis=0)
+        grad = np.subtract(p, y, out=z)
+        np.matmul(X.T, grad, out=step)
+        step *= rate
+        step /= n
+        w -= step
+        np.mean(grad, axis=0, out=db)
+        db *= rate
+        b -= db
     return w, b[()]  # a scalar bias for one label vector
 
 
@@ -242,11 +260,6 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _metrics(labels, preds, groups) -> dict[str, float]:
-    rep = fairness_report(labels, preds, groups)
-    return {"dp": rep.dp, "aod": rep.aod, "ba": rep.ba, "acc": rep.acc}
-
-
 def _fold_seed(seed: int, fold: int, tag: int) -> int:
     return (seed * 1_000_003 + fold * 1_009 + tag) % 2**31
 
@@ -272,8 +285,13 @@ def sweep(
     train_config = train_config or TrainConfig()
     if any(not 0.0 <= s <= 2.0 for s in sigma_grid):
         raise ConfigError("sigma grid values must lie in [0, 2]")
+    seen: set[float] = set()
+    for sigma in sigma_grid:
+        if sigma in seen:
+            raise ConfigError(f"sigma grid repeats the value {sigma!r}")
+        seen.add(sigma)
 
-    per_key: dict[tuple, list[dict]] = {}
+    reports = []  # one per fold, over the columns baseline, then raw and relabeled per sigma
     fold_pairs = kfold(table, folds, seed)
     for f, (train, test) in enumerate(fold_pairs):
         tree = build(train, criterion)
@@ -281,9 +299,9 @@ def sweep(
         train_labels, test_labels = [], []
         for i, sigma in enumerate(sigma_grid):
             p_train = rl.plan(train_census, sigma, _fold_seed(seed, f, 100 + i))
-            train_labels.append(rl.apply(p_train, train).positive_mask)
+            train_labels.append(rl.relabeled_mask(p_train, train))
             p_test = rl.plan(test_census, sigma, _fold_seed(seed, f, 500 + i))
-            test_labels.append(rl.apply(p_test, test).positive_mask)
+            test_labels.append(rl.relabeled_mask(p_test, test))
 
         # Features and cfg are fixed within a fold and the fit is deterministic,
         # so one column per distinct set of training labels (the baseline's
@@ -295,23 +313,16 @@ def sweep(
         cfg = replace(train_config, seed=_fold_seed(train_config.seed, f, 0))
         preds = train_linear(train, cfg, Y).predict(test)
 
-        groups = test.favored_mask
-        per_key.setdefault(("baseline", None), []).append(
-            _metrics(test.positive_mask, preds[:, 0], groups)
-        )
-        for sigma, train_y, test_y in zip(sigma_grid, train_labels, test_labels):
-            fold_preds = preds[:, column_of[train_y.tobytes()]]
-            per_key.setdefault(("raw", sigma), []).append(
-                _metrics(test.positive_mask, fold_preds, groups)
-            )
-            per_key.setdefault(("relabeled", sigma), []).append(
-                _metrics(test_y, fold_preds, groups)
-            )
+        fits, truths = [0], [test.positive_mask]
+        for train_y, test_y in zip(train_labels, test_labels):
+            fits += [column_of[train_y.tobytes()]] * 2
+            truths += [test.positive_mask, test_y]
+        reports.append(fairness_report(np.stack(truths, axis=1), preds[:, fits], test.favored_mask))
 
-    rows = [_aggregate("baseline", None, per_key[("baseline", None)])]
-    for sigma in sigma_grid:
-        for variant in ("raw", "relabeled"):
-            rows.append(_aggregate(variant, sigma, per_key[(variant, sigma)]))
+    rows = [_aggregate("baseline", None, reports, 0)]
+    for i, sigma in enumerate(sigma_grid):
+        rows.append(_aggregate("raw", sigma, reports, 1 + 2 * i))
+        rows.append(_aggregate("relabeled", sigma, reports, 2 + 2 * i))
 
     manifest = {
         "format": SWEEP_FORMAT,
@@ -329,13 +340,12 @@ def sweep(
     return SweepResult(rows, manifest)
 
 
-def _aggregate(variant: str, sigma: float | None, fold_metrics: list[dict]) -> SweepRow:
+def _aggregate(variant: str, sigma: float | None, reports: list, column: int) -> SweepRow:
     def agg(key: str) -> tuple[float, float]:
-        vals = np.array([m[key] for m in fold_metrics])
+        vals = np.array([getattr(rep, key)[column] for rep in reports])
         return float(vals.mean()), float(vals.std())
 
     dp, aod, ba, acc = agg("dp"), agg("aod"), agg("ba"), agg("acc")
     return SweepRow(
-        sigma, variant, dp[0], dp[1], aod[0], aod[1], ba[0], ba[1], acc[0], acc[1],
-        len(fold_metrics),
+        sigma, variant, dp[0], dp[1], aod[0], aod[1], ba[0], ba[1], acc[0], acc[1], len(reports)
     )

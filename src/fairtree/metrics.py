@@ -6,7 +6,7 @@ every report. Undefined rates raise instead of silently returning 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -14,10 +14,16 @@ from .errors import UndefinedMetricError
 
 SIGN_CONVENTION = "favored-minus-deprived"
 
+_AOD_UNDEFINED = "average odds difference undefined: {} has no support"
+
 
 @dataclass(frozen=True)
 class GroupConfusion:
-    """Per-group confusion counts with derived rates (None when undefined)."""
+    """Per-group confusion counts with derived rates (None when undefined).
+
+    The counts of a report over (rows, m) matrices are arrays of one entry per
+    column; the rates are defined for one column only.
+    """
 
     fav_tp: int
     fav_fp: int
@@ -62,15 +68,26 @@ def _as_bool(x) -> np.ndarray:
 
 
 def confusion(labels, preds, groups) -> GroupConfusion:
+    """Per-group confusion counts; for (rows, m) label and prediction matrices
+    each count is an array with one entry per column."""
     labels, preds, groups = _as_bool(labels), _as_bool(preds), _as_bool(groups)
+    if labels.shape != preds.shape or labels.ndim not in (1, 2) or groups.shape != labels.shape[:1]:
+        raise ValueError(
+            f"labels and predictions must share one (rows,) or (rows, m) shape over the groups' rows, "
+            f"got {labels.shape}, {preds.shape} and {groups.shape}"
+        )
+    if labels.ndim == 2:
+        groups = groups[:, None]
     counts = []
     for g in (groups, ~groups):
         counts += [
-            int(np.sum(g & labels & preds)),
-            int(np.sum(g & ~labels & preds)),
-            int(np.sum(g & ~labels & ~preds)),
-            int(np.sum(g & labels & ~preds)),
+            np.sum(g & labels & preds, axis=0),
+            np.sum(g & ~labels & preds, axis=0),
+            np.sum(g & ~labels & ~preds, axis=0),
+            np.sum(g & labels & ~preds, axis=0),
         ]
+    if labels.ndim == 1:
+        counts = [int(c) for c in counts]
     return GroupConfusion(*counts)
 
 
@@ -93,7 +110,7 @@ def average_odds_difference(conf: GroupConfusion) -> float:
     }
     for name, value in rates.items():
         if value is None:
-            raise UndefinedMetricError(f"average odds difference undefined: {name} has no support")
+            raise UndefinedMetricError(_AOD_UNDEFINED.format(name))
     return ((conf.fav_tpr - conf.dep_tpr) + (conf.fav_fpr - conf.dep_fpr)) / 2.0
 
 
@@ -117,10 +134,13 @@ def accuracy(labels, preds) -> float:
 
 @dataclass(frozen=True)
 class FairnessReport:
-    dp: float
-    aod: float
-    ba: float
-    acc: float
+    """One prediction vector's scores; arrays of one entry per column for a
+    report over (rows, m) matrices."""
+
+    dp: float | np.ndarray
+    aod: float | np.ndarray
+    ba: float | np.ndarray
+    acc: float | np.ndarray
     confusion: GroupConfusion
     sign_note: str = SIGN_CONVENTION
 
@@ -156,14 +176,41 @@ class FairnessReport:
 
 
 def fairness_report(labels, preds, groups) -> FairnessReport:
+    """DP, AOD, BA and accuracy of one prediction vector against its labels.
+
+    For (rows, m) label and prediction matrices every field holds one entry
+    per column, each computed with the float operations of its one-column
+    report; if a column is undefined, the error its one-column report raises
+    is raised for the first such column.
+    """
     conf = confusion(labels, preds, groups)
-    return FairnessReport(
-        dp=demographic_parity(preds, groups),
-        aod=average_odds_difference(conf),
-        ba=balanced_accuracy(labels, preds),
-        acc=accuracy(labels, preds),
-        confusion=conf,
+    fav_tp, fav_fp, fav_tn, fav_fn, dep_tp, dep_fp, dep_tn, dep_fn = (
+        np.atleast_1d(np.asarray(c, dtype=np.int64)) for c in astuple(conf)
     )
+    n_fav, n_dep = fav_tp + fav_fp + fav_tn + fav_fn, dep_tp + dep_fp + dep_tn + dep_fn
+    n_pos, n_neg = fav_tp + fav_fn + dep_tp + dep_fn, fav_fp + fav_tn + dep_fp + dep_tn
+    # each column's checks, in the order its one-column report makes them (an
+    # empty sample, undefined for accuracy, already fails the first)
+    undefined = [
+        ((n_fav == 0) | (n_dep == 0), "demographic parity needs at least one member per group"),
+        (fav_tp + fav_fn == 0, _AOD_UNDEFINED.format("favored TPR")),
+        (fav_fp + fav_tn == 0, _AOD_UNDEFINED.format("favored FPR")),
+        (dep_tp + dep_fn == 0, _AOD_UNDEFINED.format("deprived TPR")),
+        (dep_fp + dep_tn == 0, _AOD_UNDEFINED.format("deprived FPR")),
+        ((n_pos == 0) | (n_neg == 0), "balanced accuracy needs both classes in the labels"),
+    ]
+    failed = np.stack([bad for bad, _ in undefined])
+    if failed.any():
+        column = np.flatnonzero(failed.any(axis=0))[0]
+        raise UndefinedMetricError(undefined[np.flatnonzero(failed[:, column])[0]][1])
+    dp = (fav_tp + fav_fp) / n_fav - (dep_tp + dep_fp) / n_dep
+    aod = ((fav_tp / (fav_tp + fav_fn) - dep_tp / (dep_tp + dep_fn))
+           + (fav_fp / (fav_fp + fav_tn) - dep_fp / (dep_fp + dep_tn))) / 2.0
+    ba = ((fav_tp + dep_tp) / n_pos + (fav_tn + dep_tn) / n_neg) / 2.0
+    acc = (fav_tp + fav_tn + dep_tp + dep_tn) / (n_fav + n_dep)
+    if np.ndim(labels) == 1:
+        dp, aod, ba, acc = float(dp[0]), float(aod[0]), float(ba[0]), float(acc[0])
+    return FairnessReport(dp=dp, aod=aod, ba=ba, acc=acc, confusion=conf)
 
 
 @dataclass(frozen=True)

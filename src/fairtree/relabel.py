@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_text
 
 import numpy as np
 
@@ -158,7 +159,9 @@ def plan(census_: Census, sigma: float, seed: int) -> RelabelPlan:
     """Relabel every censused leaf whose discrimination reaches sigma.
 
     Each leaf's rows are drawn uniformly without replacement by a generator
-    seeded with ``(seed, leaf id)``.
+    seeded with ``(seed, leaf id)``. A leaf that flips none or all of its
+    candidates needs no generator: the sorted draw is then exactly none or all
+    of its ascending candidate rows.
     """
     if not 0.0 <= sigma <= 2.0:
         raise ConfigError(f"sigma must lie in [0, 2], got {sigma}")
@@ -167,48 +170,68 @@ def plan(census_: Census, sigma: float, seed: int) -> RelabelPlan:
     for leaf in census_.leaves:
         if leaf.disc < sigma:
             continue
-        rng = np.random.default_rng([seed, leaf.leaf_id])
-        selected = np.sort(rng.choice(leaf.candidates, size=leaf.count, replace=False))
-        actions.append(LeafAction(leaf.leaf_id, leaf.action, leaf.count, tuple(int(r) for r in selected)))
+        if 0 < leaf.count < leaf.candidates.size:
+            rng = np.random.default_rng([seed, leaf.leaf_id])
+            selected = np.sort(rng.choice(leaf.candidates, size=leaf.count, replace=False))
+        else:
+            selected = leaf.candidates[: leaf.count]
+        actions.append(LeafAction(leaf.leaf_id, leaf.action, leaf.count, tuple(selected.tolist())))
     return RelabelPlan(
         float(sigma), int(seed), tuple(actions), census_.table_fingerprint, census_.tree_digest
     )
 
 
-def apply(plan_: RelabelPlan, table: DataTable) -> DataTable:
-    """Execute a plan: flip the selected labels, leaving every other cell untouched."""
+def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
+    """The table's positive mask after the plan's flips; any plan error raises DataError.
+
+    The first error in plan order is raised: a row outside the table or listed
+    twice, then, action by action, an unknown action or a row that is not the
+    action's source class.
+    """
     if plan_.table_fingerprint != table.fingerprint:
         raise DataError(
             "refusing to apply: the plan was built against a different table "
             f"(plan {plan_.table_fingerprint}, table {table.fingerprint})"
         )
-    listed = np.array([r for act in plan_.actions for r in act.row_ids], dtype=np.int64)
+    acts = plan_.actions
+    sizes = [len(act.row_ids) for act in acts]
+    listed = np.array([r for act in acts for r in act.row_ids], dtype=np.int64)
     bad = listed[(listed < 0) | (listed >= table.n_rows)]
     if bad.size:
         raise DataError(f"plan row {int(bad[0])} is outside the table's {table.n_rows} rows")
     uniq, seen = np.unique(listed, return_counts=True)
     if (seen > 1).any():
         raise DataError(f"plan lists row {int(uniq[seen > 1][0])} more than once")
-    positive = table.positive_mask.copy()
-    favored = table.favored_mask
-    for act in plan_.actions:
-        rows = np.array(act.row_ids, dtype=np.int64)
-        if act.action == PROMOTE:
-            wrong = rows[favored[rows] | positive[rows]]
-            if wrong.size:
-                raise DataError(f"row {int(wrong[0])}: promote target is not a deprived negative")
-            positive[rows] = True
-        elif act.action == DEMOTE:
-            wrong = rows[~favored[rows] | ~positive[rows]]
-            if wrong.size:
-                raise DataError(f"row {int(wrong[0])}: demote target is not a favored positive")
-            positive[rows] = False
-        else:
-            raise DataError(f"unknown action {act.action!r}")
-    return table.with_positive_mask(positive)
+    known = np.array([act.action in (PROMOTE, DEMOTE) for act in acts], dtype=bool)
+    promoted = np.repeat(np.array([act.action == PROMOTE for act in acts], dtype=bool), sizes)
+    favored, positive = table.favored_mask[listed], table.positive_mask[listed]
+    # only a deprived negative may be promoted and only a favored positive demoted
+    illegal = np.repeat(known, sizes) & np.where(promoted, favored | positive, ~(favored & positive))
+    if illegal.any() or not known.all():
+        row = np.flatnonzero(illegal)[:1]
+        # the first action holding an illegal row, or len(acts) if none does
+        at = np.searchsorted(np.cumsum(sizes), row, side="right").tolist() + [len(acts)]
+        unknown = np.flatnonzero(~known).tolist() + [len(acts)]
+        if unknown[0] < at[0]:
+            raise DataError(f"unknown action {acts[unknown[0]].action!r}")
+        i = int(row[0])
+        which = "promote target is not a deprived negative" if promoted[i] else \
+            "demote target is not a favored positive"
+        raise DataError(f"row {int(listed[i])}: {which}")
+    out = table.positive_mask.copy()
+    out[listed] = promoted
+    return out
+
+
+def apply(plan_: RelabelPlan, table: DataTable) -> DataTable:
+    """Execute a plan: flip the selected labels, leaving every other cell untouched."""
+    return table.with_positive_mask(relabeled_mask(plan_, table))
 
 
 def plan_to_json(plan_: RelabelPlan) -> str:
+    """The plan document, exactly ``json.dumps(doc, indent=1)`` plus a newline:
+    ``json`` writes the head, and the actions are written directly, which is
+    many times faster than the indenting encoder, pure Python in CPython."""
     doc = {
         "format": PLAN_FORMAT,
         "sigma": plan_.sigma,
@@ -216,12 +239,20 @@ def plan_to_json(plan_: RelabelPlan) -> str:
         "row_picker": plan_.row_picker,
         "table_fingerprint": plan_.table_fingerprint,
         "tree_digest": plan_.tree_digest,
-        "actions": [
-            {"leaf": a.leaf_id, "action": a.action, "count": a.count, "rows": list(a.row_ids)}
-            for a in plan_.actions
-        ],
+        "actions": None,
     }
-    return json.dumps(doc, indent=1) + "\n"
+    head = json.dumps(doc, indent=1).removesuffix("null\n}")
+    if not plan_.actions:
+        return head + "[]\n}\n"
+    return head + "[\n" + ",\n".join(map(_action_json, plan_.actions)) + "\n ]\n}\n"
+
+
+def _action_json(act: LeafAction) -> str:
+    rows = "[\n    " + ",\n    ".join(map(int.__repr__, act.row_ids)) + "\n   ]" if act.row_ids else "[]"
+    return (
+        f'  {{\n   "leaf": {int.__repr__(act.leaf_id)},\n   "action": {_encode_text(act.action)},\n'
+        f'   "count": {int.__repr__(act.count)},\n   "rows": {rows}\n  }}'
+    )
 
 
 def plan_from_json(text: str) -> RelabelPlan:

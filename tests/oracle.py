@@ -16,9 +16,17 @@ row-at-a-time CSV writer (for ``data.write_csv``); ``table_by_cell``, the
 per-cell type inference loop (for ``data.table_from_columns``); and
 ``serialize_by_dict``, the tree writer over one dict per node and the indenting
 ``json`` encoder (for ``tree.serialize``); ``load_csv_by_row``, the CSV reader
-that kept every row's own cell strings (for ``data.load_csv``); and
+that kept every row's own cell strings (for ``data.load_csv``);
 ``route_by_node``, the router with its numpy calls at every node (for
-``tree.route``).
+``tree.route``); ``descend_by_epoch``, the descent that allocated its arrays
+every epoch (for ``eval._descend``); ``fairness_report_by_column``, the
+one-vector metric functions (for ``metrics.fairness_report`` over label and
+prediction matrices); ``apply_by_action``, the action-by-action ``apply``
+(for ``relabel.relabeled_mask``); ``draws_by_generator``, the plan that drew
+every leaf's rows with its generator (for ``relabel.plan``);
+``plan_to_json_by_dict``, the plan writer over the indenting ``json`` encoder
+(for ``relabel.plan_to_json``); and ``fit_cut_points_by_unique``, the cut
+points over ``np.unique`` (for ``data.fit_cut_points``).
 """
 
 import csv
@@ -425,3 +433,172 @@ def route_by_node(tree, table):
         if not routed.all():
             stack.append((node.children[node.fallback_outcome], rows[~routed]))
     return out
+
+
+# -- sweep folds -----------------------------------------------------------------
+
+
+def sigmoid_by_where(z):
+    """The allocating logistic, verbatim."""
+    ez = np.exp(np.minimum(z, -z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
+
+
+def descend_by_epoch(X, y, epochs, learning_rate, seed, per_epoch=None):
+    """The descent with fresh arrays every epoch, verbatim: (weights, bias)."""
+    n = X.shape[0]
+    w0 = np.random.default_rng(seed).normal(0.0, 0.01, X.shape[1])
+    w = np.empty(w0.shape + y.shape[1:])
+    w.T[...] = w0
+    b = np.zeros(y.shape[1:])
+    for _ in range(epochs):
+        p = sigmoid_by_where(X @ w + b)
+        if per_epoch is not None:
+            per_epoch(p)
+        grad = p - y
+        w -= learning_rate * (X.T @ grad) / n
+        b -= learning_rate * grad.mean(axis=0)
+    return w, b[()]
+
+
+def fairness_report_by_column(labels, preds, groups):
+    """One report per column from the one-vector metric functions, verbatim:
+    a list of (dp, aod, ba, acc, eight confusion counts) tuples."""
+    from fairtree.errors import UndefinedMetricError
+
+    groups = np.asarray(groups, dtype=bool)
+    out = []
+    for labels_j, preds_j in zip(np.asarray(labels, dtype=bool).T, np.asarray(preds, dtype=bool).T):
+        counts = []
+        for g in (groups, ~groups):
+            counts += [
+                int(np.sum(g & labels_j & preds_j)),
+                int(np.sum(g & ~labels_j & preds_j)),
+                int(np.sum(g & ~labels_j & ~preds_j)),
+                int(np.sum(g & labels_j & ~preds_j)),
+            ]
+        fav_tp, fav_fp, fav_tn, fav_fn, dep_tp, dep_fp, dep_tn, dep_fn = counts
+        if int(groups.sum()) == 0 or int((~groups).sum()) == 0:
+            raise UndefinedMetricError("demographic parity needs at least one member per group")
+        dp = float(preds_j[groups].mean() - preds_j[~groups].mean())
+        rates = {
+            "favored TPR": fav_tp / (fav_tp + fav_fn) if fav_tp + fav_fn > 0 else None,
+            "favored FPR": fav_fp / (fav_fp + fav_tn) if fav_fp + fav_tn > 0 else None,
+            "deprived TPR": dep_tp / (dep_tp + dep_fn) if dep_tp + dep_fn > 0 else None,
+            "deprived FPR": dep_fp / (dep_fp + dep_tn) if dep_fp + dep_tn > 0 else None,
+        }
+        for name, value in rates.items():
+            if value is None:
+                raise UndefinedMetricError(f"average odds difference undefined: {name} has no support")
+        aod = ((rates["favored TPR"] - rates["deprived TPR"])
+               + (rates["favored FPR"] - rates["deprived FPR"])) / 2.0
+        if int(labels_j.sum()) == 0 or int((~labels_j).sum()) == 0:
+            raise UndefinedMetricError("balanced accuracy needs both classes in the labels")
+        ba = (float(preds_j[labels_j].mean()) + float((~preds_j[~labels_j]).mean())) / 2.0
+        if labels_j.size == 0:
+            raise UndefinedMetricError("accuracy undefined on an empty sample")
+        acc = float((labels_j == preds_j).mean())
+        out.append((dp, aod, ba, acc, *counts))
+    return out
+
+
+def apply_by_action(plan_, table):
+    """``apply``'s checks and flips, one action at a time, verbatim: the new
+    positive mask."""
+    if plan_.table_fingerprint != table.fingerprint:
+        raise DataError(
+            "refusing to apply: the plan was built against a different table "
+            f"(plan {plan_.table_fingerprint}, table {table.fingerprint})"
+        )
+    listed = np.array([r for act in plan_.actions for r in act.row_ids], dtype=np.int64)
+    bad = listed[(listed < 0) | (listed >= table.n_rows)]
+    if bad.size:
+        raise DataError(f"plan row {int(bad[0])} is outside the table's {table.n_rows} rows")
+    uniq, seen = np.unique(listed, return_counts=True)
+    if (seen > 1).any():
+        raise DataError(f"plan lists row {int(uniq[seen > 1][0])} more than once")
+    positive = table.positive_mask.copy()
+    favored = table.favored_mask
+    for act in plan_.actions:
+        rows = np.array(act.row_ids, dtype=np.int64)
+        if act.action == "promote":
+            wrong = rows[favored[rows] | positive[rows]]
+            if wrong.size:
+                raise DataError(f"row {int(wrong[0])}: promote target is not a deprived negative")
+            positive[rows] = True
+        elif act.action == "demote":
+            wrong = rows[~favored[rows] | ~positive[rows]]
+            if wrong.size:
+                raise DataError(f"row {int(wrong[0])}: demote target is not a favored positive")
+            positive[rows] = False
+        else:
+            raise DataError(f"unknown action {act.action!r}")
+    return positive
+
+
+def draws_by_generator(census_, sigma, seed):
+    """Every planned leaf's rows drawn by its seeded generator, verbatim:
+    (leaf id, action, count, rows) per action."""
+    actions = []
+    for leaf in census_.leaves:
+        if leaf.disc < sigma:
+            continue
+        rng = np.random.default_rng([seed, leaf.leaf_id])
+        selected = np.sort(rng.choice(leaf.candidates, size=leaf.count, replace=False))
+        actions.append((leaf.leaf_id, leaf.action, leaf.count, tuple(int(r) for r in selected)))
+    return actions
+
+
+def plan_to_json_by_dict(plan_):
+    """The plan writer over one dict and the indenting ``json`` encoder, verbatim."""
+    doc = {
+        "format": "fairtree-plan/1",
+        "sigma": plan_.sigma,
+        "seed": plan_.seed,
+        "row_picker": plan_.row_picker,
+        "table_fingerprint": plan_.table_fingerprint,
+        "tree_digest": plan_.tree_digest,
+        "actions": [
+            {"leaf": a.leaf_id, "action": a.action, "count": a.count, "rows": list(a.row_ids)}
+            for a in plan_.actions
+        ],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def fit_cut_points_by_unique(table, rule):
+    """Cut points with the distinct values counted by ``np.unique``, verbatim."""
+    import warnings
+
+    values = table.floats(rule.column)
+    values = np.sort(values[~np.isnan(values)])
+    if values.size == 0:
+        raise DataError(f"column {rule.column!r} has no numeric values to discretize")
+    distinct = np.unique(values)
+    if distinct.size == 1:
+        warnings.warn(f"column {rule.column!r} is constant; emitting a single bin")
+        return ()
+    k = rule.bin_count
+    if k > distinct.size:
+        warnings.warn(
+            f"column {rule.column!r} has only {distinct.size} distinct values; "
+            f"reducing bin count from {k}"
+        )
+        k = distinct.size
+    cuts = []
+    if rule.strategy == "equal-frequency":
+        n = values.size
+        bounds = np.nonzero(values[1:] > values[:-1])[0] + 1
+        for i in range(1, k):
+            r = i * n / k
+            j = int(bounds[np.argmin(np.abs(bounds - r))])
+            cuts.append(float(values[j - 1] + values[j]) / 2.0)
+    else:
+        lo, hi = float(values[0]), float(values[-1])
+        width = (hi - lo) / k
+        cuts = [lo + width * i for i in range(1, k)]
+    cuts = sorted(set(cuts))
+    if len(cuts) + 1 < k:
+        warnings.warn(f"column {rule.column!r}: ties reduced bins to {len(cuts) + 1}")
+    return tuple(cuts)

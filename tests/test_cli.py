@@ -612,3 +612,25 @@ def test_importing_the_cli_loads_neither_eval_nor_relabel():
                          env=env).stdout
     assert "fairtree.cli" in out
     assert "fairtree.eval" not in out and "fairtree.relabel" not in out
+
+
+def test_commands_load_only_the_modules_they_use(german_csv, tmp_path):
+    # numpy.ma is loaded by a plain np.unique; relabel needs neither it nor eval
+    code = (
+        "import sys, warnings; from fairtree.cli import main; warnings.simplefilter('ignore'); "
+        "code = main(sys.argv[1:]); "
+        "print(code, 'numpy.ma' in sys.modules, 'fairtree.eval' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    tree = tmp_path / "tree"
+    commands = {
+        "build": (["build", "--data", str(german_csv), *SPEC_FLAGS, "--out", str(tree)], "0 False False"),
+        "sweep": (["sweep", "--data", str(german_csv), *SPEC_FLAGS, "--folds", "2", "--grid", "0:2:1",
+                   "--epochs", "20", "--out", str(tmp_path / "sweep")], "0 False True"),
+        "relabel": (["relabel", "--tree", str(tree / "tree.json"), "--data", str(german_csv),
+                     "--out", str(tmp_path / "rel")], "0 False False"),
+    }
+    for name, (argv, expected) in commands.items():
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert out.splitlines()[-1] == expected, name

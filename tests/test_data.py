@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -388,6 +389,34 @@ class TestDiscretize:
         t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
         cuts = fit_cut_points(t, DiscretizationRule("x", "equal-width", 4))
         assert cuts == (1.75, 3.5, 5.25)
+
+    @given(
+        values=st.lists(
+            st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.5, 2.0, -3.25]),
+                      st.floats(-1e6, 1e6, allow_nan=False)),
+            min_size=1, max_size=30,
+        ),
+        strategy=st.sampled_from(["equal-frequency", "equal-width"]),
+        bins=st.integers(2, 8),
+    )
+    def test_cut_points_and_warnings_equal_the_unique_version(self, values, strategy, bins):
+        assume(any(v is not None for v in values))
+        n = len(values)
+        cols = {
+            "x": np.array(["?" if v is None else repr(v) for v in values], dtype=object),
+            "grp": np.array(["fav", "dep"] * n, dtype=object)[:n],
+            "cls": np.array(["yes", "no", "no"] * n, dtype=object)[:n],
+        }
+        t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"),
+                               numeric_columns=("x",))
+        rule = DiscretizationRule("x", strategy, bins)
+        results = []
+        for fn in (fit_cut_points, oracle.fit_cut_points_by_unique):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                cuts = fn(t, rule)
+            results.append((cuts, [str(w.message) for w in seen]))
+        assert results[0] == results[1]
 
 
 class TestBenchmarkShapes:

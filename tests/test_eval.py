@@ -157,6 +157,36 @@ class TestBatchedFit:
         with pytest.raises(DataError, match="at least two rows"):
             train_linear(t, labels=np.ones((1, 2), dtype=bool))
 
+    @pytest.mark.parametrize("m", [None, 1, 5])
+    def test_buffered_descent_is_bitwise_the_allocating_loop(self, german_folds, m):
+        train, test = german_folds[1]
+        cfg = TrainConfig(epochs=80, learning_rate=0.3, seed=2)
+        if m is None:
+            labels = train.positive_mask
+        else:
+            flips = np.random.default_rng(m).random((train.n_rows, m)) < 0.3
+            labels = train.positive_mask[:, None] ^ flips
+        X, y = one_hot(train)[0], labels.astype(float)
+        seen = []
+        w, b = oracle.descend_by_epoch(X, y, cfg.epochs, cfg.learning_rate, cfg.seed, seen.append)
+        model = train_linear(train, cfg, labels)
+        assert np.array_equal(model.weights.view(np.int64), w.view(np.int64))
+        assert np.array_equal(np.asarray(model.bias).view(np.int64), np.asarray(b).view(np.int64))
+        assert type(model.bias) is type(b)
+        expected = oracle.sigmoid_by_where(one_hot(test)[0] @ w + b) >= 0.5
+        assert np.array_equal(model.predict(test), expected)
+        pc = [np.clip(q, 1e-12, 1.0 - 1e-12) for q in seen]
+        losses = np.array([-np.mean(y * np.log(c) + (1.0 - y) * np.log(1.0 - c), axis=0) for c in pc])
+        assert np.array_equal(training_losses(train, cfg, labels).view(np.int64), losses.view(np.int64))
+
+    def test_sigmoid_out_is_bitwise_the_allocating_form(self):
+        rng = np.random.default_rng(4)
+        z = np.concatenate([np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -746.0]),
+                            rng.normal(0, 20, 993)]).reshape(100, 10)
+        out = np.full_like(z, 7.0)
+        assert _sigmoid(z, out=out) is out
+        assert np.array_equal(out.view(np.int64), oracle.sigmoid_by_where(z).view(np.int64))
+
 
 class TestSplits:
     def test_quarter_split_sizes(self, german):
@@ -263,6 +293,23 @@ class TestSweep:
     def test_bad_grid_rejected(self, german):
         with pytest.raises(ConfigError):
             sweep(german, "kl", [0.0, 2.5], seed=1, folds=2)
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.5], [0.0, 1.0, -0.0]])
+    def test_repeated_sigma_rejected(self, german, grid):
+        with pytest.raises(ConfigError, match=f"repeats the value {grid[-1]!r}"):
+            sweep(german, "kl", grid, seed=1, train_config=TrainConfig(epochs=5), folds=2)
+
+    def test_one_metrics_call_per_fold_scores_every_column(self, mini_sweep, monkeypatch):
+        small, grid, cfg, result = mini_sweep
+        widths = []
+
+        def counted(labels, preds, groups):
+            widths.append(labels.shape[1])
+            return fairness_report(labels, preds, groups)
+
+        monkeypatch.setattr(ev, "fairness_report", counted)
+        assert sweep(small, "kl", grid, seed=4, train_config=cfg, folds=3).rows == result.rows
+        assert widths == [1 + 2 * len(grid)] * 3
 
     def test_std_nonnegative_and_manifest(self, mini_sweep, tmp_path):
         _, _, _, result = mini_sweep

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from fairtree.errors import UndefinedMetricError
 from fairtree.metrics import (
     accuracy,
@@ -154,6 +155,66 @@ class TestReport:
         text = rep.to_text()
         assert "demographic parity" in text and "sign convention" in text
         assert len(rep.csv_row()) == len(rep.csv_header())
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _outcome(fn, *args):
+    """A report's per-column values, or the error it raised."""
+    try:
+        return fn(*args)
+    except UndefinedMetricError as exc:
+        return repr(exc)
+
+
+class TestColumnReport:
+    """A report over label and prediction matrices is the one-column report of each column."""
+
+    @given(data=st.data(), rows=st.integers(0, 12), m=st.integers(1, 5))
+    @settings(max_examples=300)
+    def test_matrix_report_is_bitwise_the_column_loop(self, data, rows, m):
+        cells = st.lists(st.booleans(), min_size=rows * m, max_size=rows * m)
+        labels = np.array(data.draw(cells), dtype=bool).reshape(rows, m)
+        preds = np.array(data.draw(cells), dtype=bool).reshape(rows, m)
+        groups = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+        expected = _outcome(oracle.fairness_report_by_column, labels, preds, groups)
+
+        def columns(labels, preds, groups):
+            rep = fairness_report(labels, preds, groups)
+            c = rep.confusion
+            counts = [c.fav_tp, c.fav_fp, c.fav_tn, c.fav_fn, c.dep_tp, c.dep_fp, c.dep_tn, c.dep_fn]
+            return [(rep.dp[j], rep.aod[j], rep.ba[j], rep.acc[j], *(int(k[j]) for k in counts))
+                    for j in range(m)]
+
+        found = _outcome(columns, labels, preds, groups)
+        if isinstance(expected, str):
+            assert found == expected
+            return
+        assert [[_bits(v) for v in col[:4]] + list(col[4:]) for col in found] == \
+            [[_bits(v) for v in col[:4]] + list(col[4:]) for col in expected]
+        one = _outcome(fairness_report, labels[:, 0], preds[:, 0], groups)
+        assert (type(one.dp), type(one.confusion.fav_tp)) == (float, int)
+        assert [_bits(v) for v in (one.dp, one.aod, one.ba, one.acc)] == \
+            [_bits(v) for v in expected[0][:4]]
+
+    def test_first_undefined_column_raises_its_first_error(self):
+        labels = np.array([[1, 1, 1], [0, 1, 1], [1, 1, 0], [0, 1, 0]], dtype=bool)
+        preds = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0], [0, 1, 0]], dtype=bool)
+        groups = np.array([1, 1, 0, 0], dtype=bool)
+        # column 1 has no negatives, so its favored FPR is the first undefined rate
+        with pytest.raises(UndefinedMetricError, match="favored FPR has no support"):
+            fairness_report(labels, preds, groups)
+        with pytest.raises(UndefinedMetricError, match="favored FPR has no support"):
+            oracle.fairness_report_by_column(labels, preds, groups)
+
+    def test_mismatched_shapes_rejected(self):
+        labels = np.zeros((4, 2), dtype=bool)
+        with pytest.raises(ValueError, match="shape"):
+            fairness_report(labels, labels[:, 0], np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match="shape"):
+            fairness_report(labels, labels, np.ones(3, dtype=bool))
 
 
 class TestRoc:

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import relabel_bound, toy_table
 from fairtree.data import GroupCounts, group_counts
 from fairtree.errors import ConfigError, DataError
 from fairtree.relabel import (
     DEMOTE,
     PROMOTE,
+    Census,
+    LeafAction,
+    LeafCensus,
     RelabelPlan,
     apply,
     census,
@@ -20,6 +24,7 @@ from fairtree.relabel import (
     plan_from_json,
     plan_to_json,
     promote_count,
+    relabeled_mask,
 )
 from fairtree.tree import build, deserialize, leaf_disc, route, serialize
 from test_tree import small_tables
@@ -168,6 +173,28 @@ class TestPlan:
         p2 = plan(census(tree, german), 0.5, seed=7)
         assert plan_to_json(p1) == plan_to_json(p2)
 
+    @given(data=st.data(), sigma=st.floats(0.0, 2.0), seed=st.integers(0, 2**32))
+    @settings(max_examples=150)
+    def test_forced_draws_equal_the_generator_draws(self, data, sigma, seed):
+        leaves = []
+        for leaf_id in data.draw(st.lists(st.integers(0, 50), unique=True, max_size=6)):
+            rows = np.array(sorted(data.draw(st.sets(st.integers(0, 99), max_size=12))), dtype=np.int64)
+            count = data.draw(st.sampled_from([0, rows.size, None]))
+            if count is None:
+                count = data.draw(st.integers(0, rows.size))
+            disc = data.draw(st.floats(0.0, 2.0, exclude_min=True))
+            leaves.append(LeafCensus(leaf_id, disc, data.draw(st.sampled_from([PROMOTE, DEMOTE])), count, rows))
+        c = Census(tuple(leaves), "t" * 16, "d" * 16)
+        found = [(a.leaf_id, a.action, a.count, a.row_ids) for a in plan(c, sigma, seed).actions]
+        assert found == oracle.draws_by_generator(c, sigma, seed)
+        assert all(type(r) is int for a in found for r in a[3])
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+    def test_german_plans_equal_the_generator_draws(self, german, sigma):
+        c = census(build(german, "euclid"), german)
+        found = [(a.leaf_id, a.action, a.count, a.row_ids) for a in plan(c, sigma, seed=9).actions]
+        assert found == oracle.draws_by_generator(c, sigma, 9)
+
 
 class TestCensus:
     @given(t=small_tables())
@@ -281,6 +308,56 @@ class TestApply:
             else:
                 assert fav[r] and before[r] and not after[r]
 
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_mask_path_raises_every_apply_error_with_its_message(self, german, german_plan, data):
+        acts = list(german_plan.actions)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(acts) - 1))
+            rows = list(acts[i].row_ids)
+            edit = data.draw(st.sampled_from(["action", "row", "append", "empty"]))
+            if edit == "action":
+                acts[i] = replace(acts[i], action=data.draw(st.sampled_from([PROMOTE, DEMOTE, "flip"])))
+            elif edit == "row" and rows:
+                rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(st.integers(-2, german.n_rows + 1))
+            elif edit == "append":
+                rows.append(data.draw(st.integers(-2, german.n_rows + 1)))
+            else:
+                rows = []
+            acts[i] = replace(acts[i], row_ids=tuple(rows))
+        p = replace(german_plan, actions=tuple(acts))
+        if data.draw(st.booleans()):
+            p = replace(p, table_fingerprint="0" * 16)
+
+        def outcome(fn):
+            try:
+                return fn(p, german)
+            except DataError as exc:
+                return str(exc)
+
+        expected = outcome(oracle.apply_by_action)
+        for fn in (relabeled_mask, lambda p, t: apply(p, t).positive_mask):
+            found = outcome(fn)
+            if isinstance(expected, str):
+                assert found == expected
+            else:
+                assert np.array_equal(found, expected)
+
+    @pytest.mark.parametrize("order", ["unknown_first", "wrong_first"])
+    def test_the_first_failing_action_names_the_error(self, german, german_plan, order):
+        promote = next(a for a in german_plan.actions if a.action == PROMOTE and a.row_ids)
+        favored = int(np.flatnonzero(german.favored_mask)[0])
+        wrong = LeafAction(-1, PROMOTE, 1, (favored,))
+        unknown = LeafAction(-2, "flip", 0, ())
+        acts = (promote, unknown, wrong) if order == "unknown_first" else (promote, wrong, unknown)
+        p = replace(german_plan, actions=acts)
+        message = "unknown action 'flip'" if order == "unknown_first" else \
+            f"row {favored}: promote target is not a deprived negative"
+        for fn in (relabeled_mask, apply, oracle.apply_by_action):
+            with pytest.raises(DataError) as info:
+                fn(p, german)
+            assert str(info.value) == message
+
     @given(t=small_tables())
     @settings(max_examples=80)
     def test_sigma_zero_equalizes_every_nonreversed_leaf(self, t):
@@ -349,6 +426,31 @@ class TestPlanDocuments:
         again = plan_from_json(plan_to_json(p))
         assert again == p
         assert plan_to_json(again) == plan_to_json(p)
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_text_equals_the_indenting_json_writer(self, data):
+        words = st.text(max_size=6)
+        actions = tuple(
+            LeafAction(
+                data.draw(st.integers(-5, 10**6)),
+                data.draw(st.one_of(st.sampled_from([PROMOTE, DEMOTE]), words)),
+                data.draw(st.integers(0, 9)),
+                tuple(data.draw(st.lists(st.integers(-(2**63), 2**63), max_size=5))),
+            )
+            for _ in range(data.draw(st.integers(0, 4)))
+        )
+        p = RelabelPlan(
+            data.draw(st.floats(0.0, 2.0)), data.draw(st.integers(0, 2**64)), actions,
+            data.draw(words), data.draw(words), data.draw(words),
+        )
+        assert plan_to_json(p) == oracle.plan_to_json_by_dict(p)
+
+    def test_empty_plan_and_empty_action_text(self, german_plan):
+        for acts in ((), (LeafAction(3, DEMOTE, 0, ()),)):
+            p = replace(german_plan, actions=acts)
+            assert plan_to_json(p) == oracle.plan_to_json_by_dict(p)
+        assert plan_to_json(german_plan) == oracle.plan_to_json_by_dict(german_plan)
 
     def test_malformed_rejected(self):
         with pytest.raises(DataError):
