@@ -35,16 +35,7 @@ from .tree import (
 
 _LAZY = {
     "eval": ("LinearModel", "TrainConfig", "kfold", "split", "sweep", "train_linear", "training_losses"),
-    "metrics": (
-        "FairnessReport",
-        "GroupConfusion",
-        "accuracy",
-        "average_odds_difference",
-        "balanced_accuracy",
-        "demographic_parity",
-        "fairness_report",
-        "roc_points",
-    ),
+    "metrics": ("FairnessReport", "GroupConfusion", "fairness_report", "roc_points"),
     "relabel": ("RelabelPlan", "apply", "census", "demote_count", "plan", "promote_count", "relabeled_mask"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}

@@ -228,7 +228,12 @@ def _cmd_audit(args) -> int:
     if args.roc:
         if not args.scores:
             raise ConfigError("--roc requires --scores naming a numeric score column")
-        series = roc_points(table.floats(args.scores), table.positive_mask, table.favored_mask)
+        scores = table.floats(args.scores)
+        if not all(map(math.isfinite, scores.tolist())):
+            raise DataError(
+                f"scores column {args.scores!r} holds a missing or non-finite score; --roc needs finite scores"
+            )
+        series = roc_points(scores, table.positive_mask, table.favored_mask)
     if args.out or args.roc:
         names = ["report.csv", "roc.csv"] if args.roc else ["report.csv"]
         with _locked_out_dir(out), _replacing(*(out / name for name in names)) as tmps:

@@ -6,7 +6,7 @@ every report. Undefined rates raise instead of silently returning 0.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,117 +19,55 @@ _AOD_UNDEFINED = "average odds difference undefined: {} has no support"
 
 @dataclass(frozen=True)
 class GroupConfusion:
-    """Per-group confusion counts with derived rates (None when undefined).
+    """Per-group confusion counts; arrays of one entry per column for a
+    report over (rows, m) matrices."""
 
-    The counts of a report over (rows, m) matrices are arrays of one entry per
-    column; the rates are defined for one column only.
-    """
-
-    fav_tp: int
-    fav_fp: int
-    fav_tn: int
-    fav_fn: int
-    dep_tp: int
-    dep_fp: int
-    dep_tn: int
-    dep_fn: int
-
-    @staticmethod
-    def _rate(num: int, den: int) -> float | None:
-        return num / den if den > 0 else None
-
-    @property
-    def fav_tpr(self):
-        return self._rate(self.fav_tp, self.fav_tp + self.fav_fn)
-
-    @property
-    def fav_fpr(self):
-        return self._rate(self.fav_fp, self.fav_fp + self.fav_tn)
-
-    @property
-    def fav_tnr(self):
-        return self._rate(self.fav_tn, self.fav_tn + self.fav_fp)
-
-    @property
-    def dep_tpr(self):
-        return self._rate(self.dep_tp, self.dep_tp + self.dep_fn)
-
-    @property
-    def dep_fpr(self):
-        return self._rate(self.dep_fp, self.dep_fp + self.dep_tn)
-
-    @property
-    def dep_tnr(self):
-        return self._rate(self.dep_tn, self.dep_tn + self.dep_fp)
+    fav_tp: int | np.ndarray
+    fav_fp: int | np.ndarray
+    fav_tn: int | np.ndarray
+    fav_fn: int | np.ndarray
+    dep_tp: int | np.ndarray
+    dep_fp: int | np.ndarray
+    dep_tn: int | np.ndarray
+    dep_fn: int | np.ndarray
 
 
 def _as_bool(x) -> np.ndarray:
     return np.asarray(x, dtype=bool)
 
 
-def confusion(labels, preds, groups) -> GroupConfusion:
-    """Per-group confusion counts; for (rows, m) label and prediction matrices
-    each count is an array with one entry per column."""
+def _counts(labels, preds, groups) -> tuple[bool, list[np.ndarray]]:
+    """Whether the labels are one vector, and the eight confusion counts with
+    one entry per column; a vector is counted as a one-column matrix."""
     labels, preds, groups = _as_bool(labels), _as_bool(preds), _as_bool(groups)
     if labels.shape != preds.shape or labels.ndim not in (1, 2) or groups.shape != labels.shape[:1]:
         raise ValueError(
             f"labels and predictions must share one (rows,) or (rows, m) shape over the groups' rows, "
             f"got {labels.shape}, {preds.shape} and {groups.shape}"
         )
-    if labels.ndim == 2:
-        groups = groups[:, None]
+    vector = labels.ndim == 1
+    if vector:
+        labels, preds = labels[:, None], preds[:, None]
     counts = []
-    for g in (groups, ~groups):
+    for g in (groups[:, None], ~groups[:, None]):
         counts += [
             np.sum(g & labels & preds, axis=0),
             np.sum(g & ~labels & preds, axis=0),
             np.sum(g & ~labels & ~preds, axis=0),
             np.sum(g & labels & ~preds, axis=0),
         ]
-    if labels.ndim == 1:
-        counts = [int(c) for c in counts]
-    return GroupConfusion(*counts)
+    return vector, counts
 
 
-def demographic_parity(preds, groups) -> float:
-    """Positive-prediction rate gap, favored minus deprived."""
-    preds, groups = _as_bool(preds), _as_bool(groups)
-    n_fav, n_dep = int(groups.sum()), int((~groups).sum())
-    if n_fav == 0 or n_dep == 0:
-        raise UndefinedMetricError("demographic parity needs at least one member per group")
-    return float(preds[groups].mean() - preds[~groups].mean())
+def _per_column(vector: bool, values: list[np.ndarray]) -> list:
+    """``values`` of one entry per column, or a vector's Python ints and floats."""
+    return [v.item() for v in values] if vector else values
 
 
-def average_odds_difference(conf: GroupConfusion) -> float:
-    """Mean of the TPR and FPR gaps, favored minus deprived; 0 means equalized odds."""
-    rates = {
-        "favored TPR": conf.fav_tpr,
-        "favored FPR": conf.fav_fpr,
-        "deprived TPR": conf.dep_tpr,
-        "deprived FPR": conf.dep_fpr,
-    }
-    for name, value in rates.items():
-        if value is None:
-            raise UndefinedMetricError(_AOD_UNDEFINED.format(name))
-    return ((conf.fav_tpr - conf.dep_tpr) + (conf.fav_fpr - conf.dep_fpr)) / 2.0
-
-
-def balanced_accuracy(labels, preds) -> float:
-    """Mean of TPR and TNR over the whole sample."""
-    labels, preds = _as_bool(labels), _as_bool(preds)
-    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("balanced accuracy needs both classes in the labels")
-    tpr = float(preds[labels].mean())
-    tnr = float((~preds[~labels]).mean())
-    return (tpr + tnr) / 2.0
-
-
-def accuracy(labels, preds) -> float:
-    labels, preds = _as_bool(labels), _as_bool(preds)
-    if labels.size == 0:
-        raise UndefinedMetricError("accuracy undefined on an empty sample")
-    return float((labels == preds).mean())
+def confusion(labels, preds, groups) -> GroupConfusion:
+    """Per-group confusion counts; for (rows, m) label and prediction matrices
+    each count is an array with one entry per column."""
+    return GroupConfusion(*_per_column(*_counts(labels, preds, groups)))
 
 
 @dataclass(frozen=True)
@@ -179,25 +117,21 @@ def fairness_report(labels, preds, groups) -> FairnessReport:
     """DP, AOD, BA and accuracy of one prediction vector against its labels.
 
     For (rows, m) label and prediction matrices every field holds one entry
-    per column, each computed with the float operations of its one-column
-    report; if a column is undefined, the error its one-column report raises
-    is raised for the first such column.
+    per column. If a column is undefined, the error of its first undefined
+    score is raised for the first such column.
     """
-    conf = confusion(labels, preds, groups)
-    fav_tp, fav_fp, fav_tn, fav_fn, dep_tp, dep_fp, dep_tn, dep_fn = (
-        np.atleast_1d(np.asarray(c, dtype=np.int64)) for c in astuple(conf)
-    )
+    vector, counts = _counts(labels, preds, groups)
+    fav_tp, fav_fp, fav_tn, fav_fn, dep_tp, dep_fp, dep_tn, dep_fn = counts
     n_fav, n_dep = fav_tp + fav_fp + fav_tn + fav_fn, dep_tp + dep_fp + dep_tn + dep_fn
     n_pos, n_neg = fav_tp + fav_fn + dep_tp + dep_fn, fav_fp + fav_tn + dep_fp + dep_tn
-    # each column's checks, in the order its one-column report makes them (an
-    # empty sample, undefined for accuracy, already fails the first)
+    # each column's checks in order; the four AOD rates need every group and
+    # class that BA and accuracy need, so those two can never fail first
     undefined = [
         ((n_fav == 0) | (n_dep == 0), "demographic parity needs at least one member per group"),
         (fav_tp + fav_fn == 0, _AOD_UNDEFINED.format("favored TPR")),
         (fav_fp + fav_tn == 0, _AOD_UNDEFINED.format("favored FPR")),
         (dep_tp + dep_fn == 0, _AOD_UNDEFINED.format("deprived TPR")),
         (dep_fp + dep_tn == 0, _AOD_UNDEFINED.format("deprived FPR")),
-        ((n_pos == 0) | (n_neg == 0), "balanced accuracy needs both classes in the labels"),
     ]
     failed = np.stack([bad for bad, _ in undefined])
     if failed.any():
@@ -208,9 +142,8 @@ def fairness_report(labels, preds, groups) -> FairnessReport:
            + (fav_fp / (fav_fp + fav_tn) - dep_fp / (dep_fp + dep_tn))) / 2.0
     ba = ((fav_tp + dep_tp) / n_pos + (fav_tn + dep_tn) / n_neg) / 2.0
     acc = (fav_tp + fav_tn + dep_tp + dep_tn) / (n_fav + n_dep)
-    if np.ndim(labels) == 1:
-        dp, aod, ba, acc = float(dp[0]), float(aod[0]), float(ba[0]), float(acc[0])
-    return FairnessReport(dp=dp, aod=aod, ba=ba, acc=acc, confusion=conf)
+    dp, aod, ba, acc, *counts = _per_column(vector, [dp, aod, ba, acc, *counts])
+    return FairnessReport(dp=dp, aod=aod, ba=ba, acc=acc, confusion=GroupConfusion(*counts))
 
 
 @dataclass(frozen=True)
@@ -225,15 +158,18 @@ class RocSeries:
 
 
 def _roc_one(scores: np.ndarray, labels: np.ndarray, name: str) -> RocSeries:
+    # descending scores with ties in reverse row order: the last row of a distinct
+    # score, where its point is counted, is its first occurrence (0.0 or -0.0)
+    order = np.argsort(scores, kind="stable")[::-1]
+    scores, labels = scores[order], labels[order]
+    last = np.flatnonzero(np.append(scores[:-1] != scores[1:], scores.size > 0))
     n_pos, n_neg = int(labels.sum()), int((~labels).sum())
-    single = n_pos == 0 or n_neg == 0
-    thresholds = [float("inf")] + sorted(set(float(s) for s in scores), reverse=True) + [float("-inf")]
-    tpr, fpr = [], []
-    for t in thresholds:
-        pred = scores >= t
-        tpr.append(float(pred[labels].sum() / n_pos) if n_pos else float("nan"))
-        fpr.append(float(pred[~labels].sum() / n_neg) if n_neg else float("nan"))
-    return RocSeries(name, tuple(thresholds), tuple(tpr), tuple(fpr), single)
+    tpr, fpr = (
+        (0.0, *(np.cumsum(hits)[last] / n).tolist(), 1.0) if n else (float("nan"),) * (last.size + 2)
+        for hits, n in ((labels, n_pos), (~labels, n_neg))
+    )
+    thresholds = (float("inf"), *scores[last].tolist(), float("-inf"))
+    return RocSeries(name, thresholds, tpr, fpr, n_pos == 0 or n_neg == 0)
 
 
 def roc_points(scores, labels, groups) -> tuple[RocSeries, RocSeries]:

@@ -195,10 +195,12 @@ def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
         )
     acts = plan_.actions
     sizes = [len(act.row_ids) for act in acts]
-    listed = np.array([r for act in acts for r in act.row_ids], dtype=np.int64)
-    bad = listed[(listed < 0) | (listed >= table.n_rows)]
-    if bad.size:
-        raise DataError(f"plan row {int(bad[0])} is outside the table's {table.n_rows} rows")
+    listed = [r for act in acts for r in act.row_ids]
+    # checked before numpy holds the ids, since a read plan's ids can exceed int64
+    bad = next((r for r in listed if not 0 <= r < table.n_rows), None)
+    if bad is not None:
+        raise DataError(f"plan row {bad} is outside the table's {table.n_rows} rows")
+    listed = np.array(listed, dtype=np.int64)
     uniq, seen = np.unique(listed, return_counts=True)
     if (seen > 1).any():
         raise DataError(f"plan lists row {int(uniq[seen > 1][0])} more than once")

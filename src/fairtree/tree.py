@@ -478,6 +478,8 @@ def _node_from_json(doc: dict, path: tuple[str, ...], features: dict, leaf_ids: 
         if json_typed(doc["depth"], int, "leaf depth") != len(path):
             raise DataError(f"leaf {doc['id']}: stored depth {doc['depth']} != structural depth {len(path)}")
         leaf_id = json_typed(doc["id"], int, "leaf id")
+        if not -(2**63) <= leaf_id < 2**63:
+            raise DataError(f"leaf id {leaf_id} is outside the int64 range")
         if leaf_id in leaf_ids:
             raise DataError(f"duplicate leaf id {leaf_id}")
         leaf_ids.add(leaf_id)

@@ -25,8 +25,10 @@ prediction matrices); ``apply_by_action``, the action-by-action ``apply``
 (for ``relabel.relabeled_mask``); ``draws_by_generator``, the plan that drew
 every leaf's rows with its generator (for ``relabel.plan``);
 ``plan_to_json_by_dict``, the plan writer over the indenting ``json`` encoder
-(for ``relabel.plan_to_json``); and ``fit_cut_points_by_unique``, the cut
-points over ``np.unique`` (for ``data.fit_cut_points``).
+(for ``relabel.plan_to_json``); ``fit_cut_points_by_unique``, the cut
+points over ``np.unique`` (for ``data.fit_cut_points``); and
+``roc_by_threshold``, the ROC staircase that compared every score with every
+threshold (for ``metrics.roc_points``).
 """
 
 import csv
@@ -602,3 +604,22 @@ def fit_cut_points_by_unique(table, rule):
     if len(cuts) + 1 < k:
         warnings.warn(f"column {rule.column!r}: ties reduced bins to {len(cuts) + 1}")
     return tuple(cuts)
+
+
+def roc_by_threshold(scores, labels, groups):
+    """Per-group staircases, verbatim: a (group, thresholds, tpr, fpr,
+    single_class) tuple for the favored, then the deprived group."""
+    scores = np.asarray(scores, dtype=float)
+    labels, groups = np.asarray(labels, dtype=bool), np.asarray(groups, dtype=bool)
+    out = []
+    for name, g in (("favored", groups), ("deprived", ~groups)):
+        scores_g, labels_g = scores[g], labels[g]
+        n_pos, n_neg = int(labels_g.sum()), int((~labels_g).sum())
+        thresholds = [float("inf")] + sorted(set(float(s) for s in scores_g), reverse=True) + [float("-inf")]
+        tpr, fpr = [], []
+        for t in thresholds:
+            pred = scores_g >= t
+            tpr.append(float(pred[labels_g].sum() / n_pos) if n_pos else float("nan"))
+            fpr.append(float(pred[~labels_g].sum() / n_neg) if n_neg else float("nan"))
+        out.append((name, tuple(thresholds), tuple(tpr), tuple(fpr), n_pos == 0 or n_neg == 0))
+    return out

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -264,6 +265,37 @@ class TestRelabel:
                    "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
         assert "outside" in capsys.readouterr().err
 
+    def test_plan_row_beyond_int64_exits_3(self, german_csv, built, tmp_path, capsys):
+        planned = tmp_path / "plan"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(planned)) == 0
+        doc = json.loads((planned / "plan.json").read_text(encoding="utf-8"))
+        doc["actions"][0]["rows"][0] = 10**30
+        doc["actions"][-1]["rows"].append(-1)
+        doc["actions"][-1]["count"] += 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
+        err = capsys.readouterr().err
+        assert f"plan row {10**30} is outside the table's 1000 rows" in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", ["relabel", "report"])
+    def test_tree_leaf_id_beyond_int64_exits_3(self, german_csv, built, tmp_path, capsys, command):
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        node = doc["root"]
+        while node["kind"] != "leaf":
+            node = next(iter(node["children"].values()))
+        node["id"] = 10**30
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--data", str(german_csv), "--out", str(tmp_path / "o")] if command == "relabel" else []
+        assert run(command, "--tree", str(bad), *argv) == 3
+        err = capsys.readouterr().err
+        assert f"leaf id {10**30} is outside the int64 range" in err and "Traceback" not in err
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -448,6 +480,19 @@ class TestAudit:
         assert run("audit", "--data", str(audit_csv), *SPEC_FLAGS, "--predictions", "pred",
                    "--roc", "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("cell", ["", "?", "nan", "inf", "-inf"])
+    def test_roc_with_a_non_finite_score_exits_3(self, audit_csv, tmp_path, capsys, cell):
+        lines = audit_csv.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert run("audit", "--data", str(bad), *SPEC_FLAGS, "--predictions", "pred",
+                   "--scores", "score", "--roc", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "scores column 'score' holds a missing or non-finite score" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestReport:
     def test_top_k_table(self, german_csv, tmp_path, capsys):
@@ -603,6 +648,14 @@ def test_every_float_option_rejects_non_finite_values_with_exit_2(tmp_path, caps
         capsys.readouterr()
         assert run(*argv, f"{option}={value}") == 2, (command, option)
         assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_every_lazy_name_resolves():
+    import fairtree
+
+    for module, names in fairtree._LAZY.items():
+        for name in names:
+            assert getattr(fairtree, name) is getattr(importlib.import_module(f"fairtree.{module}"), name)
 
 
 def test_importing_the_cli_loads_neither_eval_nor_relabel():

@@ -1,42 +1,45 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from fairtree.errors import UndefinedMetricError
-from fairtree.metrics import (
-    accuracy,
-    average_odds_difference,
-    balanced_accuracy,
-    confusion,
-    demographic_parity,
-    fairness_report,
-    roc_points,
-)
+from fairtree.metrics import confusion, fairness_report, roc_points
 
 
 def arrays(*seqs):
     return [np.array(s, dtype=bool) for s in seqs]
 
 
+def alternating(groups):
+    """Labels alternating positive, negative within each group, so every group
+    of two or more rows holds both classes."""
+    labels = np.zeros(groups.size, dtype=bool)
+    for g in (groups, ~groups):
+        labels[np.flatnonzero(g)[::2]] = True
+    return labels
+
+
 class TestDemographicParity:
     def test_identical_rates_are_parity(self):
-        preds, groups = arrays([1, 0, 1, 0], [1, 1, 0, 0])
-        assert demographic_parity(preds, groups) == 0.0
+        labels, preds, groups = arrays([1, 0, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0])
+        assert fairness_report(labels, preds, groups).dp == 0.0
 
     def test_complete_unfairness(self):
-        preds, groups = arrays([1, 1, 0, 0], [1, 1, 0, 0])
-        assert demographic_parity(preds, groups) == 1.0
+        labels, preds, groups = arrays([1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0])
+        assert fairness_report(labels, preds, groups).dp == 1.0
 
     def test_hand_value(self):
-        preds, groups = arrays([1, 1, 1, 0, 1, 0], [1, 1, 1, 1, 0, 0])
-        assert demographic_parity(preds, groups) == pytest.approx(0.25)
+        labels, preds, groups = arrays([1, 0, 1, 0, 1, 0], [1, 1, 1, 0, 1, 0], [1, 1, 1, 1, 0, 0])
+        assert fairness_report(labels, preds, groups).dp == pytest.approx(0.25)
 
     def test_empty_group_raises(self):
-        preds, groups = arrays([1, 0], [1, 1])
-        with pytest.raises(UndefinedMetricError):
-            demographic_parity(preds, groups)
+        labels, preds, groups = arrays([1, 0], [1, 0], [1, 1])
+        with pytest.raises(UndefinedMetricError, match="demographic parity"):
+            fairness_report(labels, preds, groups)
 
     @given(
         preds=st.lists(st.booleans(), min_size=4, max_size=20),
@@ -45,10 +48,11 @@ class TestDemographicParity:
     def test_swapping_groups_negates(self, preds, groups):
         n = min(len(preds), len(groups))
         preds, groups = arrays(preds[:n], groups[:n])
-        if groups.all() or not groups.any():
+        if groups.sum() < 2 or (~groups).sum() < 2:
             return
-        assert demographic_parity(preds, ~groups) == pytest.approx(
-            -demographic_parity(preds, groups)
+        labels = alternating(groups)
+        assert fairness_report(labels, preds, ~groups).dp == pytest.approx(
+            -fairness_report(labels, preds, groups).dp
         )
 
 
@@ -57,7 +61,7 @@ class TestAverageOdds:
         labels, preds, groups = arrays(
             [1, 0, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0]
         )
-        assert average_odds_difference(confusion(labels, preds, groups)) == 0.0
+        assert fairness_report(labels, preds, groups).aod == 0.0
 
     def test_hand_value(self):
         # favored: TPR 0.9, FPR 0.2; deprived: TPR 0.7, FPR 0.2
@@ -68,16 +72,16 @@ class TestAverageOdds:
         labels, preds, groups = arrays(
             fav_l + dep_l, fav_p + dep_p, [1] * 20 + [0] * 20
         )
-        assert average_odds_difference(confusion(labels, preds, groups)) == pytest.approx(0.1)
+        assert fairness_report(labels, preds, groups).aod == pytest.approx(0.1)
 
     def test_perfect_classifier_zero(self):
         labels, groups = arrays([1, 0, 1, 0], [1, 1, 0, 0])
-        assert average_odds_difference(confusion(labels, labels, groups)) == 0.0
+        assert fairness_report(labels, labels, groups).aod == 0.0
 
     def test_undefined_rate_names_the_group(self):
         labels, preds, groups = arrays([1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 0, 0])
         with pytest.raises(UndefinedMetricError, match="favored FPR"):
-            average_odds_difference(confusion(labels, preds, groups))
+            fairness_report(labels, preds, groups)
 
     @given(
         labels=st.lists(st.booleans(), min_size=8, max_size=8),
@@ -88,8 +92,8 @@ class TestAverageOdds:
         groups = np.array([1, 0] * 4, dtype=bool)
         labels, preds = arrays(labels, preds)
         try:
-            a = average_odds_difference(confusion(labels, preds, groups))
-            b = average_odds_difference(confusion(labels, preds, ~groups))
+            a = fairness_report(labels, preds, groups).aod
+            b = fairness_report(labels, preds, ~groups).aod
         except UndefinedMetricError:
             return
         assert b == pytest.approx(-a)
@@ -97,42 +101,46 @@ class TestAverageOdds:
 
 class TestBalancedAccuracy:
     def test_perfect(self):
-        labels, = arrays([1, 0, 1, 0])
-        assert balanced_accuracy(labels, labels) == 1.0
+        labels, groups = arrays([1, 0, 1, 0], [1, 1, 0, 0])
+        assert fairness_report(labels, labels, groups).ba == 1.0
 
     def test_all_positive_on_balanced_labels(self):
-        labels, preds = arrays([1, 0, 1, 0], [1, 1, 1, 1])
-        assert balanced_accuracy(labels, preds) == 0.5
+        labels, preds, groups = arrays([1, 0, 1, 0], [1, 1, 1, 1], [1, 1, 0, 0])
+        assert fairness_report(labels, preds, groups).ba == 0.5
 
     def test_hand_value(self):
         # TPR 0.8 (4/5), TNR 0.6 (3/5)
         labels = [1] * 5 + [0] * 5
         preds = [1, 1, 1, 1, 0] + [0, 0, 0, 1, 1]
-        assert balanced_accuracy(*arrays(labels, preds)) == pytest.approx(0.7)
+        groups = [1, 0] * 5
+        assert fairness_report(*arrays(labels, preds, groups)).ba == pytest.approx(0.7)
 
     def test_single_class_raises(self):
-        labels, preds = arrays([1, 1], [1, 0])
+        # a favored TPR or FPR without support fails before BA could
+        labels, preds, groups = arrays([1, 1], [1, 0], [1, 0])
         with pytest.raises(UndefinedMetricError):
-            balanced_accuracy(labels, preds)
+            fairness_report(labels, preds, groups)
 
     def test_equals_accuracy_on_balanced_group_agnostic_data(self):
         labels = np.array([1, 0] * 10, dtype=bool)
         preds = np.array([1, 0, 0, 1] * 5, dtype=bool)
-        assert balanced_accuracy(labels, preds) == pytest.approx(accuracy(labels, preds))
+        groups = np.array([1, 1, 0, 0] * 5, dtype=bool)
+        rep = fairness_report(labels, preds, groups)
+        assert rep.ba == pytest.approx(rep.acc)
 
 
 class TestAccuracy:
     def test_all_correct(self):
-        labels, = arrays([1, 0, 1])
-        assert accuracy(labels, labels) == 1.0
+        labels, groups = arrays([1, 0, 1, 0], [1, 1, 0, 0])
+        assert fairness_report(labels, labels, groups).acc == 1.0
 
     def test_all_wrong(self):
-        labels, = arrays([1, 0, 1])
-        assert accuracy(labels, ~labels) == 0.0
+        labels, groups = arrays([1, 0, 1, 0], [1, 1, 0, 0])
+        assert fairness_report(labels, ~labels, groups).acc == 0.0
 
     def test_three_of_four(self):
-        labels, preds = arrays([1, 1, 0, 0], [1, 1, 0, 1])
-        assert accuracy(labels, preds) == 0.75
+        labels, preds, groups = arrays([1, 1, 0, 0], [1, 1, 0, 1], [1, 0, 1, 0])
+        assert fairness_report(labels, preds, groups).acc == 0.75
 
 
 class TestReport:
@@ -209,6 +217,14 @@ class TestColumnReport:
         with pytest.raises(UndefinedMetricError, match="favored FPR has no support"):
             oracle.fairness_report_by_column(labels, preds, groups)
 
+    def test_confusion_counts_a_vector_as_one_column(self):
+        labels, preds, groups = arrays([1, 0, 1, 0, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 0])
+        one = astuple(confusion(labels, preds, groups))
+        matrix = astuple(confusion(labels[:, None], preds[:, None], groups))
+        assert one == (1, 1, 0, 0, 1, 0, 1, 1)
+        assert [type(c) for c in one] == [int] * 8
+        assert [c.tolist() for c in matrix] == [[c] for c in one]
+
     def test_mismatched_shapes_rejected(self):
         labels = np.zeros((4, 2), dtype=bool)
         with pytest.raises(ValueError, match="shape"):
@@ -249,3 +265,22 @@ class TestRoc:
         labels, groups = arrays([1, 1, 1, 0], [1, 1, 0, 0])
         fav, dep = roc_points(scores, labels, groups)
         assert fav.single_class and not dep.single_class
+
+    @given(cells=st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1e300]), st.floats(allow_nan=False, allow_infinity=False)),
+        st.booleans(),
+        st.booleans(),
+    ), max_size=16))
+    # ties of 0.0 and -0.0 in either order, an empty deprived group and a single-class one
+    @example(cells=[(0.0, True, True), (-0.0, True, True), (0.5, True, True),
+                    (-0.0, False, True), (0.0, False, True), (0.5, True, True)])
+    @example(cells=[(-0.0, True, False), (0.0, True, False), (1.0, True, True), (0.0, False, True)])
+    @settings(max_examples=300)
+    def test_staircase_is_bitwise_the_threshold_loop(self, cells):
+        scores = np.array([c[0] for c in cells], dtype=float)
+        labels, groups = arrays([c[1] for c in cells], [c[2] for c in cells])
+        found = [(s.group, s.thresholds, s.tpr, s.fpr, s.single_class)
+                 for s in roc_points(scores, labels, groups)]
+        expected = oracle.roc_by_threshold(scores, labels, groups)
+        assert [(g, [_bits(v) for v in (*t, *tp, *fp)], one) for g, t, tp, fp, one in found] == \
+            [(g, [_bits(v) for v in (*t, *tp, *fp)], one) for g, t, tp, fp, one in expected]

@@ -272,6 +272,16 @@ class TestApply:
         with pytest.raises(DataError, match="outside|more than once"):
             apply(bad, german)
 
+    @pytest.mark.parametrize("huge", [10**30, -(2**63) - 1])
+    def test_row_beyond_int64_rejected_in_plan_order(self, german, german_plan, huge):
+        first = german_plan.actions[0].row_ids
+        second = german_plan.actions[1].row_ids
+        bad = with_rows(with_rows(german_plan, 0, (huge,) + first[1:]), 1, second + (-1,))
+        for fn in (relabeled_mask, apply):
+            with pytest.raises(DataError) as info:
+                fn(bad, german)
+            assert str(info.value) == f"plan row {huge} is outside the table's {german.n_rows} rows"
+
     def test_empty_plan_is_identity(self):
         t = toy_table({"a": [0, 0, 0, 0]}, favored=[1, 1, 0, 0], positive=[1, 0, 1, 0])
         tree = build(t, "kl")

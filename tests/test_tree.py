@@ -524,6 +524,12 @@ UNTRUSTED_DOCUMENTS = {
         "leaf id",
     ),
     "float-leaf-counts": (lambda text: _edited(text, _float_leaf_counts), "leaf count"),
+    # a leaf id is stored as an int64 wherever the tree routes rows
+    "leaf-id-past-int64": (lambda text: _edited(text, lambda d: _first_leaf(d).update(id=2**63)), "int64 range"),
+    "leaf-id-below-int64": (
+        lambda text: _edited(text, lambda d: _first_leaf(d).update(id=-(2**63) - 1)),
+        "int64 range",
+    ),
     # a leaf's disc comes only from a JSON number, even when its value matches the counts
     "disc-as-text": (
         lambda text: _edited(text, lambda d: _first_leaf(d).update(disc=str(_first_leaf(d)["disc"]))),
