@@ -194,6 +194,11 @@ def _cmd_relabel(args) -> int:
                 f"the plan was built from a different tree (plan {plan_.tree_digest}, "
                 f"tree {fair_tree.digest})"
             )
+        nodes = fair_tree.nodes
+        leaf_ids = set(nodes.leaf_id[nodes.attribute < 0].tolist())
+        for i, act in enumerate(plan_.actions):
+            if act.leaf_id not in leaf_ids:
+                raise DataError(f"plan action {i} names leaf {act.leaf_id}, which is not a leaf of the tree")
     else:
         plan_ = rl.plan(rl.census(fair_tree, routing), args.sigma, args.seed)
     # a plan that cannot be applied is rejected before any output is written

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMetricError
+from .errors import DataError, UndefinedMetricError
 
 SIGN_CONVENTION = "favored-minus-deprived"
 
@@ -173,8 +173,13 @@ def _roc_one(scores: np.ndarray, labels: np.ndarray, name: str) -> RocSeries:
 
 
 def roc_points(scores, labels, groups) -> tuple[RocSeries, RocSeries]:
-    """Per-group ROC staircases with thresholds at distinct scores plus +-inf."""
+    """Per-group ROC staircases with thresholds at distinct scores plus +-inf.
+
+    Every score must be finite: NaN orders with no threshold and an infinite
+    score would sit on the staircase's own end points."""
     scores = np.asarray(scores, dtype=float)
+    if not np.isfinite(scores).all():
+        raise DataError("ROC scores must be finite numbers")
     labels, groups = _as_bool(labels), _as_bool(groups)
     return (
         _roc_one(scores[groups], labels[groups], "favored"),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import DataTable, GroupCounts, json_typed
 from .errors import ConfigError, DataError
-from .tree import FairTree, route
+from .tree import FairTree, leaf_discs, route
 
 PLAN_FORMAT = "fairtree-plan/1"
 
@@ -118,14 +118,9 @@ def census(tree: FairTree, table: DataTable) -> Census:
     leaf_of = route(tree, table)  # also checks the schema pairing
     ids, slot, sizes = np.unique(leaf_of, return_inverse=True, return_counts=True)
     joint = np.bincount(slot * 4 + table.gc_codes, minlength=4 * ids.size).reshape(-1, 4)
-    # leaf_disc over every routed leaf at once, in its operation order
-    fav_pos, fav_neg, dep_pos, dep_neg = joint.T
-    n_fav, n_dep = fav_pos + fav_neg, dep_pos + dep_neg
-    f_pos = fav_pos / np.maximum(n_fav, 1)
-    d_pos = dep_pos / np.maximum(n_dep, 1)
-    disc = np.where((n_fav > 0) & (n_dep > 0), (f_pos - d_pos) + ((1.0 - d_pos) - (1.0 - f_pos)), 0.0)
+    disc = leaf_discs(joint)
     # discriminatory leaves in tree leaf order
-    nodes = tree.node_table
+    nodes = tree.nodes
     order = nodes.leaf_id[nodes.attribute < 0]
     by_id = np.argsort(order)
     rank = by_id[np.searchsorted(order, ids, sorter=by_id)]

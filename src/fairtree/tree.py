@@ -4,6 +4,12 @@ Trees grow to full depth: a categorical attribute is consumed along its path,
 and a node stops growing only when no eligible candidate has a strictly positive
 gain ratio, when a node falls below the row floor, or when attributes run
 out. Leaves carry exact group counts and their discrimination score.
+
+A tree is one set of per-node arrays in preorder, a ``NodeTable``: ``build``
+fills them from the nodes it grows depth by depth, ``deserialize`` from one
+walk over the document, and everything that reads a tree reads them. The
+``Leaf``/``Internal`` records of ``FairTree.root`` are a read-only view of
+the arrays, built on first use.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ class Leaf:
 @dataclass(frozen=True)
 class Internal:
     attribute: str
-    children: dict[str, "TreeNode"]  # keyed by outcome, declaration order
+    children: dict[str, "TreeNode"]  # keyed by outcome, in the tree's child order
     fallback_outcome: str  # routes outcomes unseen at this node
 
 
@@ -86,9 +92,56 @@ class SubgroupDescriptor:
         return f"{c.fav_pos}:{c.fav_neg} / {c.dep_pos}:{c.dep_neg}"
 
 
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Every node of a tree, numbered in preorder (the root is node 0): each
+    internal node is followed by its children in their order, each child by
+    its own subtree, so ``depth`` alone gives the shape.
+
+    Outcome codes index an attribute's declared outcomes in the tree's schema.
+    An internal node owns one slot of ``child`` per declared outcome of its
+    attribute, from ``offset``; the slot of an outcome with no child of its own
+    holds the fallback child. A row at node ``i`` with outcome code ``c`` moves
+    to ``child[offset[i] + c]``.
+    """
+
+    attribute: np.ndarray  # index into ``attributes``, -1 at a leaf
+    fallback: np.ndarray  # code of the outcome whose child takes unseen outcomes, -1 at a leaf
+    outcome: np.ndarray  # code of the node's own outcome at its parent, -1 at the root
+    depth: np.ndarray  # edges from the root
+    offset: np.ndarray  # start of the node's slots in ``child``, -1 at a leaf
+    child: np.ndarray  # node number per slot
+    counts: np.ndarray  # (nodes, 4): fav_pos, fav_neg, dep_pos, dep_neg; zeros at an internal node
+    disc: np.ndarray  # ``leaf_disc`` of the counts
+    majority: np.ndarray  # positives at least negatives
+    leaf_id: np.ndarray  # the leaf's id, -1 at an internal node
+    attributes: tuple[str, ...]  # the split attributes, in order of first use
+
+
+def _node_arrays(
+    attributes, widths, attribute, fallback, parent, outcome, depth, counts, leaf_id
+) -> NodeTable:
+    """The table of a tree given as preorder arrays; ``widths`` holds each
+    attribute's count of declared outcomes and ``parent`` each node's parent
+    (-1 at the root). The routing slots, disc and majority are derived here."""
+    width = np.append(np.asarray(widths, dtype=np.intp), 0)[attribute]  # 0 at a leaf
+    offset = np.where(attribute >= 0, np.cumsum(width) - width, -1)
+    child = np.full(int(width.sum()), -1, dtype=np.intp)
+    below = np.flatnonzero(parent >= 0)
+    child[offset[parent[below]] + outcome[below]] = below
+    # a slot with no child of its own takes its node's fallback child
+    owner = np.repeat(np.arange(attribute.size), width)[child < 0]
+    child[child < 0] = child[offset[owner] + fallback[owner]]
+    majority = counts[:, 0] + counts[:, 2] >= counts[:, 1] + counts[:, 3]
+    return NodeTable(
+        attribute, fallback, outcome, depth, offset, child, counts, leaf_discs(counts), majority, leaf_id,
+        tuple(attributes),
+    )
+
+
 @dataclass(frozen=True)
 class FairTree:
-    root: TreeNode
+    nodes: NodeTable
     criterion: str
     config: BuildConfig
     schema: TableSchema
@@ -104,33 +157,39 @@ class FairTree:
         return _text_digest(serialize(self))
 
     def leaves(self) -> list[Leaf]:
-        return [node for node, _ in walk(self.root) if isinstance(node, Leaf)]
+        """The leaves in preorder, as records."""
+        return [Leaf(i, GroupCounts(*c), d, m, k) for i, c, d, m, k in _leaf_fields(self.nodes)]
 
     @cached_property
-    def node_table(self) -> "NodeTable":
-        """The tree as arrays for ``route``, built once per tree."""
-        return _node_table(self)
+    def root(self) -> TreeNode:
+        """The tree as ``Leaf`` and ``Internal`` records, built once on first
+        use; ``nodes`` stays the tree."""
+        n = self.nodes
+        outcomes = [self.schema.spec(a).outcomes for a in n.attributes]
+        leaves = iter(self.leaves())
+        path: list[tuple[dict, tuple[str, ...]]] = []  # (children, outcomes) of the internal nodes above
+        for a, f, o, d in zip(*(x.tolist() for x in (n.attribute, n.fallback, n.outcome, n.depth))):
+            del path[d:]
+            node = next(leaves) if a < 0 else Internal(n.attributes[a], {}, outcomes[a][f])
+            if d:
+                children, names = path[-1]
+                children[names[o]] = node
+            else:
+                root = node
+            if a >= 0:
+                path.append((node.children, outcomes[a]))
+        return root
 
 
-@dataclass(frozen=True)
-class NodeTable:
-    """Every node of a tree, numbered in preorder (the root is node 0).
-
-    An internal node owns one slot of ``child`` per declared outcome of its
-    attribute, from ``offset``; the slot of an outcome with no child of its own
-    holds the fallback child. A row at node ``i`` with outcome code ``c`` moves
-    to ``child[offset[i] + c]``.
-    """
-
-    attribute: np.ndarray  # per node: index into ``attributes``, -1 at a leaf
-    leaf_id: np.ndarray  # per node: the leaf's id, -1 at an internal node
-    offset: np.ndarray  # per node: start of its slots in ``child``, -1 at a leaf
-    child: np.ndarray  # node number per slot
-    attributes: tuple[str, ...]  # the split attributes, in order of first use
+def _leaf_fields(n: NodeTable):
+    """(id, counts, disc, majority, depth) of each leaf in preorder, as Python values."""
+    at = n.attribute < 0
+    return zip(*(x[at].tolist() for x in (n.leaf_id, n.counts, n.disc, n.majority, n.depth)))
 
 
 def walk(root: TreeNode):
-    """Preorder ``(node, path)`` pairs, children in dict (declaration) order.
+    """Preorder ``(node, path)`` pairs over ``Leaf``/``Internal`` records,
+    children in dict order.
 
     ``path`` holds the (attribute, outcome) conditions from the root to the
     node, so ``len(path)`` is its depth.
@@ -146,52 +205,24 @@ def walk(root: TreeNode):
             )
 
 
-def _node_table(tree: FairTree) -> NodeTable:
-    """One preorder walk of ``tree``. A child fills the one slot of its own
-    outcome when it is numbered; the slots left empty then take the fallback's."""
-    code = {a.name: {o: i for i, o in enumerate(a.outcomes)} for a in tree.schema.attributes}
-    index: dict[str, int] = {}
-    attribute: list[int] = []
-    leaf_id: list[int] = []
-    offset: list[int] = []
-    child: list[int] = []
-    fallback: list[int] = []  # per slot: the slot of its node's fallback outcome
-    stack: list[tuple[TreeNode, int]] = [(tree.root, -1)]
-    while stack:
-        node, slot = stack.pop()
-        if slot >= 0:
-            child[slot] = len(attribute)
-        if type(node) is Leaf:
-            attribute.append(-1)
-            leaf_id.append(node.id)
-            offset.append(-1)
-            continue
-        start, codes = len(child), code[node.attribute]
-        attribute.append(index.setdefault(node.attribute, len(index)))
-        leaf_id.append(-1)
-        offset.append(start)
-        child += [-1] * len(codes)
-        fallback += [start + codes[node.fallback_outcome]] * len(codes)
-        stack.extend((c, start + codes[o]) for o, c in reversed(node.children.items()))
-    slots = np.array(child, dtype=np.intp)
-    empty = slots < 0
-    slots[empty] = slots[np.array(fallback, dtype=np.intp)[empty]]
-    attribute, leaf_id, offset = (np.array(a, dtype=np.intp) for a in (attribute, leaf_id, offset))
-    return NodeTable(attribute, leaf_id, offset, slots, tuple(index))
-
-
 def leaf_disc(counts: GroupCounts) -> float:
-    """Per-leaf discrimination: positive-class gap plus negative-class gap.
+    """One leaf's ``leaf_discs``."""
+    return float(leaf_discs(np.array([counts.as_tuple()]))[0])
+
+
+def leaf_discs(counts: np.ndarray) -> np.ndarray:
+    """Per-leaf discrimination of every row of an (n, 4) count array: the
+    positive-class gap plus the negative-class gap.
 
     Uses raw frequencies (it describes the actual subgroup, not an estimate);
     range [-2, 2]. Zero when either group is absent: there is nothing to
     equalize in a one-group leaf.
     """
-    if counts.n_fav == 0 or counts.n_dep == 0:
-        return 0.0
-    f_pos = counts.fav_pos / counts.n_fav
-    d_pos = counts.dep_pos / counts.n_dep
-    return (f_pos - d_pos) + ((1.0 - d_pos) - (1.0 - f_pos))
+    fav_pos, fav_neg, dep_pos, dep_neg = counts.T
+    n_fav, n_dep = fav_pos + fav_neg, dep_pos + dep_neg
+    f_pos = fav_pos / np.maximum(n_fav, 1)
+    d_pos = dep_pos / np.maximum(n_dep, 1)
+    return np.where((n_fav > 0) & (n_dep > 0), (f_pos - d_pos) + ((1.0 - d_pos) - (1.0 - f_pos)), 0.0)
 
 
 #: Open nodes are scored in blocks of at most this many count cells (nodes x
@@ -241,9 +272,9 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
 
     Growth is level-wise: one histogram per depth counts every open node of
     that depth, and ``divergence.pair_scores`` scores only the attributes
-    still open at each node, the others being consumed on its path. Leaf ids are assigned
-    afterwards in a preorder walk, so the tree is the one a depth-first
-    recursion would grow, leaf ids included.
+    still open at each node, the others being consumed on its path. The nodes
+    are then numbered in preorder and leaf ids given in that order, so the
+    tree is the one a depth-first recursion would grow, leaf ids included.
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}")
@@ -255,31 +286,29 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
         raise DataError(f"numeric columns must be discretized before building: {pending}")
 
     features = table.schema.feature_names
-    outcomes = [table.schema.spec(a).outcomes for a in features]
-    width = max((len(o) for o in outcomes), default=1)
+    widths = [len(table.schema.spec(a).outcomes) for a in features]
+    width = max(widths, default=1)
     codes = np.zeros((table.n_rows, 0), dtype=np.intp)
     if features:
         codes = np.stack([table.codes(a) for a in features], axis=1)
     gc = table.gc_codes
     block = max(1, SCORE_CELLS // (len(features) * width * 4 or 1))
 
-    # per grown node, in creation order (parents before children)
-    node_counts: list[list[int]] = []  # fav_pos, fav_neg, dep_pos, dep_neg
-    node_depth: list[int] = []
-    node_split: list[tuple[int, int] | None] = []  # (attribute index, fallback code)
-    node_children: list[list[tuple[int, int]]] = []  # (outcome code, node index)
+    # per grown node, one array per depth, in creation order (parents before children)
+    grown_counts, grown_split, grown_fallback, grown_depth = [], [], [], []
+    grown_parent, grown_outcome = [np.array([-1])], [np.array([-1])]
 
     rows = np.arange(table.n_rows)
     node_of = np.zeros(table.n_rows, dtype=np.intp)  # each row's node among the open ones
     open_attrs = np.ones((1, len(features)), dtype=bool)
-    depth = 0
+    first = 0  # creation number of the depth's first node
     while rows.size:
-        first, n_open = len(node_counts), len(open_attrs)
+        n_open = len(open_attrs)
         row_gc = gc[rows]
         counts = np.bincount(node_of * 4 + row_gc, minlength=n_open * 4).reshape(n_open, 4)
         scored = np.nonzero((counts.sum(1) >= config.min_rows) & open_attrs.any(1))[0]
         choice = np.full(n_open, -1)
-        fallback = np.zeros(n_open, dtype=np.intp)
+        fallback = np.full(n_open, -1)
         # rows grouped by the scored node they belong to (rows of other nodes first),
         # so that each block of scored nodes owns one run of ``order``
         slot = np.full(n_open, -1)
@@ -301,11 +330,11 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
             scores = dv.select(raw_gain, normalizer, candidates)
             choice[nodes] = scores.choice
             chosen = hist[:, :, np.arange(nodes.size), np.maximum(scores.choice, 0)].sum(0)
-            fallback[nodes] = chosen.argmax(0)
-        node_counts += counts.tolist()
-        node_depth += [depth] * n_open
-        node_split += [(a, f) if a >= 0 else None for a, f in zip(choice.tolist(), fallback.tolist())]
-        node_children += [[] for _ in range(n_open)]
+            fallback[nodes] = np.where(scores.choice >= 0, chosen.argmax(0), -1)
+        grown_counts.append(counts)
+        grown_split.append(choice)
+        grown_fallback.append(fallback)
+        grown_depth.append(np.full(n_open, len(grown_depth)))
 
         # rows of split nodes move to their children, numbered by (parent, outcome)
         keep = choice[node_of] >= 0
@@ -316,41 +345,58 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
         parents, child_codes = np.divmod(keys, width)
         open_attrs = open_attrs[parents]
         open_attrs[np.arange(keys.size), choice[parents]] = False
-        for j, (p, code) in enumerate(zip(parents.tolist(), child_codes.tolist())):
-            node_children[first + p].append((code, first + n_open + j))
-        depth += 1
+        grown_parent.append(first + parents)
+        grown_outcome.append(child_codes)
+        first += n_open
 
-    # leaf ids in preorder: depth-first, children in outcome (declaration) order
-    leaf_id: dict[int, int] = {}
-    stack = [0]
+    split = np.concatenate(grown_split)
+    parent = np.concatenate(grown_parent)
+    # preorder: depth-first, children in outcome (declaration) order
+    children: list[list[int]] = [[] for _ in split]
+    for c, p in enumerate(parent[1:].tolist(), start=1):
+        children[p].append(c)
+    preorder, stack = [], [0]
     while stack:
         i = stack.pop()
-        if node_children[i]:
-            stack.extend(child for _, child in reversed(node_children[i]))
-        else:
-            leaf_id[i] = len(leaf_id)
-    built: list[TreeNode | None] = [None] * len(node_counts)
-    for i in reversed(range(len(node_counts))):
-        if node_split[i] is None:
-            c = GroupCounts(*node_counts[i])
-            built[i] = Leaf(leaf_id[i], c, leaf_disc(c), c.pos >= c.neg, node_depth[i])
-        else:
-            attr, fallback_code = node_split[i]
-            names = outcomes[attr]
-            children = {names[code]: built[child] for code, child in node_children[i]}
-            built[i] = Internal(features[attr], children, names[fallback_code])
-    return FairTree(built[0], criterion, config, table.schema)
+        preorder.append(i)
+        stack.extend(reversed(children[i]))
+    preorder = np.array(preorder)
+    number = np.empty_like(preorder)
+    number[preorder] = np.arange(preorder.size)
+    # the split attributes, numbered in order of first use
+    split = split[preorder]
+    used = split[split >= 0]
+    used = used[np.sort(np.unique(used, return_index=True)[1])]
+    local = np.full(len(features) + 1, -1)
+    local[used] = np.arange(used.size)
+    attribute = local[split]
+    leaf = attribute < 0
+    parent = parent[preorder]
+    return FairTree(
+        _node_arrays(
+            [features[a] for a in used.tolist()],
+            [widths[a] for a in used.tolist()],
+            attribute,
+            np.concatenate(grown_fallback)[preorder],
+            np.where(parent >= 0, number[parent], -1),
+            np.concatenate(grown_outcome)[preorder],
+            np.concatenate(grown_depth)[preorder],
+            np.where(leaf[:, None], np.concatenate(grown_counts)[preorder], 0),
+            np.where(leaf, np.cumsum(leaf) - 1, -1),
+        ),
+        criterion, config, table.schema,
+    )
 
 
 def route(tree: FairTree, table: DataTable) -> np.ndarray:
     """Leaf id per row. Outcomes unseen at a node follow its fallback child.
 
     Every row still above a leaf steps one depth per turn through the tree's
-    ``node_table``, so the numpy calls grow with the depth, not the node count.
+    node table, so the numpy calls grow with the depth, not the node count.
     """
     if table.schema.fingerprint != tree.schema_fingerprint:
         raise DataError("table schema does not match the tree's schema")
-    nodes = tree.node_table
+    nodes = tree.nodes
     codes = np.empty((len(nodes.attributes), table.n_rows), dtype=np.int32)
     for j, name in enumerate(nodes.attributes):
         codes[j] = table.codes(name)
@@ -368,13 +414,8 @@ def route(tree: FairTree, table: DataTable) -> np.ndarray:
 
 
 def stats(tree: FairTree) -> InterpretabilityStats:
-    nodes = leaves = depth = 0
-    for node, path in walk(tree.root):
-        nodes += 1
-        if isinstance(node, Leaf):
-            leaves += 1
-            depth = max(depth, len(path))
-    return InterpretabilityStats(nodes, leaves, depth)
+    leaf = tree.nodes.attribute < 0
+    return InterpretabilityStats(leaf.size, int(leaf.sum()), int(tree.nodes.depth[leaf].max()))
 
 
 def extract_subgroups(
@@ -388,11 +429,24 @@ def extract_subgroups(
         raise ConfigError(f"top_k must be at least 1, got {top_k}")
     if min_disc != min_disc:
         raise ConfigError("min_disc must be a number, got NaN")
-    found = [
-        SubgroupDescriptor(node.id, path, node.counts, node.disc)
-        for node, path in walk(tree.root)
-        if isinstance(node, Leaf) and node.disc > 0.0 and node.disc >= min_disc
-    ]
+    n = tree.nodes
+    outcomes = [tree.schema.spec(a).outcomes for a in n.attributes]
+    wanted = (n.attribute < 0) & (n.disc > 0.0) & (n.disc >= min_disc)
+    found = []
+    above: list[int] = []  # attributes of the internal nodes above
+    path: list[tuple[str, str]] = []
+    for i, (a, o, d, keep) in enumerate(
+        zip(n.attribute.tolist(), n.outcome.tolist(), n.depth.tolist(), wanted.tolist())
+    ):
+        if d:
+            del above[d:], path[d - 1:]
+            path.append((n.attributes[above[-1]], outcomes[above[-1]][o]))
+        if a >= 0:
+            above.append(a)
+        elif keep:
+            found.append(SubgroupDescriptor(
+                int(n.leaf_id[i]), tuple(path), GroupCounts(*n.counts[i].tolist()), float(n.disc[i])
+            ))
     found.sort(key=lambda s: (-s.disc, -s.size, s.leaf_id))
     return found[:top_k] if top_k is not None else found
 
@@ -400,38 +454,14 @@ def extract_subgroups(
 # -- serialization ------------------------------------------------------------
 
 
-def _emit(node: TreeNode, pad: str, out: list[str]) -> None:
-    """Append ``node``'s text as ``json.dumps(indent=1, ensure_ascii=False)``
-    lays it out when its closing brace is indented by ``pad``."""
-    inner = pad + " "
-    if isinstance(node, Leaf):
-        c = node.counts
-        item = "\n" + inner + " "
-        out.append(
-            f'{{\n{inner}"kind": "leaf",\n{inner}"id": {node.id},\n{inner}"counts": ['
-            f"{item}{c.fav_pos},{item}{c.fav_neg},{item}{c.dep_pos},{item}{c.dep_neg}\n{inner}],\n"
-            f'{inner}"disc": {float.__repr__(node.disc)},\n'
-            f'{inner}"majority": "{"positive" if node.majority_positive else "negative"}",\n'
-            f'{inner}"depth": {node.depth}\n{pad}}}'
-        )
-        return
-    out.append(
-        f'{{\n{inner}"kind": "internal",\n{inner}"attribute": {_encode_text(node.attribute)},\n'
-        f'{inner}"fallback": {_encode_text(node.fallback_outcome)},\n{inner}"children": {{'
-    )
-    child_pad = inner + " "
-    for i, (outcome, child) in enumerate(node.children.items()):
-        out.append(f"{',' if i else ''}\n{child_pad}{_encode_text(outcome)}: ")
-        _emit(child, child_pad, out)
-    out.append(f"\n{inner}}}\n{pad}}}" if node.children else f"}}\n{pad}}}")
-
-
 def serialize(tree: FairTree) -> str:
     """Self-describing, versioned document with stable key order for diffing.
 
     The text is exactly ``json.dumps(doc, indent=1, ensure_ascii=False)`` plus a
-    newline: ``json`` writes the head, and ``_emit`` writes the nodes directly,
-    which is many times faster than the indenting encoder, pure Python in CPython.
+    newline: ``json`` writes the head, and the nodes are written directly from
+    the node table, which is many times faster than the indenting encoder,
+    pure Python in CPython. A node's closing brace is indented by one space
+    plus two per depth.
     """
     doc = {
         "format": TREE_FORMAT,
@@ -441,9 +471,44 @@ def serialize(tree: FairTree) -> str:
         "schema": tree.schema.to_json(),
         "root": None,
     }
-    head = json.dumps(doc, indent=1, ensure_ascii=False)
-    out = [head.removesuffix("null\n}")]
-    _emit(tree.root, " ", out)
+    out = [json.dumps(doc, indent=1, ensure_ascii=False).removesuffix("null\n}")]
+    n = tree.nodes
+    names = [_encode_text(a) for a in n.attributes]
+    outcomes = [[_encode_text(o) for o in tree.schema.spec(a).outcomes] for a in n.attributes]
+    pads = [" " * (1 + 2 * d) for d in range(int(n.depth.max()) + 1)]
+    # per depth: a first child's key, a later child's key, the texts of a leaf
+    # and of an internal node, and what follows an internal node's last child
+    first, later = ["\n" + pad for pad in pads], [",\n" + pad for pad in pads]
+    leaf_text = [
+        f'{{\n{pad} "kind": "leaf",\n{pad} "id": %d,\n{pad} "counts": [\n{pad}  %d,\n{pad}  %d,\n'
+        f'{pad}  %d,\n{pad}  %d\n{pad} ],\n{pad} "disc": %r,\n{pad} "majority": "%s",\n'
+        f'{pad} "depth": %d\n{pad}}}'
+        for pad in pads
+    ]
+    inner_text = [
+        f'{{\n{pad} "kind": "internal",\n{pad} "attribute": %s,\n{pad} "fallback": %s,\n{pad} "children": {{'
+        for pad in pads
+    ]
+    ends = [f"\n{pad} }}\n{pad}}}" for pad in pads]
+    leaves = iter([
+        leaf_text[d] % (i, *c, disc, "positive" if m else "negative", d)
+        for i, c, disc, m, d in _leaf_fields(n)
+    ])
+    above: list[list[str]] = []  # outcome texts of the internal nodes above
+    last = 0
+    for a, f, o, d in zip(*(x.tolist() for x in (n.attribute, n.fallback, n.outcome, n.depth))):
+        if len(above) > d:  # the subtrees of the internal nodes from depth d down end here
+            out += reversed(ends[d:len(above)])
+            del above[d:]
+        if d:  # a first child follows its parent, a later one its sibling's subtree
+            out += ((later if last >= d else first)[d], above[-1][o], ": ")
+        if a < 0:
+            out.append(next(leaves))
+        else:
+            out.append(inner_text[d] % (names[a], outcomes[a][f]))
+            above.append(outcomes[a])
+        last = d
+    out += reversed(ends[:len(above)])
     out.append("\n}\n")
     return "".join(out)
 
@@ -452,56 +517,146 @@ def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _node_from_json(doc: dict, path: tuple[str, ...], features: dict, leaf_ids: set[int]) -> TreeNode:
-    """A node and its subtree, each node checked as it is built. ``path`` holds
-    the attributes split on above it; ``features`` maps each finalized feature
-    column to its declared outcomes; ``leaf_ids`` gathers the ids read so far."""
-    kind = doc.get("kind")
-    if kind == "leaf":
-        counts = GroupCounts(*(json_typed(c, int, "leaf count") for c in doc["counts"]))
-        if min(counts.as_tuple()) < 0:
-            raise DataError(f"leaf {doc['id']}: negative counts {counts.as_tuple()}")
-        disc = doc["disc"]
-        if type(disc) not in (int, float):
-            raise DataError(f"leaf {doc['id']}: disc must be a JSON number, got {disc!r:.40}")
-        expected = leaf_disc(counts)
-        if abs(disc - expected) > 1e-9:
-            raise DataError(
-                f"leaf {doc['id']}: stored disc {disc} does not match its counts "
-                f"(expected {expected})"
-            )
-        majority = doc["majority"]
-        if majority not in ("positive", "negative"):
-            raise DataError(f"leaf {doc['id']}: unknown majority tag {majority!r}")
-        if (majority == "positive") != (counts.pos >= counts.neg):
-            raise DataError(f"leaf {doc['id']}: stored majority does not match its counts")
-        if json_typed(doc["depth"], int, "leaf depth") != len(path):
-            raise DataError(f"leaf {doc['id']}: stored depth {doc['depth']} != structural depth {len(path)}")
-        leaf_id = json_typed(doc["id"], int, "leaf id")
-        if not -(2**63) <= leaf_id < 2**63:
-            raise DataError(f"leaf id {leaf_id} is outside the int64 range")
-        if leaf_id in leaf_ids:
-            raise DataError(f"duplicate leaf id {leaf_id}")
-        leaf_ids.add(leaf_id)
-        return Leaf(leaf_id, counts, expected, majority == "positive", len(path))
-    if kind == "internal":
-        attribute = doc["attribute"]
-        declared = features.get(attribute) if isinstance(attribute, str) else None
-        if declared is None:
-            raise DataError(f"split attribute {attribute!r} is not a finalized feature column")
-        if attribute in path:
-            raise DataError(f"attribute {attribute!r} is split on twice along one path")
-        undeclared = [o for o in doc["children"] if o not in declared]
-        if undeclared:
-            raise DataError(f"attribute {attribute!r} has undeclared outcomes {undeclared}")
-        path += (attribute,)
-        children = {o: _node_from_json(c, path, features, leaf_ids) for o, c in doc["children"].items()}
-        if not children:
-            raise DataError("internal node with no children")
-        if doc["fallback"] not in children:
-            raise DataError(f"fallback outcome {doc['fallback']!r} is not a child")
-        return Internal(attribute, children, doc["fallback"])
-    raise DataError(f"unknown node kind {kind!r}")
+def _json_ints(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64, with the mask of those that are not a JSON integer
+    in the int64 range (zero in the array)."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
+        except OverflowError:
+            pass
+    bad = [type(v) is not int or not -(2**63) <= v < 2**63 for v in values]
+    return np.array([0 if b else v for v, b in zip(values, bad)], dtype=np.int64), np.array(bad, dtype=bool)
+
+
+def _int_fault(value, what: str) -> str:
+    """Why ``value`` is not a stored integer: not a JSON integer, or outside int64."""
+    try:
+        json_typed(value, int, what)
+    except DataError as exc:
+        return str(exc)
+    return f"{what} {value} is outside the int64 range"
+
+
+def _read_nodes(root, schema: TableSchema) -> NodeTable:
+    """The node table of a document's ``root``.
+
+    One preorder walk checks the document's shape and gathers every node's
+    fields into lists. Every other check then runs over the gathered values;
+    the first faulty node in preorder is reported, and of its faults the one
+    listed first below.
+    """
+    parent, key, depth = [], [], []  # per node
+    leaf_at, raw_counts, raw_disc, raw_majority, raw_depth, raw_id = [], [], [], [], [], []
+    inner_at, raw_attribute, raw_fallback = [], [], []
+    stack = [(root, -1, None, 0)]
+    while stack:
+        node, up, outcome, d = stack.pop()
+        i = len(parent)
+        parent.append(up)
+        key.append(outcome)
+        depth.append(d)
+        kind = node.get("kind")
+        if kind == "leaf":
+            counts = node["counts"]
+            if type(counts) is not list or len(counts) != 4:
+                raise DataError(f"malformed tree document: leaf counts {counts!r:.40} are not a list of four")
+            leaf_at.append(i)
+            raw_counts += counts
+            raw_disc.append(node["disc"])
+            raw_majority.append(node["majority"])
+            raw_depth.append(node["depth"])
+            raw_id.append(node["id"])
+        elif kind == "internal":
+            inner_at.append(i)
+            raw_attribute.append(node["attribute"])
+            raw_fallback.append(node["fallback"])
+            stack += [(c, i, o, d + 1) for o, c in reversed(node["children"].items())]
+        else:
+            raise DataError(f"unknown node kind {kind!r}")
+    n = len(parent)
+    parent, depth = np.array(parent, dtype=np.intp), np.array(depth, dtype=np.intp)
+    leaf_at, inner_at = np.array(leaf_at, dtype=np.intp), np.array(inner_at, dtype=np.intp)
+
+    # leaves
+    counts, bad_count = _json_ints(raw_counts)
+    counts, bad_count = counts.reshape(-1, 4), bad_count.reshape(-1, 4)
+    number = np.array([type(x) in (int, float) for x in raw_disc], dtype=bool)
+    stored = np.array([x if ok else 0.0 for x, ok in zip(raw_disc, number.tolist())], dtype=float)
+    expected = leaf_discs(counts)
+    tagged = np.array([m in ("positive", "negative") for m in raw_majority], dtype=bool)
+    positive = np.array([m == "positive" for m in raw_majority], dtype=bool)
+    stated, bad_depth = _json_ints(raw_depth)
+    ids, bad_id = _json_ints(raw_id)
+    repeated = np.ones(ids.size, dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+
+    # internal nodes; an attribute is numbered by its first use
+    features = {s.name: s for s in map(schema.spec, schema.feature_names) if s.finalized}
+    index: dict[str, int] = {}
+    split = [index.setdefault(a, len(index)) if isinstance(a, str) and a in features else -1
+             for a in raw_attribute]
+    codes = [{o: c for c, o in enumerate(features[a].outcomes)} for a in index] + [{}]
+    attribute = np.full(n, -1, dtype=np.intp)
+    attribute[inner_at] = split
+    parent_split = attribute[parent].tolist()
+    outcome = np.array([-1] + [codes[a].get(o, -1) for a, o in zip(parent_split[1:], key[1:])], dtype=np.intp)
+    fallback = np.full(n, -1, dtype=np.intp)
+    fallback[inner_at] = [codes[a].get(f, -1) if isinstance(f, str) else -1
+                          for a, f in zip(split, raw_fallback)]
+    twice, above = [], []
+    for a, d in zip(split, depth[inner_at].tolist()):
+        del above[d:]
+        twice.append(a >= 0 and a in above)
+        above.append(a)
+    undeclared = np.zeros(n, dtype=bool)
+    undeclared[parent[1:][outcome[1:] < 0]] = True
+    # per (node, outcome code): whether the node has a child of its own there
+    width = 1 + max((len(s.outcomes) for s in features.values()), default=0)
+    own = np.zeros(n * width, dtype=bool)
+    own[(parent * width + outcome)[outcome >= 0]] = True
+
+    faults = [
+        (leaf_at, bad_count.any(1),
+         lambda j: _int_fault(raw_counts[4 * j + bad_count[j].argmax()], "leaf count")),
+        (leaf_at, (counts < 0).any(1),
+         lambda j: f"leaf {raw_id[j]}: negative counts {tuple(counts[j].tolist())}"),
+        (leaf_at, ~number,
+         lambda j: f"leaf {raw_id[j]}: disc must be a JSON number, got {raw_disc[j]!r:.40}"),
+        (leaf_at, ~(np.abs(stored - expected) <= 1e-9),  # so NaN matches no counts
+         lambda j: f"leaf {raw_id[j]}: stored disc {raw_disc[j]} does not match its counts "
+         f"(expected {expected[j]})"),
+        (leaf_at, ~tagged, lambda j: f"leaf {raw_id[j]}: unknown majority tag {raw_majority[j]!r}"),
+        (leaf_at, tagged & (positive != (counts[:, 0] + counts[:, 2] >= counts[:, 1] + counts[:, 3])),
+         lambda j: f"leaf {raw_id[j]}: stored majority does not match its counts"),
+        (leaf_at, bad_depth | (stated != depth[leaf_at]), lambda j: _int_fault(raw_depth[j], "leaf depth")
+         if type(raw_depth[j]) is not int else
+         f"leaf {raw_id[j]}: stored depth {raw_depth[j]} != structural depth {depth[leaf_at[j]]}"),
+        (leaf_at, bad_id, lambda j: _int_fault(raw_id[j], "leaf id")),
+        (leaf_at, repeated, lambda j: f"duplicate leaf id {raw_id[j]}"),
+        (inner_at, np.array(split, dtype=np.intp) < 0,
+         lambda j: f"split attribute {raw_attribute[j]!r} is not a finalized feature column"),
+        (inner_at, np.array(twice, dtype=bool),
+         lambda j: f"attribute {raw_attribute[j]!r} is split on twice along one path"),
+        (inner_at, undeclared[inner_at], lambda j: f"attribute {raw_attribute[j]!r} has undeclared outcomes "
+         f"{[key[c] for c in np.flatnonzero((parent == inner_at[j]) & (outcome < 0)).tolist()]}"),
+        (inner_at, np.bincount(parent[1:], minlength=n)[inner_at] == 0,
+         lambda j: "internal node with no children"),
+        (inner_at, (fallback[inner_at] < 0) | ~own[inner_at * width + fallback[inner_at]],
+         lambda j: f"fallback outcome {raw_fallback[j]!r} is not a child"),
+    ]
+    first = min((at[bad][0] for at, bad, _ in faults if bad.any()), default=-1)
+    for at, bad, message in faults:
+        if first in at[bad]:
+            raise DataError(message(int(np.searchsorted(at, first))))
+
+    full_counts = np.zeros((n, 4), dtype=np.int64)
+    full_counts[leaf_at] = counts
+    leaf_id = np.full(n, -1, dtype=np.int64)
+    leaf_id[leaf_at] = ids
+    names = [features[a].name for a in index]  # the schema's strings, not the document's
+    widths = [len(features[a].outcomes) for a in index]
+    return _node_arrays(names, widths, attribute, fallback, parent, outcome, depth, full_counts, leaf_id)
 
 
 def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> FairTree:
@@ -511,6 +666,7 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
     document as read. ``serialize`` reproduces the text of every document it
     wrote, so such a tree keeps the digest it had when it was built.
     """
+    digest = _text_digest(text)  # before the document is parsed, so that the two never coexist
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -525,11 +681,10 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
         schema = TableSchema.from_json(doc["schema"])
         config = BuildConfig(json_typed(doc["config"]["min_rows"], int, "min_rows"))
         reuse = doc["config"]["attribute_reuse"]
-        specs = [schema.spec(a) for a in schema.feature_names]
-        features = {s.name: frozenset(s.outcomes) for s in specs if s.finalized}
-        root = _node_from_json(doc["root"], (), features, set())
+        nodes = _read_nodes(doc["root"], schema)
         stored_fp = doc["schema_fingerprint"]
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError, RecursionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ConfigError,
+            RecursionError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
     if reuse != ATTRIBUTE_REUSE:
         raise DataError(f"unsupported attribute reuse policy {reuse!r}")
@@ -537,6 +692,6 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
         raise DataError("schema fingerprint does not match the embedded schema")
     if expected_schema_fingerprint is not None and stored_fp != expected_schema_fingerprint:
         raise DataError("tree was built against a different schema than expected")
-    tree = FairTree(root, criterion, config, schema)
-    vars(tree)["digest"] = _text_digest(text)  # fills the cached property
+    tree = FairTree(nodes, criterion, config, schema)
+    vars(tree)["digest"] = digest  # fills the cached property
     return tree

@@ -15,7 +15,8 @@ encoder over ``np.unique`` (for ``data._encode``); ``write_csv_by_row``, the
 row-at-a-time CSV writer (for ``data.write_csv``); ``table_by_cell``, the
 per-cell type inference loop (for ``data.table_from_columns``); and
 ``serialize_by_dict``, the tree writer over one dict per node and the indenting
-``json`` encoder (for ``tree.serialize``); ``load_csv_by_row``, the CSV reader
+``json`` encoder (for ``tree.serialize``; ``tree_from_root`` reads its text
+back, so that tests can hand-build a tree from records); ``load_csv_by_row``, the CSV reader
 that kept every row's own cell strings (for ``data.load_csv``);
 ``route_by_node``, the router with its numpy calls at every node (for
 ``tree.route``); ``descend_by_epoch``, the descent that allocated its arrays
@@ -47,7 +48,7 @@ from fairtree.data import (
     table_from_columns,
 )
 from fairtree.errors import ConfigError, DataError
-from fairtree.tree import Leaf
+from fairtree.tree import BuildConfig, Leaf, deserialize
 
 NORM_EPS = 1e-9
 
@@ -399,17 +400,27 @@ def _node_to_json(node):
     }
 
 
-def serialize_by_dict(tree):
-    """The tree writer over one dict per node, verbatim."""
+def _document_by_dict(root, criterion, config, schema):
     doc = {
         "format": "fairtree/1",
-        "criterion": tree.criterion,
-        "config": {"min_rows": tree.config.min_rows, "attribute_reuse": "consume"},
-        "schema_fingerprint": tree.schema.fingerprint,
-        "schema": tree.schema.to_json(),
-        "root": _node_to_json(tree.root),
+        "criterion": criterion,
+        "config": {"min_rows": config.min_rows, "attribute_reuse": "consume"},
+        "schema_fingerprint": schema.fingerprint,
+        "schema": schema.to_json(),
+        "root": _node_to_json(root),
     }
     return json.dumps(doc, indent=1, ensure_ascii=False) + "\n"
+
+
+def serialize_by_dict(tree):
+    """The tree writer over one dict per node, verbatim."""
+    return _document_by_dict(tree.root, tree.criterion, tree.config, tree.schema)
+
+
+def tree_from_root(root, schema, criterion="kl", config=BuildConfig()):
+    """The tree of hand-built ``Leaf``/``Internal`` records: their document,
+    read back. The records must form a valid tree over ``schema``."""
+    return deserialize(_document_by_dict(root, criterion, config, schema))
 
 
 def route_by_node(tree, table):

@@ -230,6 +230,20 @@ class TestRelabel:
         assert "target is not" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_plan_naming_a_leaf_not_in_the_tree_exits_3(self, german_csv, built, tmp_path, capsys):
+        planned = tmp_path / "plan"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(planned)) == 0
+        doc = json.loads((planned / "plan.json").read_text(encoding="utf-8"))
+        assert len(doc["actions"]) > 1
+        doc["actions"][1]["leaf"] = 999999
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(bad), "--out", str(tmp_path / "b")) == 3
+        assert "plan action 1 names leaf 999999" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_failed_write_keeps_the_previous_output(self, german_csv, built, tmp_path, monkeypatch):
         out = tmp_path / "rel"
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),

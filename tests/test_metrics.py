@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from fairtree.errors import UndefinedMetricError
+from fairtree.errors import DataError, UndefinedMetricError
 from fairtree.metrics import confusion, fairness_report, roc_points
 
 
@@ -234,6 +234,12 @@ class TestColumnReport:
 
 
 class TestRoc:
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, score):
+        labels, groups = arrays([1, 0, 1], [1, 1, 1])
+        with pytest.raises(DataError, match="finite"):
+            roc_points([0.2, score, 0.7], labels, groups)
+
     def test_perfect_scorer_hits_corner(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])
         labels, groups = arrays([1, 1, 0, 0], [1, 0, 1, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -8,15 +9,26 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import table_rows, toy_table
-from fairtree.data import MISSING, GroupCounts, conform_to_schema, discretize_all, group_counts
+from fairtree.data import (
+    MISSING,
+    AttributeSpec,
+    GroupCounts,
+    LabelSpec,
+    SensitiveSpec,
+    TableSchema,
+    conform_to_schema,
+    discretize_all,
+    group_counts,
+)
 from fairtree.datasets import make_adult
 from fairtree.divergence import SplitEvaluation
 from fairtree.errors import ConfigError, DataError
+from fairtree.relabel import census
 from fairtree.tree import (
     BuildConfig,
-    FairTree,
     Internal,
     Leaf,
+    NodeTable,
     build,
     choose_split,
     deserialize,
@@ -261,11 +273,8 @@ class TestRouting:
         reference = toy_table({"a": [0, 1, 2, 0]}, favored=[1, 0, 1, 0], positive=[1, 0, 1, 0])
         leaf0 = Leaf(0, GroupCounts(1, 0, 0, 1), 2.0, True, 1)
         leaf1 = Leaf(1, GroupCounts(1, 0, 0, 1), 2.0, True, 1)
-        tree = FairTree(
-            Internal("a", {"0": leaf0, "1": leaf1}, fallback_outcome="1"),
-            "kl",
-            BuildConfig(),
-            reference.schema,
+        tree = oracle.tree_from_root(
+            Internal("a", {"0": leaf0, "1": leaf1}, fallback_outcome="1"), reference.schema
         )
         ids = route(tree, reference)
         assert list(ids) == [0, 1, 1, 0]  # the a=2 row lands on the fallback child
@@ -279,10 +288,8 @@ class TestRouting:
         )
         assert reference.schema.spec("a").outcomes == ("x", "y", MISSING)
         leaves = [Leaf(i, GroupCounts(1, 0, 0, 1), 2.0, True, 1) for i in range(3)]
-        tree = FairTree(
+        tree = oracle.tree_from_root(
             Internal("a", {"x": leaves[0], "y": leaves[1], MISSING: leaves[2]}, fallback_outcome="x"),
-            "kl",
-            BuildConfig(),
             reference.schema,
         )
         assert list(route(tree, reference)) == [0, 0, 0, 1, 2, 2]
@@ -317,7 +324,7 @@ def trees_over_tables(draw):
         return Internal(attribute, children, draw(st.sampled_from(sorted(children))))
 
     root = node(0, set(table.schema.feature_names))
-    return FairTree(root, "kl", BuildConfig(), table.schema), table
+    return oracle.tree_from_root(root, table.schema), table
 
 
 class TestNodeTableRouting:
@@ -339,11 +346,46 @@ class TestNodeTableRouting:
             assert np.array_equal(route(tree, table), oracle.route_by_node(tree, table))
 
     def test_node_table_is_built_once_per_tree(self, german):
+        # the node table is the tree; its record view is built once, on first use
         tree = build(german.subset(np.arange(200)), "kl")
-        assert tree.node_table is tree.node_table
-        nodes = tree.node_table
-        # preorder numbering: the table's leaves are the tree's leaves in leaf order
-        assert nodes.leaf_id[nodes.attribute < 0].tolist() == [leaf.id for leaf in tree.leaves()]
+        assert "root" not in vars(tree)
+        assert tree.root is tree.root
+        nodes = tree.nodes
+        # preorder numbering: the table's leaves are the record view's leaves in walk order
+        assert nodes.leaf_id[nodes.attribute < 0].tolist() == \
+            [node.id for node, _ in walk(tree.root) if isinstance(node, Leaf)]
+
+
+class TestArrayTree:
+    """A tree is its preorder node arrays, whether grown or read."""
+
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    @pytest.mark.parametrize("dataset", ["german", "compas"])
+    def test_read_arrays_equal_the_grown_ones(self, request, dataset, criterion):
+        built = build(request.getfixturevalue(dataset), criterion)
+        read = deserialize(serialize(built))
+        assert read.nodes.attributes == built.nodes.attributes
+        for field in dataclasses.fields(NodeTable):
+            if field.name != "attributes":
+                grown, again = getattr(built.nodes, field.name), getattr(read.nodes, field.name)
+                assert grown.dtype == again.dtype and np.array_equal(grown, again), field.name
+
+    def test_reading_and_a_census_build_no_records(self, german):
+        tree = deserialize(serialize(build(german, "kl")))
+        census(tree, german)
+        assert "root" not in vars(tree)
+
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    def test_record_view_holds_every_node(self, german, criterion):
+        # counted the way perfbench/traced.py counts the nodes a run grew
+        tree = build(german, criterion)
+        nodes, stack = 0, [tree.root]
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            if isinstance(node, Internal):
+                stack.extend(node.children.values())
+        assert nodes == stats(tree).node_count > 1
 
 
 class TestStats:
@@ -438,8 +480,11 @@ def _first_leaf(doc) -> dict:
 
 
 def _negative_leaf_counts(doc):
+    _make_counts_negative(_first_leaf(doc))
+
+
+def _make_counts_negative(leaf):
     # consistent disc and majority, so only the sign of the counts is wrong
-    leaf = _first_leaf(doc)
     counts = GroupCounts(*leaf["counts"]) + GroupCounts(3, -(leaf["counts"][1] + 2), 0, 0)
     leaf["counts"] = list(counts.as_tuple())
     leaf["disc"] = leaf_disc(counts)
@@ -583,34 +628,46 @@ _awkward_text = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\t\n\r\u2028\u2029é日🙂'), st.characters()),
     max_size=6,
 )
-_discs = st.one_of(
-    st.sampled_from([0.0, 2.0, -2.0, 1e-300, 1 / 3, -1 / 3, 0.1 + 0.2]),
-    st.floats(-2.0, 2.0, allow_nan=False),
-)
-_leaves = st.builds(
-    Leaf,
-    id=st.integers(0, 10**6),
-    counts=st.builds(GroupCounts, *[st.integers(0, 10**4)] * 4),
-    disc=_discs,
-    majority_positive=st.booleans(),
-    depth=st.integers(0, 30),
-)
 
 
-def _internal(children):
-    return st.builds(
-        Internal,
-        attribute=_awkward_text,
-        children=st.dictionaries(_awkward_text, children, max_size=3),
-        fallback_outcome=_awkward_text,
+def _schema(features: dict) -> TableSchema:
+    """A schema of categorical feature columns (name to outcomes) plus the group and class columns."""
+    return TableSchema(
+        (*(AttributeSpec(a, "categorical", o) for a, o in features.items()),
+         AttributeSpec("grp", "categorical", ("fav", "dep")),
+         AttributeSpec("cls", "categorical", ("yes", "no"))),
+        LabelSpec("cls", "yes", "no"),
+        SensitiveSpec("grp", "fav", "dep"),
     )
 
 
-@given(root=st.recursive(_leaves, _internal, max_leaves=12), min_rows=st.integers(1, 50))
-@example(root=Leaf(0, GroupCounts(1, 0, 0, 1), 0.0, True, 0), min_rows=1)  # a single-leaf tree
-def test_emitter_text_equals_the_dict_and_json_writer(root, min_rows):
-    schema = toy_table({"a": [0, 1]}, favored=[1, 0], positive=[1, 0]).schema
-    tree = FairTree(root, "kl", BuildConfig(min_rows), schema)
+@st.composite
+def awkward_trees(draw):
+    """A tree over feature columns whose names and outcomes are awkward text:
+    each internal node has children for some of its attribute's outcomes, in
+    a drawn order, and each leaf drawn counts with their own disc and majority."""
+    names = draw(st.lists(_awkward_text.filter(lambda a: a not in ("grp", "cls")), min_size=1, max_size=3,
+                          unique=True))
+    features = {a: tuple(draw(st.lists(_awkward_text, min_size=1, max_size=3, unique=True))) for a in names}
+    leaf_ids = iter(draw(st.permutations(range(64))))
+
+    def node(depth, unused):
+        if not unused or draw(st.booleans()):
+            counts = GroupCounts(*draw(st.tuples(*[st.integers(0, 10**4)] * 4)))
+            return Leaf(next(leaf_ids), counts, leaf_disc(counts), counts.pos >= counts.neg, depth)
+        attribute = draw(st.sampled_from(sorted(unused)))
+        kept = draw(st.lists(st.sampled_from(features[attribute]), min_size=1, unique=True))
+        children = {o: node(depth + 1, unused - {attribute}) for o in kept}
+        return Internal(attribute, children, draw(st.sampled_from(kept)))
+
+    return node(0, set(names)), _schema(features)
+
+
+@given(case=awkward_trees(), min_rows=st.integers(1, 50))
+@example(case=(Leaf(0, GroupCounts(1, 0, 0, 1), 2.0, True, 0), _schema({"a": ("0", "1")})), min_rows=1)
+def test_emitter_text_equals_the_dict_and_json_writer(case, min_rows):
+    root, schema = case
+    tree = oracle.tree_from_root(root, schema, config=BuildConfig(min_rows))
     assert serialize(tree) == oracle.serialize_by_dict(tree)
 
 
@@ -621,6 +678,31 @@ class TestSerialization:
         assert isinstance(deserialize(tree_text).root, Internal)
         with pytest.raises(DataError, match=message):
             deserialize(mutate(tree_text))
+
+    def test_first_faulty_node_in_preorder_is_reported(self, tree_text):
+        def leaves(node):
+            if node["kind"] == "leaf":
+                return [node]
+            return [x for c in node["children"].values() for x in leaves(c)]
+
+        def wrong_disc(leaf):
+            leaf["disc"] += 0.5
+
+        # two faulty leaves: the earlier one in preorder is named, whichever check finds the other
+        for early_fault, late_fault, message in ((wrong_disc, _make_counts_negative, "stored disc"),
+                                                 (_make_counts_negative, wrong_disc, "negative counts")):
+            doc = json.loads(tree_text)
+            early, late = leaves(doc["root"])[0], leaves(doc["root"])[-1]
+            early_fault(early)
+            late_fault(late)
+            with pytest.raises(DataError, match=f"leaf {early['id']}: {message}"):
+                deserialize(json.dumps(doc))
+        # an internal node comes before every node of its subtree
+        doc = json.loads(tree_text)
+        doc["root"]["fallback"] = "no-such-outcome"
+        _make_counts_negative(leaves(doc["root"])[0])
+        with pytest.raises(DataError, match="fallback outcome 'no-such-outcome' is not a child"):
+            deserialize(json.dumps(doc))
 
     def test_deserialize_walks_the_document_once(self, tree_text, monkeypatch):
         import fairtree.tree as tr
