@@ -187,6 +187,7 @@ def _cmd_relabel(args) -> int:
         Path(args.data).resolve(), schema.label, schema.sensitive, missing_tokens=schema.missing_tokens
     )
     routing = conform_to_schema(raw, schema)
+    census_ = rl.census(fair_tree, routing)
     if args.from_plan:
         plan_ = rl.plan_from_json(_read_document(args.from_plan))
         if plan_.tree_digest != fair_tree.digest:
@@ -200,9 +201,12 @@ def _cmd_relabel(args) -> int:
             if act.leaf_id not in leaf_ids:
                 raise DataError(f"plan action {i} names leaf {act.leaf_id}, which is not a leaf of the tree")
     else:
-        plan_ = rl.plan(rl.census(fair_tree, routing), args.sigma, args.seed)
-    # a plan that cannot be applied is rejected before any output is written
+        plan_ = rl.plan(census_, args.sigma, args.seed)
+    # a plan that cannot be applied, or that the census does not give, is
+    # rejected before any output is written; its rows and classes first
     relabeled = None if args.plan_only else rl.apply(plan_, routing)
+    if args.from_plan:
+        rl.check_plan(plan_, census_)
     with _locked_out_dir(_out_dir(args)) as out:
         names = ["plan.json"] if relabeled is None else ["plan.json", "relabeled.csv", "relabeled.schema.txt"]
         with _replacing(*(out / name for name in names)) as tmps:

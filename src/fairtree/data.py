@@ -1,10 +1,11 @@
 """Tabular dataset handling: schemas, CSV I/O, discretization, group counts.
 
 Tables are immutable; every transformation constructs a new ``DataTable``.
-Cell values are kept as the exact strings read from disk, so writing a table
-back out reproduces the input bytes for untouched columns. Numeric columns
-additionally cache parsed floats, which feed discretization; after
-discretization the column holds categorical range codes.
+A column is stored as one integer code per row and one string per distinct
+text, and every cell's text is the exact string read from disk, so writing a
+table back out reproduces the input bytes for untouched columns. A numeric
+column keeps one parsed float per distinct text, which feeds discretization;
+after discretization the column holds categorical range codes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import itertools
 import json
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,15 +24,16 @@ from .errors import ConfigError, DataError
 
 #: Category code used for missing cells. Raw missing tokens (see
 #: ``TableSchema.missing_tokens``) are mapped onto this code but the original
-#: token is preserved in the stored cell text.
+#: token is kept as the cell's text.
 MISSING = "␀missing"
 
 DEFAULT_MISSING_TOKENS = ("", "?")
 
 SCHEMA_FORMAT = "fairtree-schema/1"
 
-#: Rows ``load_csv`` reads per step: each step's cells are swapped for the
-#: first string read of each distinct text in their column.
+#: Rows ``load_csv`` reads per step, each step's cells coded by their
+#: column's distinct texts; also the rows whose text ``write_csv`` and
+#: ``DataTable.fingerprint`` rebuild per step.
 CSV_CHUNK_ROWS = 1024
 
 
@@ -224,43 +226,48 @@ class TableSchema:
 
 
 class DataTable:
-    """Immutable table of string cells with a binary label and sensitive attribute.
+    """Immutable table of text cells with a binary label and sensitive attribute.
 
-    Finalized (categorical or discretized) columns carry integer code arrays
-    indexing into their spec's outcomes; numeric columns carry parsed floats
-    (NaN where missing) until discretized. A table built from cells encodes
-    every column. A derived table (``subset``, ``with_positive_mask``,
-    ``discretize``, ``conform_to_schema``) shares or slices the arrays of
-    every column whose cells and spec it keeps, takes a binned column's codes
-    from its bin index, and encodes only the rest: a replaced label column and
-    any column whose spec differs from the source's.
+    Each column is one integer code per row and a short list of texts, one per
+    code (see ``_Column``). A finalized (categorical or discretized) column is
+    coded by its spec's outcomes; a numeric column is coded by its distinct
+    spellings, each parsed once to a float (NaN where missing), until it is
+    discretized. A derived table (``subset``, ``with_positive_mask``,
+    ``discretize``, ``conform_to_schema``) shares or slices the codes of every
+    column whose cells and spec it keeps, takes a binned column's codes from
+    its bin index, and binds only the rest: a replaced label column and any
+    column whose spec differs from the source's.
     """
 
     def __init__(self, schema: TableSchema, columns: dict[str, np.ndarray]):
         if set(columns) != set(schema.column_names):
             raise ConfigError("columns do not match schema")
         n = None
-        cells: dict[str, np.ndarray] = {}
+        coded: dict[str, _Column] = {}
         for name in schema.column_names:
-            col = np.asarray(columns[name], dtype=object)
+            col = columns[name]
+            if not isinstance(col, _Column):
+                col = _factorize(col)
             if n is None:
-                n = col.shape[0]
-            elif col.shape[0] != n:
-                raise DataError(f"column {name!r} has {col.shape[0]} rows, expected {n}")
-            cells[name] = col
-        self._fill(schema, cells, {}, {})
+                n = col.codes.shape[0]
+            elif col.codes.shape[0] != n:
+                raise DataError(f"column {name!r} has {col.codes.shape[0]} rows, expected {n}")
+            coded[name] = col
+        self._fill(schema, coded, set())
 
-    def _fill(self, schema, cells, codes, floats) -> None:
-        """Encode every column that has no codes or floats yet, check the label
-        and sensitive declarations, and take the arrays, frozen, as this table's."""
+    def _fill(self, schema, columns, kept) -> None:
+        """Bind every column not in ``kept`` to its spec (a finalized column is
+        coded by its outcomes unless its texts are them already, a numeric
+        one's texts are parsed), check the label and sensitive declarations,
+        and take the columns as this table's."""
         for spec in schema.attributes:
-            if spec.finalized and spec.name not in codes:
-                codes[spec.name] = _encode(spec, schema.missing_tokens, cells[spec.name])
-            elif spec.kind == "numeric" and not spec.finalized and spec.name not in floats:
-                floats[spec.name] = _parse_floats(spec.name, schema.missing_tokens, cells[spec.name])
-        for arrays in (cells, codes, floats):
-            for col in arrays.values():
-                _frozen(col)
+            if spec.name in kept:
+                continue
+            col = columns[spec.name]
+            if spec.finalized and (col.texts != spec.outcomes or col.odd_rows.size):
+                columns[spec.name] = _encode(spec, schema.missing_tokens, col)
+            elif spec.kind == "numeric" and not spec.finalized and col.values is None:
+                columns[spec.name] = _parse_floats(spec.name, schema.missing_tokens, col)
 
         for role, spec_col, values in (
             ("label", schema.label.column, (schema.label.positive, schema.label.negative)),
@@ -274,36 +281,33 @@ class DataTable:
                 raise ConfigError(f"{role} column {spec_col!r} has undeclared values {extra}")
 
         self.schema = schema
-        self._columns = cells
-        self._n = int(cells[schema.label.column].shape[0])
-        self._codes = codes
-        self._floats = floats
-        self._positive = _frozen(cells[schema.label.column] == schema.label.positive)
-        self._favored = _frozen(cells[schema.sensitive.column] == schema.sensitive.favored)
+        self._columns = columns
+        self._n = int(columns[schema.label.column].codes.shape[0])
+        self._positive = columns[schema.label.column].holds(schema.label.positive)
+        self._favored = columns[schema.sensitive.column].holds(schema.sensitive.favored)
         # group-class code per row: 0 = favored+, 1 = favored-, 2 = deprived+, 3 = deprived-
         self.gc_codes = _frozen(np.where(self._favored, 0, 2) + np.where(self._positive, 0, 1))
         self._fingerprint: str | None = None
 
     def _derive(self, schema: TableSchema, rows: np.ndarray | None = None, replaced=None) -> "DataTable":
         """This table under ``schema``, restricted to ``rows`` (all when None),
-        with the cells of each ``replaced`` column swapped for a pair
-        ``(cells, codes)``, where codes may be None.
+        with each ``replaced`` column swapped for the ``_Column`` given.
 
-        A column keeps its codes and floats when its cells stay and its spec
-        and the missing tokens are the source's; ``_fill`` encodes the rest.
+        A column stays bound, its codes shared or sliced, when it is not
+        replaced and its spec and the missing tokens are the source's;
+        ``_fill`` binds the rest.
         """
         replaced = replaced or {}
         same = set(self.schema.attributes) if schema.missing_tokens == self.schema.missing_tokens else set()
-        kept = [a.name for a in schema.attributes if a in same and a.name not in replaced]
-        cells = {a.name: self._columns[a.name] for a in schema.attributes}
-        cells.update((name, col) for name, (col, _) in replaced.items())
-        codes = {name: self._codes[name] for name in kept if name in self._codes}
-        codes.update((name, col) for name, (_, col) in replaced.items() if col is not None)
-        floats = {name: self._floats[name] for name in kept if name in self._floats}
-        if rows is not None:
-            cells, codes, floats = ({n: col[rows] for n, col in d.items()} for d in (cells, codes, floats))
+        kept = {a.name for a in schema.attributes if a in same and a.name not in replaced}
+        columns = {}
+        for a in schema.attributes:
+            col = replaced[a.name] if a.name in replaced else self._columns[a.name]
+            if a.name not in kept and col.values is not None:
+                col = replace(col, values=None)  # parsed again under the new missing tokens
+            columns[a.name] = col if rows is None else col.take(rows)
         table = DataTable.__new__(DataTable)
-        table._fill(schema, cells, codes, floats)
+        table._fill(schema, columns, kept)
         return table
 
     # -- accessors ---------------------------------------------------------
@@ -313,17 +317,19 @@ class DataTable:
         return self._n
 
     def column(self, name: str) -> np.ndarray:
-        return self._columns[name]
+        """The column's cell texts, built on each call as a read-only array."""
+        return _frozen(self._columns[name].text_array(0, self._n))
 
     def codes(self, name: str) -> np.ndarray:
-        if name not in self._codes:
+        if name not in self._columns or not self.schema.spec(name).finalized:
             raise DataError(f"column {name!r} is not finalized; discretize it first")
-        return self._codes[name]
+        return self._columns[name].codes
 
     def floats(self, name: str) -> np.ndarray:
-        if name not in self._floats:
+        col = self._columns.get(name)
+        if col is None or col.values is None:
             raise DataError(f"column {name!r} has no numeric values")
-        return self._floats[name]
+        return _frozen(col.values[col.codes])
 
     @property
     def positive_mask(self) -> np.ndarray:
@@ -344,13 +350,18 @@ class DataTable:
             h = hashlib.sha256(self.schema.fingerprint.encode("ascii"))
             for name in self.schema.column_names:
                 h.update(b"\x1e")
-                h.update("\x1f".join(self._columns[name]).encode("utf-8"))
+                col = self._columns[name]
+                for lo in range(0, self._n, CSV_CHUNK_ROWS):
+                    if lo:
+                        h.update(b"\x1f")
+                    h.update("\x1f".join(col.text_array(lo, lo + CSV_CHUNK_ROWS).tolist()).encode("utf-8"))
             self._fingerprint = h.hexdigest()[:16]
         return self._fingerprint
 
     # -- construction of derived tables -------------------------------------
 
     def subset(self, indices: np.ndarray) -> "DataTable":
+        """The rows at ``indices`` (integer row numbers), in that order."""
         return self._derive(self.schema, rows=np.asarray(indices))
 
     def with_positive_mask(self, positive: np.ndarray) -> "DataTable":
@@ -359,14 +370,84 @@ class DataTable:
         if positive.shape != (self._n,):
             raise ConfigError("label mask has wrong length")
         lbl = self.schema.label
-        # every cell is one of the two declared strings, not a copy of it
-        cells = np.array([lbl.negative, lbl.positive], dtype=object)[positive.astype(np.intp)]
-        return self._derive(self.schema, replaced={lbl.column: (cells, None)})
+        labels = _Column((~positive).astype(np.int64), (lbl.positive, lbl.negative))
+        return self._derive(self.schema, replaced={lbl.column: labels})
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+_NO_ROWS = _frozen(np.zeros(0, dtype=np.int64))
+_NO_TEXTS = _frozen(np.zeros(0, dtype=object))
+
+
+@dataclass(frozen=True, eq=False)
+class _Column:
+    """One column's cells: row ``r`` holds ``texts[codes[r]]``, except the rows
+    in ``odd_rows`` (ascending), which hold the ``odd_texts`` beside them.
+
+    A finalized column's codes are its outcome codes and its texts are its
+    outcomes, but for ``MISSING``, which several missing tokens code to: its
+    text is the token of the first row coded ``MISSING``, and only the rows
+    holding another token are odd rows. Any other column is coded by its
+    distinct texts and has no odd rows; a numeric one keeps each text's float,
+    NaN for a missing token, in ``values``. The arrays are made read-only.
+    """
+
+    codes: np.ndarray
+    texts: tuple[str, ...]
+    values: np.ndarray | None = None
+    odd_rows: np.ndarray = field(default_factory=lambda: _NO_ROWS)
+    odd_texts: np.ndarray = field(default_factory=lambda: _NO_TEXTS)
+
+    def __post_init__(self):
+        for array in (self.codes, self.values, self.odd_rows, self.odd_texts):
+            if array is not None:
+                _frozen(array)
+
+    @cached_property
+    def _text_lut(self) -> np.ndarray:
+        return np.array(self.texts, dtype=object)
+
+    def text_array(self, lo: int, hi: int) -> np.ndarray:
+        """The texts of rows ``lo`` to ``hi``, as an object array."""
+        cells = self._text_lut[self.codes[lo:hi]]
+        i, j = np.searchsorted(self.odd_rows, [lo, hi]).tolist()
+        cells[self.odd_rows[i:j] - lo] = self.odd_texts[i:j]
+        return cells
+
+    def holds(self, text: str) -> np.ndarray:
+        """Per row, whether its cell is ``text``."""
+        hit = np.array([t == text for t in self.texts], dtype=bool)[self.codes]
+        hit[self.odd_rows] = self.odd_texts == text
+        return _frozen(hit)
+
+    def take(self, rows: np.ndarray) -> "_Column":
+        """The cells of ``rows``, in that order."""
+        odd_rows, odd_texts = self.odd_rows, self.odd_texts
+        if odd_rows.size:
+            at = np.minimum(np.searchsorted(odd_rows, rows), odd_rows.size - 1)
+            hit = odd_rows[at] == rows
+            odd_rows, odd_texts = np.flatnonzero(hit), odd_texts[at[hit]]
+        return _Column(self.codes[rows], self.texts, self.values, odd_rows, odd_texts)
+
+    def plain(self) -> "_Column":
+        """The same cells coded by their distinct texts alone, with no odd rows."""
+        if not self.odd_rows.size:
+            return self
+        extra = {t: len(self.texts) + i for i, t in enumerate(dict.fromkeys(self.odd_texts.tolist()))}
+        codes = self.codes.copy()
+        codes[self.odd_rows] = [extra[t] for t in self.odd_texts.tolist()]
+        return _Column(codes, self.texts + tuple(extra))
+
+
+def _factorize(values) -> _Column:
+    """Cells coded by their distinct texts, in order of first appearance."""
+    cells = np.asarray(values, dtype=object).tolist()
+    lut = dict(zip(dict.fromkeys(cells), itertools.count()))
+    return _Column(np.fromiter(map(lut.__getitem__, cells), np.int64, count=len(cells)), tuple(lut))
 
 
 def json_typed(value, kind, what: str):
@@ -380,31 +461,54 @@ def json_typed(value, kind, what: str):
     return value
 
 
-def _encode(spec: AttributeSpec, missing_tokens, values: np.ndarray) -> np.ndarray:
+def _encode(spec: AttributeSpec, missing_tokens, col: _Column) -> _Column:
+    """The column coded by ``spec.outcomes``; each distinct text is looked up
+    once, and a text that is not an outcome is named by the first row holding it."""
     lut = {o: i for i, o in enumerate(spec.outcomes)}
-    if MISSING in lut:
+    missing = lut.get(MISSING, -1)
+    if missing >= 0:
         for tok in missing_tokens:
-            lut.setdefault(tok, lut[MISSING])
+            lut.setdefault(tok, missing)
+    col = col.plain()
+    of_text = np.array([lut.get(t, -2) for t in col.texts], dtype=np.int64)
+    codes = of_text[col.codes]
+    if (of_text == -2).any():
+        bad = np.flatnonzero(codes == -2)[:1]  # a text no row holds is no fault
+        if bad.size:
+            value = col.texts[col.codes[bad[0]]]
+            raise DataError(f"value {value!r} in column {spec.name!r} is not among its declared outcomes")
+    texts = list(spec.outcomes)
+    rows = np.flatnonzero(codes == missing) if (of_text == missing).any() else _NO_ROWS
+    if rows.size:  # MISSING's text is its first row's token; rows holding another are odd
+        held = col.codes[rows]
+        texts[missing] = col.texts[held[0]]
+        odd = held != held[0]
+        return _Column(codes, tuple(texts), None, rows[odd], col._text_lut[held[odd]])
+    return _Column(codes, tuple(texts))
+
+
+def _floats_of(texts, missing_tokens) -> np.ndarray | None:
+    """Each text as a float, NaN for a missing token; None once one does not parse."""
     try:
-        return np.fromiter(map(lut.__getitem__, values.tolist()), np.int64, count=values.shape[0])
-    except KeyError as exc:
-        raise DataError(
-            f"value {exc.args[0]!r} in column {spec.name!r} is not among its declared outcomes"
-        ) from exc
+        return np.array([np.nan if t in missing_tokens else float(t) for t in texts], dtype=float)
+    except ValueError:
+        return None
 
 
-def _parse_floats(name: str, missing_tokens, values: np.ndarray) -> np.ndarray:
-    """Each cell as a float, NaN where missing. Each distinct value is parsed
-    once, in order of first occurrence, so a bad cell is named by its first row."""
-    cells = values.tolist()
-    lut = dict.fromkeys(cells, np.nan)
-    for v in lut:
-        if v not in missing_tokens:
-            try:
-                lut[v] = float(v)
-            except ValueError:
-                raise DataError(f"row {cells.index(v) + 1}: cannot parse {v!r} in numeric column {name!r}") from None
-    return np.fromiter(map(lut.__getitem__, cells), float, count=len(cells))
+def _parse_floats(name: str, missing_tokens, col: _Column) -> _Column:
+    """The column with each distinct text parsed once; a text that does not
+    parse is named by the first row holding it."""
+    col = col.plain()
+    values = _floats_of(col.texts, missing_tokens)
+    if values is None:
+        each = [_floats_of((t,), missing_tokens) for t in col.texts]
+        held = np.array([v is None for v in each], dtype=bool)[col.codes]
+        if held.any():
+            row = int(held.argmax())
+            text = col.texts[col.codes[row]]
+            raise DataError(f"row {row + 1}: cannot parse {text!r} in numeric column {name!r}")
+        values = np.array([np.nan if v is None else v[0] for v in each], dtype=float)  # a text no row holds
+    return replace(col, values=values)
 
 
 def group_counts(table: DataTable, rows: np.ndarray | None = None) -> GroupCounts:
@@ -447,7 +551,7 @@ def load_csv(
             header = next(reader)
             if len(set(header)) != len(header):
                 raise DataError(f"{path}: duplicate column names in header")
-            cells = _read_columns(reader, len(header), path)
+            coded = _read_columns(reader, len(header), path)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
         except UnicodeDecodeError as exc:
@@ -459,10 +563,8 @@ def load_csv(
             f"{path}: the file begins with a byte-order mark, read as part of column name {header[0][1:]!r}"
         )
 
-    # each list is let go as soon as its array holds the cells
-    columns = {name: np.array(cells.pop(0), dtype=object) for name in header}
     return table_from_columns(
-        columns,
+        dict(zip(header, coded)),
         label,
         sensitive,
         numeric_columns=numeric_columns,
@@ -472,13 +574,13 @@ def load_csv(
     )
 
 
-def _read_columns(reader, width: int, path) -> list[list[str]]:
-    """The cells of every row after the header, column by column. Rows are
-    read ``CSV_CHUNK_ROWS`` at a time, and a column keeps one string per
-    distinct text: the first one read. Only one chunk's own strings are alive
-    at a time."""
-    columns: list[list[str]] = [[] for _ in range(width)]
-    first_seen: list[dict[str, str]] = [{} for _ in range(width)]
+def _read_columns(reader, width: int, path) -> list[_Column]:
+    """The cells of every row after the header, column by column, each coded
+    by its distinct texts in order of first appearance. Rows are read
+    ``CSV_CHUNK_ROWS`` at a time, and a column keeps only the first string
+    read of each text, so only one chunk's own strings are alive at a time."""
+    seen: list[dict[str, int]] = [{} for _ in range(width)]
+    parts: list[list[np.ndarray]] = [[] for _ in range(width)]
     n = 0
     while True:
         rows: list[list[str]] = []
@@ -489,12 +591,13 @@ def _read_columns(reader, width: int, path) -> list[list[str]]:
             raise
         _check_widths(rows, width, n, path)
         if not rows:
-            return columns
-        for column, seen, cells in zip(columns, first_seen, zip(*rows)):
+            break
+        for lut, part, cells in zip(seen, parts, zip(*rows)):
             for v in dict.fromkeys(cells):
-                seen.setdefault(v, v)
-            column.extend(map(seen.__getitem__, cells))
+                lut.setdefault(v, len(lut))
+            part.append(np.fromiter(map(lut.__getitem__, cells), np.int64, count=len(cells)))
         n += len(rows)
+    return [_Column(np.concatenate(part) if part else _NO_ROWS, tuple(lut)) for lut, part in zip(seen, parts)]
 
 
 def _check_widths(rows: list[list[str]], width: int, n: int, path) -> None:
@@ -515,7 +618,9 @@ def table_from_columns(
     source: str = "<memory>",
 ) -> DataTable:
     """Build a table from ordered string columns with the same inference and
-    the same checks of the column options as load_csv."""
+    the same checks of the column options as load_csv. Types are inferred
+    from each column's distinct texts, and a numeric column's texts are
+    parsed once, there."""
     header = list(columns)
     for col, role in ((label.column, "label"), (sensitive.column, "sensitive")):
         if col not in header:
@@ -530,26 +635,29 @@ def table_from_columns(
         if name in categorical_columns:
             raise ConfigError(f"column {name!r} is declared both numeric and categorical")
 
-    columns = {name: np.asarray(col, dtype=object) for name, col in columns.items()}
+    columns = {name: col if isinstance(col, _Column) else _factorize(col) for name, col in columns.items()}
 
     missing = set(missing_tokens)
-    label = _resolve_binary(label, "positive", "negative", columns[label.column], missing, "label")
+    label = _resolve_binary(label, "positive", "negative", columns[label.column].texts, missing, "label")
     sensitive = _resolve_binary(
-        sensitive, "favored", "deprived", columns[sensitive.column], missing, "sensitive"
+        sensitive, "favored", "deprived", columns[sensitive.column].texts, missing, "sensitive"
     )
 
     specs = []
-    for name, values in columns.items():
+    for name, col in columns.items():
         if name == label.column:
             specs.append(AttributeSpec(name, "categorical", (label.positive, label.negative)))
             continue
         if name == sensitive.column:
             specs.append(AttributeSpec(name, "categorical", (sensitive.favored, sensitive.deprived)))
             continue
-        distinct = set(values.tolist())
+        distinct = set(col.texts)
         present = distinct - missing
-        if name in numeric_columns or (name not in categorical_columns and present and _all_float(present)):
+        values = None if name in categorical_columns else _floats_of(col.texts, missing)
+        if name in numeric_columns or (values is not None and present):
             specs.append(AttributeSpec(name, "numeric"))
+            if values is not None:  # else the table names the first row that does not parse
+                columns[name] = replace(col, values=values)
         else:
             outcomes = sorted(present) + ([MISSING] if distinct & missing else [])
             specs.append(AttributeSpec(name, "categorical", tuple(outcomes)))
@@ -559,15 +667,6 @@ def table_from_columns(
         return DataTable(schema, columns)
     except DataError as exc:  # a declared numeric cell that does not parse, or a short column
         raise DataError(f"{source}: {exc}") from None
-
-
-def _all_float(values) -> bool:
-    try:
-        for v in values:
-            float(v)
-    except ValueError:
-        return False
-    return True
 
 
 def _resolve_binary(spec, pos_field, neg_field, values, missing, role):
@@ -595,12 +694,15 @@ def _resolve_binary(spec, pos_field, neg_field, values, missing, role):
 
 
 def write_csv(table: DataTable, path) -> None:
-    """Write the table; stored cell strings are emitted verbatim (RFC-4180 quoting)."""
+    """Write the table; stored cell texts are emitted verbatim (RFC-4180 quoting),
+    rebuilt from their codes ``CSV_CHUNK_ROWS`` rows at a time."""
     names = table.schema.column_names
+    columns = [table._columns[name] for name in names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(names)
-        writer.writerows(zip(*(table.column(name).tolist() for name in names)))
+        for lo in range(0, table.n_rows, CSV_CHUNK_ROWS):
+            writer.writerows(zip(*(col.text_array(lo, lo + CSV_CHUNK_ROWS).tolist() for col in columns)))
 
 
 def write_schema_sidecar(table: DataTable, path) -> None:
@@ -684,14 +786,14 @@ def _bin_labels(cuts: tuple[float, ...]) -> list[str]:
     return labels
 
 
-def _bin_cells(values: np.ndarray, cuts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Bin label and bin index per value; NaN becomes ``MISSING`` at index
-    ``len(_bin_labels(cuts))``, which is ``MISSING``'s code when the outcomes
-    are the bin labels then ``MISSING``, so the index is the column's codes."""
-    labels = np.array(_bin_labels(cuts) + [MISSING], dtype=object)
+def _binned(values: np.ndarray, cuts: tuple[float, ...], outcomes: tuple[str, ...]) -> _Column:
+    """The values binned: each row's bin index, the text of ``_bin_labels(cuts)``
+    at that index, and NaN at the next index, ``MISSING``. When the outcomes
+    are those texts (with or without ``MISSING``), the index is their codes."""
+    texts = tuple(_bin_labels(cuts)) + (MISSING,)
     idx = np.searchsorted(np.asarray(cuts), values, side="left")
-    idx[np.isnan(values)] = len(labels) - 1
-    return labels[idx], idx
+    idx[np.isnan(values)] = len(texts) - 1
+    return _Column(idx, outcomes if outcomes in (texts, texts[:-1]) else texts)
 
 
 def discretize(table: DataTable, rule: DiscretizationRule) -> DataTable:
@@ -714,7 +816,7 @@ def discretize(table: DataTable, rule: DiscretizationRule) -> DataTable:
 
     new_spec = AttributeSpec(rule.column, "numeric", outcomes, tuple(cuts))
     attrs = tuple(new_spec if a.name == rule.column else a for a in table.schema.attributes)
-    binned = {rule.column: _bin_cells(values, cuts)}
+    binned = {rule.column: _binned(values, cuts, outcomes)}
     return table._derive(replace(table.schema, attributes=attrs), replaced=binned)
 
 
@@ -747,11 +849,8 @@ def conform_to_schema(table: DataTable, schema: TableSchema) -> DataTable:
                 raise DataError(
                     f"column {spec.name!r} has missing values unseen when the schema was built"
                 )
-            cells, idx = _bin_cells(values, spec.cut_points)
-            labels = _bin_labels(spec.cut_points)
-            # outcomes out of bin order (a hand-edited schema) are encoded from the cells
-            in_bin_order = list(spec.outcomes) in (labels, labels + [MISSING])
-            binned[spec.name] = (cells, idx if in_bin_order else None)
+            # outcomes out of bin order (a hand-edited schema) are encoded from the texts
+            binned[spec.name] = _binned(values, spec.cut_points, spec.outcomes)
     return table._derive(schema, replaced=binned)
 
 

@@ -75,18 +75,23 @@ def one_hot(table: DataTable) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.hstack(blocks), tuple(names)
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
     """Overflow-free logistic: exp is only ever taken of -|z|.
 
     ``minimum(z, -z)`` is -|z| that keeps a NaN's sign and payload, so every
     element goes through the same IEEE operations as 1/(1+exp(-z)) for z >= 0
     and exp(z)/(1+exp(z)) otherwise. The result is written to ``out`` if given.
+    ``scratch``, a boolean and a float array of ``z``'s shape, holds the
+    intermediates when given, so that a caller's loop allocates nothing.
     """
-    pos = z >= 0
+    if scratch is None:
+        scratch = np.empty(np.shape(z), dtype=bool), np.empty(np.shape(z))
+    pos, d = scratch
+    np.greater_equal(z, 0, out=pos)
     ez = np.negative(z, out=out)
     np.minimum(z, ez, out=ez)
     np.exp(ez, out=ez)
-    d = 1.0 + ez
+    np.add(1.0, ez, out=d)
     # the numerator, 1 where z >= 0 and exp(-|z|) elsewhere: exp(-|z|) <= 1, and
     # maximum returns a NaN as it is; unlike a masked copy, it does not branch
     np.maximum(ez, pos, out=ez)
@@ -166,10 +171,11 @@ def _descend(X: np.ndarray, y: np.ndarray, config: TrainConfig, per_epoch=None):
     w.T[...] = w0  # every column starts from w0
     b = np.zeros(y.shape[1:])
     z, p, step, db = np.empty(y.shape), np.empty(y.shape), np.empty(w.shape), np.empty(b.shape)
+    scratch = np.empty(y.shape, dtype=bool), np.empty(y.shape)
     for _ in range(config.epochs):
         np.matmul(X, w, out=z)
         z += b
-        _sigmoid(z, out=p)
+        _sigmoid(z, out=p, scratch=scratch)
         if per_epoch is not None:
             per_epoch(p)
         grad = np.subtract(p, y, out=z)

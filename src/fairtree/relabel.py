@@ -176,6 +176,14 @@ def plan(census_: Census, sigma: float, seed: int) -> RelabelPlan:
     )
 
 
+def _check_table(plan_: RelabelPlan, fingerprint: str) -> None:
+    if plan_.table_fingerprint != fingerprint:
+        raise DataError(
+            "refusing to apply: the plan was built against a different table "
+            f"(plan {plan_.table_fingerprint}, table {fingerprint})"
+        )
+
+
 def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
     """The table's positive mask after the plan's flips; any plan error raises DataError.
 
@@ -183,11 +191,7 @@ def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
     twice, then, action by action, an unknown action or a row that is not the
     action's source class.
     """
-    if plan_.table_fingerprint != table.fingerprint:
-        raise DataError(
-            "refusing to apply: the plan was built against a different table "
-            f"(plan {plan_.table_fingerprint}, table {table.fingerprint})"
-        )
+    _check_table(plan_, table.fingerprint)
     acts = plan_.actions
     sizes = [len(act.row_ids) for act in acts]
     listed = [r for act in acts for r in act.row_ids]
@@ -218,6 +222,47 @@ def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
     out = table.positive_mask.copy()
     out[listed] = promoted
     return out
+
+
+def check_plan(plan_: RelabelPlan, census_: Census) -> None:
+    """DataError unless a read plan is one that ``plan`` could give on the
+    censused table at the plan's own sigma; the first fault in plan order is
+    named. Each action's leaf must reach that sigma and be listed once, its
+    action and count must be the census's, and its rows must be ascending and
+    drawn from the leaf's candidates; no leaf that reaches the sigma may be
+    left out. Which candidates were drawn is not checked: any ``count`` of
+    them is a legal repair, whatever the plan's seed would draw.
+    """
+    _check_table(plan_, census_.table_fingerprint)
+    selected = {leaf.leaf_id: leaf for leaf in census_.leaves if leaf.disc >= plan_.sigma}
+    listed: set[int] = set()
+    for i, act in enumerate(plan_.actions):
+        where = f"plan action {i} (leaf {act.leaf_id})"
+        leaf = selected.get(act.leaf_id)
+        if act.leaf_id in listed:
+            raise DataError(f"{where} lists a leaf that an earlier action lists")
+        if leaf is None:
+            raise DataError(
+                f"{where}: the plan's sigma {plan_.sigma} does not relabel the leaf (needs disc > 0 and >= sigma)"
+            )
+        listed.add(act.leaf_id)
+        if act.action != leaf.action:
+            raise DataError(f"{where}: the leaf needs {leaf.action}, not {act.action}")
+        if act.count != leaf.count:
+            raise DataError(f"{where}: the leaf needs {leaf.count} flips, not {act.count}")
+        rows = act.row_ids
+        if any(a >= b for a, b in zip(rows, rows[1:])):
+            raise DataError(f"{where}: rows are not in strictly ascending order")
+        candidates = set(leaf.candidates.tolist())
+        stray = next((r for r in rows if r not in candidates), None)
+        if stray is not None:
+            which = "deprived negatives" if leaf.action == PROMOTE else "favored positives"
+            raise DataError(f"{where}: row {stray} is not one of the leaf's {which}")
+    left_out = [leaf_id for leaf_id in selected if leaf_id not in listed]
+    if left_out:
+        raise DataError(
+            f"the plan leaves out leaf {left_out[0]}, whose discrimination reaches its sigma {plan_.sigma}"
+        )
 
 
 def apply(plan_: RelabelPlan, table: DataTable) -> DataTable:

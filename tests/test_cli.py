@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import importlib
 import io
@@ -11,13 +12,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fairtree import cli
 from fairtree.cli import main
-from fairtree.data import LabelSpec, SensitiveSpec, load_csv, write_csv
+from fairtree.data import MISSING, LabelSpec, SensitiveSpec, load_csv, write_csv
 from fairtree.datasets import make_german
 from fairtree.errors import ConfigError
 from fairtree.tree import deserialize, serialize
@@ -309,6 +311,184 @@ class TestRelabel:
         assert run(command, "--tree", str(bad), *argv) == 3
         err = capsys.readouterr().err
         assert f"leaf id {10**30} is outside the int64 range" in err and "Traceback" not in err
+
+
+def _moved_rows(doc, census_, table, leaf_of):
+    # deprived negatives of later promote actions moved into the first one
+    promotes = [a for a in doc["actions"] if a["action"] == "promote"]
+    first, moved = promotes[0], []
+    for act in promotes[1:]:
+        while act["rows"] and len(moved) < 24:
+            moved.append(act["rows"].pop())
+            act["count"] -= 1
+    first["count"] += len(moved)
+    first["rows"] = sorted(first["rows"] + moved)
+    return f"plan action {doc['actions'].index(first)} (leaf {first['leaf']}): the leaf needs"
+
+
+def _below_sigma(doc, census_, table, leaf_of):
+    doc["sigma"] = 1.0
+    i, act = next((i, a) for i, a in enumerate(doc["actions"])
+                  if next(c for c in census_.leaves if c.leaf_id == a["leaf"]).disc < 1.0)
+    return f"plan action {i} (leaf {act['leaf']}): the plan's sigma 1.0 does not relabel the leaf"
+
+
+def _wrong_direction(doc, census_, table, leaf_of):
+    # the other action, with as many legal rows of the leaf's other class
+    listed = {r for a in doc["actions"] for r in a["rows"]}
+    for i, act in enumerate(doc["actions"]):
+        other = "demote" if act["action"] == "promote" else "promote"
+        wanted = 0 if other == "demote" else 3  # favored positives, deprived negatives
+        rows = [int(r) for r in np.flatnonzero((leaf_of == act["leaf"]) & (table.gc_codes == wanted))
+                if r not in listed]
+        if act["count"] and len(rows) >= act["count"]:
+            needed, act["action"], act["rows"] = act["action"], other, rows[: act["count"]]
+            return f"plan action {i} (leaf {act['leaf']}): the leaf needs {needed}, not {other}"
+    raise AssertionError("no action can be turned around")
+
+
+def _fewer_rows(doc, census_, table, leaf_of):
+    i, act = next((i, a) for i, a in enumerate(doc["actions"]) if a["count"] >= 2)
+    act["rows"].pop()
+    act["count"] -= 1
+    return f"plan action {i} (leaf {act['leaf']}): the leaf needs {act['count'] + 1} flips, not {act['count']}"
+
+
+def _descending_rows(doc, census_, table, leaf_of):
+    i, act = next((i, a) for i, a in enumerate(doc["actions"]) if a["count"] >= 2)
+    act["rows"].reverse()
+    return f"plan action {i} (leaf {act['leaf']}): rows are not in strictly ascending order"
+
+
+def _stray_row(doc, census_, table, leaf_of):
+    # a deprived negative of another leaf, which no action lists
+    listed = {r for a in doc["actions"] for r in a["rows"]}
+    i, act = next((i, a) for i, a in enumerate(doc["actions"]) if a["action"] == "promote" and a["count"])
+    stray = next(int(r) for r in np.flatnonzero((leaf_of != act["leaf"]) & (table.gc_codes == 3))
+                 if r not in listed)
+    act["rows"] = sorted(act["rows"][1:] + [stray])
+    return f"plan action {i} (leaf {act['leaf']}): row {stray} is not one of the leaf's deprived negatives"
+
+
+def _repeated_leaf(doc, census_, table, leaf_of):
+    act = doc["actions"][0]
+    doc["actions"].insert(1, {"leaf": act["leaf"], "action": act["action"], "count": 0, "rows": []})
+    return f"plan action 1 (leaf {act['leaf']}) lists a leaf that an earlier action lists"
+
+
+def _left_out(doc, census_, table, leaf_of):
+    act = doc["actions"].pop()
+    return f"the plan leaves out leaf {act['leaf']}, whose discrimination reaches its sigma 0.0"
+
+
+class TestForgedPlans:
+    """A read plan must be one that planning could give at its own sigma; each
+    forgery below applied with exit 0 before the plan was checked against the census."""
+
+    @pytest.fixture(scope="class")
+    def planned(self, german_csv, built, tmp_path_factory):
+        from fairtree import relabel
+        from fairtree.data import conform_to_schema
+        from fairtree.tree import route
+
+        out = tmp_path_factory.mktemp("planned")
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--plan-only", "--out", str(out)) == 0
+        tree = deserialize(cli._read_document(str(built)))
+        table = conform_to_schema(load_csv(german_csv, tree.schema.label, tree.schema.sensitive), tree.schema)
+        return out / "plan.json", relabel.census(tree, table), table, route(tree, table)
+
+    @pytest.mark.parametrize("forge", [_moved_rows, _below_sigma, _wrong_direction, _fewer_rows,
+                                       _descending_rows, _stray_row, _repeated_leaf, _left_out],
+                             ids=lambda f: f.__name__.strip("_"))
+    @pytest.mark.parametrize("plan_only", [False, True], ids=["apply", "plan-only"])
+    def test_forged_plan_exits_3_naming_the_fault(self, german_csv, built, planned, tmp_path, capsys,
+                                                  forge, plan_only):
+        plan_path, census_, table, leaf_of = planned
+        doc = json.loads(plan_path.read_text(encoding="utf-8"))
+        named = forge(doc, census_, table, leaf_of)
+        bad = tmp_path / "forged.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        extra = ["--plan-only"] if plan_only else []
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(bad), *extra, "--out", str(tmp_path / "b")) == 3
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
+    def test_a_repeated_row_is_refused_without_applying(self, german_csv, built, planned, tmp_path, capsys):
+        doc = json.loads(planned[0].read_text(encoding="utf-8"))
+        i, act = next((i, a) for i, a in enumerate(doc["actions"]) if a["count"] >= 2)
+        act["rows"][1] = act["rows"][0]
+        bad = tmp_path / "forged.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(bad), "--plan-only", "--out", str(tmp_path / "b")) == 3
+        named = f"plan action {i} (leaf {act['leaf']}): rows are not in strictly ascending order"
+        assert named in capsys.readouterr().err
+
+    def test_another_draw_of_the_same_candidates_is_legal(self, german_csv, built, planned, tmp_path):
+        # the seed's own draw is not required: any count of the leaf's candidates is a repair
+        plan_path, census_, table, leaf_of = planned
+        doc = json.loads(plan_path.read_text(encoding="utf-8"))
+        leaf = next(c for c in census_.leaves if 0 < c.count < c.candidates.size)
+        act = next(a for a in doc["actions"] if a["leaf"] == leaf.leaf_id)
+        drawn = act["rows"]
+        other = sorted(set(leaf.candidates.tolist()) - set(drawn))[: leaf.count]
+        act["rows"] = sorted(drawn[: leaf.count - len(other)] + other)
+        assert act["rows"] != drawn
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(edited), "--out", str(tmp_path / "b")) == 0
+
+
+#: Feature cells whose text a table must keep although they share a code: the
+#: two missing tokens of a categorical column, a quoted comma, and one value
+#: spelled three ways beside both missing tokens in a numeric column.
+AWKWARD_NOTES = ["", "?", "a,b", "plain", "?", "a,b", ""]
+AWKWARD_AMOUNTS = ["1", "1.0", "01", "?", "", "2", "3.5", "01", "10"]
+
+
+def write_awkward_csv(german_csv: Path, path: Path) -> Path:
+    """The german stand-in with a ``note`` and an ``amount`` column before its label."""
+    rows = _csv_rows(german_csv)
+    rows[0][-1:-1] = ["note", "amount"]
+    for i, row in enumerate(rows[1:]):
+        row[-1:-1] = [AWKWARD_NOTES[i % len(AWKWARD_NOTES)], AWKWARD_AMOUNTS[i % len(AWKWARD_AMOUNTS)]]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_relabel_keeps_every_awkward_cell(german_csv, tmp_path):
+    data = write_awkward_csv(german_csv, tmp_path / "awkward.csv")
+    assert b'"a,b"' in data.read_bytes()
+    label, sensitive = LabelSpec("credit_risk", "good", "bad"), SensitiveSpec("age", ">25", "<=25")
+    table = load_csv(data, label, sensitive)
+    assert table.schema.spec("amount").kind == "numeric"
+    assert MISSING in table.schema.spec("note").outcomes
+    assert table.fingerprint == oracle.load_csv_by_row(data, label, sensitive).fingerprint
+    assert run("build", "--data", str(data), *SPEC_FLAGS, "--out", str(tmp_path / "tree")) == 0
+    out = tmp_path / "rel"
+    assert run("relabel", "--tree", str(tmp_path / "tree" / "tree.json"), "--data", str(data),
+               "--sigma", "0", "--out", str(out)) == 0
+    flips = sum(a["count"] for a in json.loads((out / "plan.json").read_text())["actions"])
+    assert flips > 0
+    before, after = (_csv_rows(p) for p in (data, out / "relabeled.csv"))
+    j = before[0].index("credit_risk")
+    assert len(after) == len(before)
+    assert [r[:j] + r[j + 1:] for r in after] == [r[:j] + r[j + 1:] for r in before]
+    assert sum(a[j] != b[j] for a, b in zip(before, after)) == flips
+    relabeled = load_csv(out / "relabeled.csv", label, sensitive)
+    assert relabeled.fingerprint == oracle.load_csv_by_row(out / "relabeled.csv", label, sensitive).fingerprint
 
 
 def _digest(data: bytes) -> str:

@@ -278,6 +278,56 @@ class TestChunkedReader:
             assert len({id(v) for v in cells}) == len(set(cells)), name
 
 
+class TestMemoryShape:
+    """A table holds one integer code per cell and a short text list per column,
+    and writing it rebuilds its text one chunk of rows at a time."""
+
+    ROWS, COLUMNS = 20_000, 10
+
+    @pytest.fixture
+    def few_texts_csv(self, tmp_path):
+        rng = np.random.default_rng(0)
+        pools = [["fav", "dep"], ["yes", "no"], ["1", "2", "3"], ["0.5", "?", "7"],
+                 ["a", "b", "c"], ["x,y", "", "?"], ["own", "rent"], ["é", "ü", "ß"],
+                 ["10", "20"], ["p", "q", "r"]]
+        header = ["grp", "cls", *(f"c{j}" for j in range(2, self.COLUMNS))]
+        columns = [np.array(pool, dtype=object)[rng.integers(0, len(pool), self.ROWS)] for pool in pools]
+        path = tmp_path / "few.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*(col.tolist() for col in columns)))
+        return path
+
+    def test_a_table_holds_under_12_bytes_per_cell_and_writes_in_under_2(self, few_texts_csv, tmp_path):
+        import gc
+        import tracemalloc
+
+        cells = self.ROWS * self.COLUMNS
+        label, sensitive = LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep")
+        load_csv(few_texts_csv, label, sensitive)  # first-use allocations are not the table's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = load_csv(few_texts_csv, label, sensitive)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+            assert {spec.kind for spec in table.schema.attributes} == {"numeric", "categorical"}
+            write_csv(table, tmp_path / "warm.csv")
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_csv(table, tmp_path / "out.csv")
+            transient = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "out.csv").read_bytes() == few_texts_csv.read_bytes()
+        print(f"[MEMORY] held {held / cells:.2f} B/cell, write_csv transient {transient / cells:.2f} B/cell")
+        assert held / cells < 12
+        assert transient / cells < 2
+
+
 class TestDiscretize:
     def test_equal_frequency_quartiles_by_hand(self):
         # sorted {20,25,30,40,50,60,70,80}: quartile cuts 27.5 / 45 / 65
@@ -486,12 +536,12 @@ class TestEncode:
             expected = oracle.encode_by_unique(spec, tokens, cells)
         except DataError as exc:
             with pytest.raises(DataError) as raised:
-                fairtree.data._encode(spec, tokens, cells)
+                fairtree.data._encode(spec, tokens, fairtree.data._factorize(cells))
             for message in (str(exc), str(raised.value)):
                 named = [v for v in set(cells.tolist()) if f"value {v!r} in column 'col'" in message]
                 assert named, message
             return
-        codes = fairtree.data._encode(spec, tokens, cells)
+        codes = fairtree.data._encode(spec, tokens, fairtree.data._factorize(cells)).codes
         assert codes.dtype == expected.dtype
         assert np.array_equal(codes, expected)
 
@@ -635,7 +685,7 @@ def raw_tables(draw):
     cells = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["0.5", "?", ""]))
     num = draw(st.lists(cells, min_size=n, max_size=n))
     assume(any(v not in ("?", "") for v in num))
-    cat = draw(st.lists(st.sampled_from(["a", "b", "c,d", "?"]), min_size=n, max_size=n))
+    cat = draw(st.lists(st.sampled_from(["a", "b", "c,d", "?", ""]), min_size=n, max_size=n))
     favored = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     positive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     cols = {

@@ -186,6 +186,11 @@ class TestBatchedFit:
         out = np.full_like(z, 7.0)
         assert _sigmoid(z, out=out) is out
         assert np.array_equal(out.view(np.int64), oracle.sigmoid_by_where(z).view(np.int64))
+        # with the descent's scratch buffers, stale contents and all
+        scratch = np.ones(z.shape, dtype=bool), np.full_like(z, np.nan)
+        out = np.full_like(z, 7.0)
+        assert _sigmoid(z, out=out, scratch=scratch) is out
+        assert np.array_equal(out.view(np.int64), oracle.sigmoid_by_where(z).view(np.int64))
 
 
 class TestSplits:
