@@ -181,15 +181,20 @@ def _cmd_relabel(args) -> int:
 
     fair_tree = tr.deserialize(_read_document(args.tree))
     schema = fair_tree.schema
-    if not 0.0 <= args.sigma <= 2.0:
+    if args.sigma is not None and not 0.0 <= args.sigma <= 2.0:
         raise ConfigError(f"sigma must lie in [0, 2], got {args.sigma}")
+    if args.from_plan:
+        plan_ = rl.plan_from_json(_read_document(args.from_plan))
+        # a plan is applied as it was drawn: an option that asks for another draw is refused
+        for option, given, planned in (("--sigma", args.sigma, plan_.sigma), ("--seed", args.seed, plan_.seed)):
+            if given is not None and given != planned:
+                raise ConfigError(f"{option} {given} conflicts with the plan's {option[2:]} {planned}")
     raw = load_csv(
         Path(args.data).resolve(), schema.label, schema.sensitive, missing_tokens=schema.missing_tokens
     )
     routing = conform_to_schema(raw, schema)
     census_ = rl.census(fair_tree, routing)
     if args.from_plan:
-        plan_ = rl.plan_from_json(_read_document(args.from_plan))
         if plan_.tree_digest != fair_tree.digest:
             raise DataError(
                 f"the plan was built from a different tree (plan {plan_.tree_digest}, "
@@ -201,7 +206,9 @@ def _cmd_relabel(args) -> int:
             if act.leaf_id not in leaf_ids:
                 raise DataError(f"plan action {i} names leaf {act.leaf_id}, which is not a leaf of the tree")
     else:
-        plan_ = rl.plan(census_, args.sigma, args.seed)
+        plan_ = rl.plan(
+            census_, 0.0 if args.sigma is None else args.sigma, 42 if args.seed is None else args.seed
+        )
     # a plan that cannot be applied, or that the census does not give, is
     # rejected before any output is written; its rows and classes first
     relabeled = None if args.plan_only else rl.apply(plan_, routing)
@@ -324,8 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r = subs.add_parser("relabel", help="plan and apply promote/demote relabeling")
     r.add_argument("--tree", required=True, help="tree document from `build`")
     r.add_argument("--data", required=True, help="input CSV path")
-    r.add_argument("--sigma", type=_finite_float, default=0.0, help="discrimination threshold in [0, 2]")
-    r.add_argument("--seed", type=int, default=42, help="row selection seed")
+    r.add_argument("--sigma", type=_finite_float,
+                   help="discrimination threshold in [0, 2] (default 0, or the --from-plan plan's)")
+    r.add_argument("--seed", type=int, help="row selection seed (default 42, or the --from-plan plan's)")
     r.add_argument("--plan-only", action="store_true", help="emit the plan without touching data")
     r.add_argument("--from-plan", help="apply a previously emitted plan document")
     r.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")

@@ -7,7 +7,8 @@ out. Leaves carry exact group counts and their discrimination score.
 
 A tree is one set of per-node arrays in preorder, a ``NodeTable``: ``build``
 fills them from the nodes it grows depth by depth, ``deserialize`` from one
-walk over the document, and everything that reads a tree reads them. The
+walk over the document, whose nodes the parser hands over as tuples of their
+values, and everything that reads a tree reads them. The
 ``Leaf``/``Internal`` records of ``FairTree.root`` are a read-only view of
 the arrays, built on first use.
 """
@@ -538,42 +539,95 @@ def _int_fault(value, what: str) -> str:
     return f"{what} {value} is outside the int64 range"
 
 
-def _read_nodes(root, schema: TableSchema) -> NodeTable:
-    """The node table of a document's ``root``.
+def _node_hook():
+    """A ``json.loads`` ``object_hook`` for one tree document.
 
-    One preorder walk checks the document's shape and gathers every node's
-    fields into lists. Every other check then runs over the gathered values;
-    the first faulty node in preorder is reported, and of its faults the one
+    It turns a node object, as the parser closes it, into a tuple of its
+    values, ``(*counts, disc, majority, depth, id)`` for a leaf and
+    ``(attribute, fallback, children)`` for an internal node, so the parsed
+    document holds no dict per node; no JSON value is a tuple. Every other
+    object is returned as it is, and so is a node object that lacks a key or
+    whose leaf counts are not a list of four, for ``_read_nodes`` to reject.
+    The hook never raises: an exception would escape ``json.loads``'s error
+    handling.
+    """
+    texts: dict[str, str] = {}
+
+    def shared(value):
+        # one string per distinct text, where the parser makes one per value it reads
+        return texts.setdefault(value, value) if type(value) is str else value
+
+    def node_values(obj: dict):
+        kind = obj.get("kind")
+        try:
+            if kind == "leaf":
+                counts = obj["counts"]
+                if type(counts) is list and len(counts) == 4:
+                    return (*counts, obj["disc"], shared(obj["majority"]), obj["depth"], obj["id"])
+            elif kind == "internal":
+                return shared(obj["attribute"]), shared(obj["fallback"]), obj["children"]
+        except KeyError:
+            pass
+        return obj
+
+    return node_values
+
+
+def _node_record(node) -> tuple:
+    """The tuple that ``_node_hook`` makes of a node object, for a node that
+    it left as it was (every node of a document parsed without it), or the
+    fault there: not an object, a missing key (in the order the tuple lists
+    them, leaf counts that are not a list of four straight after a missing
+    ``counts``) or an unknown kind."""
+    kind = node.get("kind")
+    if kind == "leaf":
+        counts = node["counts"]
+        if type(counts) is not list or len(counts) != 4:
+            raise DataError(f"malformed tree document: leaf counts {counts!r:.40} are not a list of four")
+        return (*counts, node["disc"], node["majority"], node["depth"], node["id"])
+    if kind == "internal":
+        return node["attribute"], node["fallback"], node["children"]
+    raise DataError(f"unknown node kind {kind!r}")
+
+
+def _read_nodes(doc: dict, schema: TableSchema) -> tuple:
+    """The arguments of ``_node_arrays`` for the ``root`` of a document,
+    parsed with or without ``_node_hook``.
+
+    The root is taken out of ``doc``, so that the walk holds the only
+    reference to each node and frees it once read; and the gathered values
+    are freed on return, before ``_node_arrays`` builds the table. One
+    preorder walk checks the document's shape and gathers every node's fields
+    into lists. Every other check then runs over the gathered values; the
+    first faulty node in preorder is reported, and of its faults the one
     listed first below.
     """
     parent, key, depth = [], [], []  # per node
     leaf_at, raw_counts, raw_disc, raw_majority, raw_depth, raw_id = [], [], [], [], [], []
     inner_at, raw_attribute, raw_fallback = [], [], []
-    stack = [(root, -1, None, 0)]
+    stack = [(doc.pop("root"), -1, None, 0)]
     while stack:
         node, up, outcome, d = stack.pop()
         i = len(parent)
         parent.append(up)
         key.append(outcome)
         depth.append(d)
-        kind = node.get("kind")
-        if kind == "leaf":
-            counts = node["counts"]
-            if type(counts) is not list or len(counts) != 4:
-                raise DataError(f"malformed tree document: leaf counts {counts!r:.40} are not a list of four")
+        if type(node) is not tuple:  # an object the hook left as it was
+            node = _node_record(node)
+        if len(node) == 8:
+            disc, majority, stated, leaf_id = node[4:]
             leaf_at.append(i)
-            raw_counts += counts
-            raw_disc.append(node["disc"])
-            raw_majority.append(node["majority"])
-            raw_depth.append(node["depth"])
-            raw_id.append(node["id"])
-        elif kind == "internal":
-            inner_at.append(i)
-            raw_attribute.append(node["attribute"])
-            raw_fallback.append(node["fallback"])
-            stack += [(c, i, o, d + 1) for o, c in reversed(node["children"].items())]
+            raw_counts += node[:4]
+            raw_disc.append(disc)
+            raw_majority.append(majority)
+            raw_depth.append(stated)
+            raw_id.append(leaf_id)
         else:
-            raise DataError(f"unknown node kind {kind!r}")
+            attribute, fallback, children = node
+            inner_at.append(i)
+            raw_attribute.append(attribute)
+            raw_fallback.append(fallback)
+            stack += [(c, i, o, d + 1) for o, c in reversed(children.items())]
     n = len(parent)
     parent, depth = np.array(parent, dtype=np.intp), np.array(depth, dtype=np.intp)
     leaf_at, inner_at = np.array(leaf_at, dtype=np.intp), np.array(inner_at, dtype=np.intp)
@@ -656,7 +710,7 @@ def _read_nodes(root, schema: TableSchema) -> NodeTable:
     leaf_id[leaf_at] = ids
     names = [features[a].name for a in index]  # the schema's strings, not the document's
     widths = [len(features[a].outcomes) for a in index]
-    return _node_arrays(names, widths, attribute, fallback, parent, outcome, depth, full_counts, leaf_id)
+    return names, widths, attribute, fallback, parent, outcome, depth, full_counts, leaf_id
 
 
 def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> FairTree:
@@ -665,10 +719,27 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
     The tree's digest is the hash of ``text`` itself, so plans bind to the
     document as read. ``serialize`` reproduces the text of every document it
     wrote, so such a tree keeps the digest it had when it was built.
+
+    The document is parsed with ``_node_hook``, so that it holds no dict per
+    node. A document found faulty is parsed and checked once more without it,
+    so that a fault quotes its values as written.
     """
     digest = _text_digest(text)  # before the document is parsed, so that the two never coexist
     try:
-        doc = json.loads(text)
+        tree = _read_tree(text, expected_schema_fingerprint, _node_hook())
+    except DataError:
+        # a node-shaped object outside the nodes is a tuple by then, and would
+        # show as one in the fault; the fault is found again with every object a dict
+        tree = None
+    if tree is None:
+        tree = _read_tree(text, expected_schema_fingerprint, None)
+    vars(tree)["digest"] = digest  # fills the cached property
+    return tree
+
+
+def _read_tree(text: str, expected_schema_fingerprint: str | None, object_hook) -> FairTree:
+    try:
+        doc = json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
@@ -681,7 +752,7 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
         schema = TableSchema.from_json(doc["schema"])
         config = BuildConfig(json_typed(doc["config"]["min_rows"], int, "min_rows"))
         reuse = doc["config"]["attribute_reuse"]
-        nodes = _read_nodes(doc["root"], schema)
+        nodes = _node_arrays(*_read_nodes(doc, schema))
         stored_fp = doc["schema_fingerprint"]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ConfigError,
             RecursionError) as exc:
@@ -692,6 +763,4 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
         raise DataError("schema fingerprint does not match the embedded schema")
     if expected_schema_fingerprint is not None and stored_fp != expected_schema_fingerprint:
         raise DataError("tree was built against a different schema than expected")
-    tree = FairTree(nodes, criterion, config, schema)
-    vars(tree)["digest"] = digest  # fills the cached property
-    return tree
+    return FairTree(nodes, criterion, config, schema)

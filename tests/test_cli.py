@@ -149,6 +149,30 @@ class TestRelabel:
         assert "cut point" in capsys.readouterr().err
         assert not (tmp_path / "rel").exists()
 
+    @pytest.mark.parametrize("place", ["spec-kind", "spec", "label", "config", "document"])
+    def test_node_shaped_object_outside_the_root_exits_3(self, german_csv, built, tmp_path, capsys, place):
+        # the parser reads any object with exactly a node's keys as a node
+        leaf = {"kind": "leaf", "id": 0, "counts": [1, 0, 0, 1], "disc": 2.0, "majority": "positive", "depth": 0}
+        internal = {"kind": "internal", "attribute": "purpose", "fallback": "car", "children": {"car": leaf}}
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        if place == "spec-kind":
+            doc["schema"]["attributes"][0]["kind"] = "leaf"
+        elif place == "spec":
+            doc["schema"]["attributes"][0] = leaf
+        elif place == "label":
+            doc["schema"]["label"] = leaf
+        elif place == "config":
+            doc["config"] = internal
+        else:
+            doc = internal
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run("relabel", "--tree", str(bad), "--data", str(german_csv), "--out", str(tmp_path / "rel")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert not (tmp_path / "rel").exists()
+
     def test_sigma_out_of_range_exits_2(self, german_csv, built, tmp_path):
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--sigma", "2.01", "--out", str(tmp_path / "x")) == 2
@@ -181,6 +205,30 @@ class TestRelabel:
         assert run("relabel", "--tree", str(built), "--data", str(german_csv),
                    "--from-plan", str(a / "plan.json"), "--out", str(b)) == 0
         assert (a / "relabeled.csv").read_bytes() == (b / "relabeled.csv").read_bytes()
+
+    @pytest.mark.parametrize("option, value", [("--sigma", "1.5"), ("--sigma", "0.5"), ("--seed", "9"),
+                                               ("--seed", "42"), ("--seed", "-1")])
+    def test_an_option_the_plan_contradicts_exits_2(self, german_csv, built, tmp_path, capsys,
+                                                     option, value):
+        # the plan was drawn at sigma 1.0 and seed 3
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "1.0", "--seed", "3", "--out", str(a)) == 0
+        capsys.readouterr()
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(a / "plan.json"), option, value, "--out", str(b)) == 2
+        err = capsys.readouterr().err
+        assert f"{option} {value} conflicts with the plan's {option[2:]}" in err and "Traceback" not in err
+        assert not b.exists()
+
+    def test_an_option_the_plan_agrees_with_applies_it(self, german_csv, built, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "1.0", "--seed", "3", "--out", str(a)) == 0
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(a / "plan.json"), "--sigma", "1", "--seed", "3", "--out", str(b)) == 0
+        for name in ("plan.json", "relabeled.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_plan_from_another_tree_exits_3(self, german_csv, built, tmp_path, capsys):
         other, planned = tmp_path / "euclid", tmp_path / "plan"

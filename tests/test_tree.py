@@ -388,6 +388,33 @@ class TestArrayTree:
         assert nodes == stats(tree).node_count > 1
 
 
+class TestMemoryShape:
+    """Reading a tree builds no dict per node: the parser hands each node over
+    as a tuple of its values, and the walk frees each node once it is read."""
+
+    def test_deserialize_peaks_under_500_bytes_per_node(self, adult_sample):
+        # CPython 3.11: 884 B/node with a dict per node, 336 without. Without
+        # numpy, on 3.10/3.11/3.12: a document parsed into dicts holds
+        # 624/532/514 B/node; the hooked parse and walk peak at 228/219/218.
+        import gc
+        import tracemalloc
+
+        text = serialize(build(discretize_all(adult_sample), "euclid"))
+        deserialize(text)  # first-use allocations are not the reading's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tree = deserialize(text)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        nodes = stats(tree).node_count
+        assert nodes > 5000
+        print(f"[MEMORY] deserialize peak {peak / nodes:.0f} B/node over {nodes} nodes")
+        assert peak / nodes < 500
+
+
 class TestStats:
     def test_single_leaf(self):
         t = toy_table({"a": [0, 0]}, favored=[1, 0], positive=[1, 1])
@@ -704,11 +731,44 @@ class TestSerialization:
         with pytest.raises(DataError, match="fallback outcome 'no-such-outcome' is not a child"):
             deserialize(json.dumps(doc))
 
+    def test_node_shaped_value_is_quoted_as_written(self, tree_text):
+        doc = json.loads(tree_text)
+        doc["root"]["attribute"] = {"kind": "leaf", "id": 0, "counts": [1, 0, 0, 1], "disc": 2.0,
+                                    "majority": "positive", "depth": 0}
+        with pytest.raises(DataError, match=r"split attribute \{'kind': 'leaf', 'id': 0, .* is not a finalized"):
+            deserialize(json.dumps(doc))
+
+    def test_key_order_does_not_matter(self, german, tree_text):
+        # sorted keys also reorder each node's children, and so the preorder
+        tree = deserialize(tree_text)
+        resorted = deserialize(json.dumps(json.loads(tree_text), sort_keys=True, indent=2))
+        assert {x.id: x for x in resorted.leaves()} == {x.id: x for x in tree.leaves()}
+        assert np.array_equal(route(resorted, german), route(tree, german))
+
     def test_deserialize_walks_the_document_once(self, tree_text, monkeypatch):
         import fairtree.tree as tr
 
         monkeypatch.setattr(tr, "walk", lambda root: pytest.fail("walk called"))
         assert isinstance(deserialize(tree_text).root, Internal)
+
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    def test_outcomes_named_like_node_keys_round_trip(self, criterion):
+        # a children object keyed by such outcomes has a node's keys, with nodes for values
+        n = 60
+        fav = [(i * 7) % 5 < 2 for i in range(n)]
+        table = toy_table(
+            {"kind": [("kind", "leaf", "internal")[i % 3] for i in range(n)],
+             "counts": [("kind", "attribute", "fallback", "children")[(i // 3) % 4] for i in range(n)]},
+            favored=fav, positive=[(i % 3 == 0) ^ fav[i] or (i // 3) % 4 == 1 for i in range(n)],
+        )
+        tree = build(table, criterion)
+        assert tree.nodes.attributes[0] == "kind" and sorted(tree.root.children) == ["internal", "kind", "leaf"]
+        if criterion == "euclid":  # one level down, each split is keyed by an internal node's keys
+            assert sorted(tree.root.children["kind"].children) == ["attribute", "children", "fallback", "kind"]
+        text = serialize(tree)
+        again = deserialize(text)
+        assert serialize(again) == text and again.digest == tree.digest
+        assert np.array_equal(route(again, table), route(tree, table))
 
     def test_round_trip(self, german):
         tree = build(german.subset(np.arange(200)), "kl")
