@@ -229,9 +229,15 @@ def _cmd_relabel(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    # every input is checked before the report is printed
+    if args.roc and not args.scores:
+        raise ConfigError("--roc requires --scores naming a numeric score column")
+    if args.scores is not None and not args.roc:
+        raise ConfigError("--scores is read only with --roc")
     table = _load_table(args)
-    if args.predictions not in table.schema.column_names:
-        raise ConfigError(f"predictions column {args.predictions!r} not found in {args.data}")
+    for option, column in (("predictions", args.predictions), ("scores", args.scores)):
+        if column is not None and column not in table.schema.column_names:
+            raise ConfigError(f"{option} column {column!r} not found in {args.data}")
     pred_values = table.column(args.predictions)
     lbl = table.schema.label
     bad = sorted(set(pred_values) - {lbl.positive, lbl.negative})
@@ -239,17 +245,15 @@ def _cmd_audit(args) -> int:
         raise DataError(f"predictions column contains non-label values {bad}")
     preds = pred_values == lbl.positive
     report = fairness_report(table.positive_mask, preds, table.favored_mask)
-    print(report.to_text())
-    out = _out_dir(args)
     if args.roc:
-        if not args.scores:
-            raise ConfigError("--roc requires --scores naming a numeric score column")
         scores = table.floats(args.scores)
         if not all(map(math.isfinite, scores.tolist())):
             raise DataError(
                 f"scores column {args.scores!r} holds a missing or non-finite score; --roc needs finite scores"
             )
         series = roc_points(scores, table.positive_mask, table.favored_mask)
+    print(report.to_text())
+    out = _out_dir(args)
     if args.out or args.roc:
         names = ["report.csv", "roc.csv"] if args.roc else ["report.csv"]
         with _locked_out_dir(out), _replacing(*(out / name for name in names)) as tmps:

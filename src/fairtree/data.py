@@ -844,7 +844,8 @@ def conform_to_schema(table: DataTable, schema: TableSchema) -> DataTable:
     binned = {}
     for spec in schema.attributes:
         if spec.kind == "numeric" and spec.finalized and not table.schema.spec(spec.name).finalized:
-            values = table.floats(spec.name)
+            # with no rows a column loads as categorical: there are no numbers to parse
+            values = table.floats(spec.name) if table.n_rows else np.empty(0)
             if MISSING not in spec.outcomes and np.isnan(values).any():
                 raise DataError(
                     f"column {spec.name!r} has missing values unseen when the schema was built"

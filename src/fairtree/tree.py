@@ -8,9 +8,10 @@ out. Leaves carry exact group counts and their discrimination score.
 A tree is one set of per-node arrays in preorder, a ``NodeTable``: ``build``
 fills them from the nodes it grows depth by depth, ``deserialize`` from one
 walk over the document, whose nodes the parser hands over as tuples of their
-values, and everything that reads a tree reads them. The
-``Leaf``/``Internal`` records of ``FairTree.root`` are a read-only view of
-the arrays, built on first use.
+values, and everything that reads a tree reads them. Each node keeps its
+parent, so a reader finds a node's ancestry by climbing ``parent`` rather
+than keeping a stack of its own. The ``Leaf``/``Internal`` records of
+``FairTree.root`` are a read-only view of the arrays, built on first use.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class SubgroupDescriptor:
 class NodeTable:
     """Every node of a tree, numbered in preorder (the root is node 0): each
     internal node is followed by its children in their order, each child by
-    its own subtree, so ``depth`` alone gives the shape.
+    its own subtree. ``parent`` gives the shape: a node's ancestors are found
+    by climbing it, and its key at its parent is ``outcome``.
 
     Outcome codes index an attribute's declared outcomes in the tree's schema.
     An internal node owns one slot of ``child`` per declared outcome of its
@@ -108,6 +110,7 @@ class NodeTable:
 
     attribute: np.ndarray  # index into ``attributes``, -1 at a leaf
     fallback: np.ndarray  # code of the outcome whose child takes unseen outcomes, -1 at a leaf
+    parent: np.ndarray  # the parent's node number, -1 at the root
     outcome: np.ndarray  # code of the node's own outcome at its parent, -1 at the root
     depth: np.ndarray  # edges from the root
     offset: np.ndarray  # start of the node's slots in ``child``, -1 at a leaf
@@ -135,8 +138,8 @@ def _node_arrays(
     child[child < 0] = child[offset[owner] + fallback[owner]]
     majority = counts[:, 0] + counts[:, 2] >= counts[:, 1] + counts[:, 3]
     return NodeTable(
-        attribute, fallback, outcome, depth, offset, child, counts, leaf_discs(counts), majority, leaf_id,
-        tuple(attributes),
+        attribute, fallback, parent, outcome, depth, offset, child, counts, leaf_discs(counts), majority,
+        leaf_id, tuple(attributes),
     )
 
 
@@ -167,19 +170,14 @@ class FairTree:
         use; ``nodes`` stays the tree."""
         n = self.nodes
         outcomes = [self.schema.spec(a).outcomes for a in n.attributes]
+        attribute = n.attribute.tolist()
         leaves = iter(self.leaves())
-        path: list[tuple[dict, tuple[str, ...]]] = []  # (children, outcomes) of the internal nodes above
-        for a, f, o, d in zip(*(x.tolist() for x in (n.attribute, n.fallback, n.outcome, n.depth))):
-            del path[d:]
-            node = next(leaves) if a < 0 else Internal(n.attributes[a], {}, outcomes[a][f])
-            if d:
-                children, names = path[-1]
-                children[names[o]] = node
-            else:
-                root = node
-            if a >= 0:
-                path.append((node.children, outcomes[a]))
-        return root
+        records = [next(leaves) if a < 0 else Internal(n.attributes[a], {}, outcomes[a][f])
+                   for a, f in zip(attribute, n.fallback.tolist())]
+        # preorder lists each node's children in their order
+        for node, p, o in zip(records[1:], n.parent[1:].tolist(), n.outcome[1:].tolist()):
+            records[p].children[outcomes[attribute[p]][o]] = node
+        return records[0]
 
 
 def _leaf_fields(n: NodeTable):
@@ -432,22 +430,17 @@ def extract_subgroups(
         raise ConfigError("min_disc must be a number, got NaN")
     n = tree.nodes
     outcomes = [tree.schema.spec(a).outcomes for a in n.attributes]
-    wanted = (n.attribute < 0) & (n.disc > 0.0) & (n.disc >= min_disc)
+    attribute, parent, outcome = (x.tolist() for x in (n.attribute, n.parent, n.outcome))
     found = []
-    above: list[int] = []  # attributes of the internal nodes above
-    path: list[tuple[str, str]] = []
-    for i, (a, o, d, keep) in enumerate(
-        zip(n.attribute.tolist(), n.outcome.tolist(), n.depth.tolist(), wanted.tolist())
-    ):
-        if d:
-            del above[d:], path[d - 1:]
-            path.append((n.attributes[above[-1]], outcomes[above[-1]][o]))
-        if a >= 0:
-            above.append(a)
-        elif keep:
-            found.append(SubgroupDescriptor(
-                int(n.leaf_id[i]), tuple(path), GroupCounts(*n.counts[i].tolist()), float(n.disc[i])
-            ))
+    for i in np.flatnonzero((n.attribute < 0) & (n.disc > 0.0) & (n.disc >= min_disc)).tolist():
+        path, j = [], i
+        while parent[j] >= 0:
+            a = attribute[parent[j]]
+            path.append((n.attributes[a], outcomes[a][outcome[j]]))
+            j = parent[j]
+        found.append(SubgroupDescriptor(
+            int(n.leaf_id[i]), tuple(reversed(path)), GroupCounts(*n.counts[i].tolist()), float(n.disc[i])
+        ))
     found.sort(key=lambda s: (-s.disc, -s.size, s.leaf_id))
     return found[:top_k] if top_k is not None else found
 
@@ -495,21 +488,17 @@ def serialize(tree: FairTree) -> str:
         leaf_text[d] % (i, *c, disc, "positive" if m else "negative", d)
         for i, c, disc, m, d in _leaf_fields(n)
     ])
-    above: list[list[str]] = []  # outcome texts of the internal nodes above
-    last = 0
-    for a, f, o, d in zip(*(x.tolist() for x in (n.attribute, n.fallback, n.outcome, n.depth))):
-        if len(above) > d:  # the subtrees of the internal nodes from depth d down end here
-            out += reversed(ends[d:len(above)])
-            del above[d:]
+    attribute = n.attribute.tolist()
+    last = 0  # the previous node's depth
+    for a, f, p, o, d in zip(attribute, *(x.tolist() for x in (n.fallback, n.parent, n.outcome, n.depth))):
+        # a node at depth d after a leaf at ``last`` >= d ends the subtrees of
+        # that leaf's ancestors from depth d down
+        out += reversed(ends[d:last])
         if d:  # a first child follows its parent, a later one its sibling's subtree
-            out += ((later if last >= d else first)[d], above[-1][o], ": ")
-        if a < 0:
-            out.append(next(leaves))
-        else:
-            out.append(inner_text[d] % (names[a], outcomes[a][f]))
-            above.append(outcomes[a])
+            out += ((later if last >= d else first)[d], outcomes[attribute[p]][o], ": ")
+        out.append(next(leaves) if a < 0 else inner_text[d] % (names[a], outcomes[a][f]))
         last = d
-    out += reversed(ends[:len(above)])
+    out += reversed(ends[:last])  # the last node in preorder is a leaf
     out.append("\n}\n")
     return "".join(out)
 
@@ -658,11 +647,11 @@ def _read_nodes(doc: dict, schema: TableSchema) -> tuple:
     fallback = np.full(n, -1, dtype=np.intp)
     fallback[inner_at] = [codes[a].get(f, -1) if isinstance(f, str) else -1
                           for a, f in zip(split, raw_fallback)]
-    twice, above = [], []
-    for a, d in zip(split, depth[inner_at].tolist()):
-        del above[d:]
-        twice.append(a >= 0 and a in above)
-        above.append(a)
+    # whether an internal node's attribute splits one of its ancestors too
+    twice, up = np.zeros(inner_at.size, dtype=bool), parent[inner_at]
+    while (up >= 0).any():
+        twice |= (up >= 0) & (attribute[up] == attribute[inner_at]) & (attribute[inner_at] >= 0)
+        up = np.where(up >= 0, parent[up], -1)
     undeclared = np.zeros(n, dtype=bool)
     undeclared[parent[1:][outcome[1:] < 0]] = True
     # per (node, outcome code): whether the node has a child of its own there
@@ -690,7 +679,7 @@ def _read_nodes(doc: dict, schema: TableSchema) -> tuple:
         (leaf_at, repeated, lambda j: f"duplicate leaf id {raw_id[j]}"),
         (inner_at, np.array(split, dtype=np.intp) < 0,
          lambda j: f"split attribute {raw_attribute[j]!r} is not a finalized feature column"),
-        (inner_at, np.array(twice, dtype=bool),
+        (inner_at, twice,
          lambda j: f"attribute {raw_attribute[j]!r} is split on twice along one path"),
         (inner_at, undeclared[inner_at], lambda j: f"attribute {raw_attribute[j]!r} has undeclared outcomes "
          f"{[key[c] for c in np.flatnonzero((parent == inner_at[j]) & (outcome < 0)).tolist()]}"),

@@ -125,6 +125,18 @@ class TestRelabel:
                 assert fa[:-1] == fb[:-1]  # only the trailing label cell moved
         assert changed == sum(a["count"] for a in plan_doc["actions"])
 
+    def test_header_only_csv_gives_an_empty_plan(self, german_csv, built, tmp_path):
+        header = tmp_path / "header.csv"
+        header.write_bytes(german_csv.read_bytes().split(b"\n", 1)[0] + b"\n")
+        out = tmp_path / "rel"
+        assert run("relabel", "--tree", str(built), "--data", str(header), "--out", str(out)) == 0
+        assert json.loads((out / "plan.json").read_text())["actions"] == []
+        assert (out / "relabeled.csv").read_bytes() == header.read_bytes()
+        again = tmp_path / "again"
+        assert run("relabel", "--tree", str(built), "--data", str(header),
+                   "--from-plan", str(out / "plan.json"), "--out", str(again)) == 0
+        assert (again / "relabeled.csv").read_bytes() == header.read_bytes()
+
     def test_tree_splitting_on_the_label_exits_3(self, german_csv, built, tmp_path):
         doc = json.loads(built.read_text(encoding="utf-8"))
         doc["root"]["attribute"] = doc["schema"]["label"]["column"]
@@ -718,9 +730,36 @@ class TestAudit:
         assert lines[0] == "group,threshold,tpr,fpr"
         assert any(line.startswith("deprived,") for line in lines)
 
-    def test_roc_without_scores_exits_2(self, audit_csv, tmp_path):
+    def test_roc_without_scores_exits_2(self, audit_csv, tmp_path, capsys):
         assert run("audit", "--data", str(audit_csv), *SPEC_FLAGS, "--predictions", "pred",
                    "--roc", "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [["--roc"], ["--scores", "score"]])
+    def test_roc_and_scores_without_each_other_exit_2_before_reading(self, tmp_path, capsys, flags):
+        # the CSV does not exist: the options are refused before it is opened
+        assert run("audit", "--data", str(tmp_path / "absent.csv"), *SPEC_FLAGS,
+                   "--predictions", "pred", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("--roc requires --scores" if flags == ["--roc"] else "--scores is read only with --roc") \
+            in captured.err
+
+    def test_unknown_scores_column_exits_2(self, audit_csv, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("audit", "--data", str(audit_csv), *SPEC_FLAGS, "--predictions", "pred",
+                   "--scores", "nope", "--roc", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"scores column 'nope' not found in {audit_csv}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_non_numeric_scores_column_exits_3_before_the_report(self, audit_csv, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("audit", "--data", str(audit_csv), *SPEC_FLAGS, "--predictions", "pred",
+                   "--scores", "pred", "--roc", "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert "column 'pred' has no numeric values" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("cell", ["", "?", "nan", "inf", "-inf"])
     def test_roc_with_a_non_finite_score_exits_3(self, audit_csv, tmp_path, capsys, cell):
@@ -731,9 +770,10 @@ class TestAudit:
         out = tmp_path / "x"
         assert run("audit", "--data", str(bad), *SPEC_FLAGS, "--predictions", "pred",
                    "--scores", "score", "--roc", "--out", str(out)) == 3
-        err = capsys.readouterr().err
-        assert "scores column 'score' holds a missing or non-finite score" in err and "Traceback" not in err
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "scores column 'score' holds a missing or non-finite score" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestReport:

@@ -468,6 +468,49 @@ class TestSubgroups:
             extract_subgroups(self._tree(), float("nan"))
 
 
+def _document_subgroups(tree) -> dict:
+    """Leaf id -> (path, counts, disc) of every leaf with disc > 0, from a
+    plain walk of the tree's document."""
+    found = {}
+    stack = [(json.loads(serialize(tree))["root"], ())]
+    while stack:
+        node, path = stack.pop()
+        if node["kind"] == "internal":
+            stack += [(child, path + ((node["attribute"], o),)) for o, child in node["children"].items()]
+        elif node["disc"] > 0:
+            found[node["id"]] = (path, tuple(node["counts"]), node["disc"])
+    return found
+
+
+class TestSubgroupPaths:
+    """Every subgroup's path, counts and disc are those of its leaf in the
+    tree's document, at every depth."""
+
+    @staticmethod
+    def _check(tree):
+        subs = extract_subgroups(tree, 0.0)
+        assert {s.leaf_id: (s.path, s.counts.as_tuple(), s.disc) for s in subs} == _document_subgroups(tree)
+        assert len(subs) == len({s.leaf_id for s in subs})
+        return subs
+
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    def test_german_paths_match_the_document(self, german, criterion):
+        subs = self._check(build(german, criterion))
+        assert max(len(s.path) for s in subs) > 1
+
+    @given(case=trees_over_tables(), data=st.data())
+    def test_random_tree_paths_match_the_document(self, case, data):
+        # the drawn trees' leaves are empty; give each some counts, so that some have disc > 0
+        doc = json.loads(serialize(case[0]))
+        for node in _json_nodes(doc["root"]):
+            if node["kind"] == "leaf":
+                counts = GroupCounts(*data.draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)))
+                node.update(counts=list(counts.as_tuple()), disc=leaf_disc(counts),
+                            majority="positive" if counts.fav_pos + counts.dep_pos
+                            >= counts.fav_neg + counts.dep_neg else "negative")
+        self._check(deserialize(json.dumps(doc)))
+
+
 def _edited(text: str, change) -> str:
     doc = json.loads(text)
     change(doc)
