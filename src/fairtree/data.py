@@ -14,8 +14,9 @@ import csv
 import hashlib
 import itertools
 import json
+import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -75,6 +76,8 @@ class AttributeSpec:
             raise ConfigError(f"duplicate outcomes declared for column {self.name!r}")
         if any(b <= a for a, b in zip(self.cut_points, self.cut_points[1:])):
             raise ConfigError(f"cut points for column {self.name!r} must be strictly increasing")
+        if not all(abs(c) <= sys.float_info.max for c in self.cut_points):  # NaN, inf and huge ints fail
+            raise ConfigError(f"cut points for column {self.name!r} must be finite")
 
     @property
     def finalized(self) -> bool:
@@ -230,7 +233,8 @@ class DataTable:
 
     Each column is one integer code per row and a short list of texts, one per
     code (see ``_Column``). A finalized (categorical or discretized) column is
-    coded by its spec's outcomes; a numeric column is coded by its distinct
+    coded by its spec's outcomes, and ``codes`` reads a missing token coded
+    past them as ``MISSING``; a numeric column is coded by its distinct
     spellings, each parsed once to a float (NaN where missing), until it is
     discretized. A derived table (``subset``, ``with_positive_mask``,
     ``discretize``, ``conform_to_schema``) shares or slices the codes of every
@@ -264,7 +268,7 @@ class DataTable:
             if spec.name in kept:
                 continue
             col = columns[spec.name]
-            if spec.finalized and (col.texts != spec.outcomes or col.odd_rows.size):
+            if spec.finalized and col.texts != spec.outcomes:
                 columns[spec.name] = _encode(spec, schema.missing_tokens, col)
             elif spec.kind == "numeric" and not spec.finalized and col.values is None:
                 columns[spec.name] = _parse_floats(spec.name, schema.missing_tokens, col)
@@ -321,9 +325,14 @@ class DataTable:
         return _frozen(self._columns[name].text_array(0, self._n))
 
     def codes(self, name: str) -> np.ndarray:
+        """The column's outcome codes; a missing token coded past the outcomes
+        reads as ``MISSING``'s code."""
         if name not in self._columns or not self.schema.spec(name).finalized:
             raise DataError(f"column {name!r} is not finalized; discretize it first")
-        return self._columns[name].codes
+        col, outcomes = self._columns[name], self.schema.spec(name).outcomes
+        if len(col.texts) == len(outcomes):
+            return col.codes
+        return _frozen(np.where(col.codes < len(outcomes), col.codes, outcomes.index(MISSING)))
 
     def floats(self, name: str) -> np.ndarray:
         col = self._columns.get(name)
@@ -380,30 +389,26 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 _NO_ROWS = _frozen(np.zeros(0, dtype=np.int64))
-_NO_TEXTS = _frozen(np.zeros(0, dtype=object))
 
 
 @dataclass(frozen=True, eq=False)
 class _Column:
-    """One column's cells: row ``r`` holds ``texts[codes[r]]``, except the rows
-    in ``odd_rows`` (ascending), which hold the ``odd_texts`` beside them.
+    """One column's cells: row ``r`` holds ``texts[codes[r]]``.
 
-    A finalized column's codes are its outcome codes and its texts are its
-    outcomes, but for ``MISSING``, which several missing tokens code to: its
-    text is the token of the first row coded ``MISSING``, and only the rows
-    holding another token are odd rows. Any other column is coded by its
-    distinct texts and has no odd rows; a numeric one keeps each text's float,
-    NaN for a missing token, in ``values``. The arrays are made read-only.
+    A finalized column's texts start with its outcomes, in order, but for
+    ``MISSING``'s, which is the token of the first row coded ``MISSING``; each
+    other missing token a row holds has its own code past the outcomes. Any
+    other column is coded by its distinct texts; a numeric one keeps each
+    text's float, NaN for a missing token, in ``values``. The arrays are made
+    read-only.
     """
 
     codes: np.ndarray
     texts: tuple[str, ...]
     values: np.ndarray | None = None
-    odd_rows: np.ndarray = field(default_factory=lambda: _NO_ROWS)
-    odd_texts: np.ndarray = field(default_factory=lambda: _NO_TEXTS)
 
     def __post_init__(self):
-        for array in (self.codes, self.values, self.odd_rows, self.odd_texts):
+        for array in (self.codes, self.values):
             if array is not None:
                 _frozen(array)
 
@@ -413,34 +418,15 @@ class _Column:
 
     def text_array(self, lo: int, hi: int) -> np.ndarray:
         """The texts of rows ``lo`` to ``hi``, as an object array."""
-        cells = self._text_lut[self.codes[lo:hi]]
-        i, j = np.searchsorted(self.odd_rows, [lo, hi]).tolist()
-        cells[self.odd_rows[i:j] - lo] = self.odd_texts[i:j]
-        return cells
+        return self._text_lut[self.codes[lo:hi]]
 
     def holds(self, text: str) -> np.ndarray:
         """Per row, whether its cell is ``text``."""
-        hit = np.array([t == text for t in self.texts], dtype=bool)[self.codes]
-        hit[self.odd_rows] = self.odd_texts == text
-        return _frozen(hit)
+        return _frozen(np.array([t == text for t in self.texts], dtype=bool)[self.codes])
 
     def take(self, rows: np.ndarray) -> "_Column":
         """The cells of ``rows``, in that order."""
-        odd_rows, odd_texts = self.odd_rows, self.odd_texts
-        if odd_rows.size:
-            at = np.minimum(np.searchsorted(odd_rows, rows), odd_rows.size - 1)
-            hit = odd_rows[at] == rows
-            odd_rows, odd_texts = np.flatnonzero(hit), odd_texts[at[hit]]
-        return _Column(self.codes[rows], self.texts, self.values, odd_rows, odd_texts)
-
-    def plain(self) -> "_Column":
-        """The same cells coded by their distinct texts alone, with no odd rows."""
-        if not self.odd_rows.size:
-            return self
-        extra = {t: len(self.texts) + i for i, t in enumerate(dict.fromkeys(self.odd_texts.tolist()))}
-        codes = self.codes.copy()
-        codes[self.odd_rows] = [extra[t] for t in self.odd_texts.tolist()]
-        return _Column(codes, self.texts + tuple(extra))
+        return _Column(self.codes[rows], self.texts, self.values)
 
 
 def _factorize(values) -> _Column:
@@ -469,7 +455,6 @@ def _encode(spec: AttributeSpec, missing_tokens, col: _Column) -> _Column:
     if missing >= 0:
         for tok in missing_tokens:
             lut.setdefault(tok, missing)
-    col = col.plain()
     of_text = np.array([lut.get(t, -2) for t in col.texts], dtype=np.int64)
     codes = of_text[col.codes]
     if (of_text == -2).any():
@@ -479,11 +464,14 @@ def _encode(spec: AttributeSpec, missing_tokens, col: _Column) -> _Column:
             raise DataError(f"value {value!r} in column {spec.name!r} is not among its declared outcomes")
     texts = list(spec.outcomes)
     rows = np.flatnonzero(codes == missing) if (of_text == missing).any() else _NO_ROWS
-    if rows.size:  # MISSING's text is its first row's token; rows holding another are odd
+    if rows.size:  # MISSING's text is its first row's token; another token is coded past the outcomes
         held = col.codes[rows]
         texts[missing] = col.texts[held[0]]
-        odd = held != held[0]
-        return _Column(codes, tuple(texts), None, rows[odd], col._text_lut[held[odd]])
+        other = held != held[0]
+        if other.any():
+            extra, at = np.unique(held[other], return_inverse=True)
+            codes[rows[other]] = len(texts) + at
+            texts += [col.texts[t] for t in extra.tolist()]
     return _Column(codes, tuple(texts))
 
 
@@ -498,7 +486,6 @@ def _floats_of(texts, missing_tokens) -> np.ndarray | None:
 def _parse_floats(name: str, missing_tokens, col: _Column) -> _Column:
     """The column with each distinct text parsed once; a text that does not
     parse is named by the first row holding it."""
-    col = col.plain()
     values = _floats_of(col.texts, missing_tokens)
     if values is None:
         each = [_floats_of((t,), missing_tokens) for t in col.texts]
@@ -741,12 +728,13 @@ def fit_cut_points(table: DataTable, rule: DiscretizationRule) -> tuple[float, .
 
     Deterministic and row-order independent: equal-frequency cuts are midpoints
     between consecutive sorted values at the bin-size ranks; ties that cannot
-    be separated collapse, reducing the bin count.
+    be separated collapse, reducing the bin count. Only finite values are
+    fitted on; an infinite one bins into the first or last bin.
     """
     values = table.floats(rule.column)
-    values = np.sort(values[~np.isnan(values)])
+    values = np.sort(values[np.isfinite(values)])
     if values.size == 0:
-        raise DataError(f"column {rule.column!r} has no numeric values to discretize")
+        raise DataError(f"column {rule.column!r} has no finite values to discretize")
     # feasible cut positions: between consecutive distinct sorted values
     bounds = np.nonzero(values[1:] > values[:-1])[0] + 1
     n_distinct = bounds.size + 1

@@ -161,6 +161,21 @@ class TestRelabel:
         assert "cut point" in capsys.readouterr().err
         assert not (tmp_path / "rel").exists()
 
+    @pytest.mark.parametrize("at, cut", [(-1, float("nan")), (-1, float("inf")), (0, float("-inf")),
+                                         (-1, 10**400)], ids=["nan", "inf", "-inf", "huge-int"])
+    def test_tree_with_a_non_finite_cut_point_exits_3(self, german_csv, built, tmp_path, capsys, at, cut):
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        spec = next(s for s in doc["schema"]["attributes"] if s["cut_points"])
+        spec["cut_points"][at] = cut
+        blob = json.dumps(doc["schema"], sort_keys=True, ensure_ascii=False).encode("utf-8")
+        doc["schema_fingerprint"] = hashlib.sha256(blob).hexdigest()[:16]
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run("relabel", "--tree", str(bad), "--data", str(german_csv), "--out", str(tmp_path / "rel")) == 3
+        assert f"cut points for column {spec['name']!r} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rel").exists()
+
     @pytest.mark.parametrize("place", ["spec-kind", "spec", "label", "config", "document"])
     def test_node_shaped_object_outside_the_root_exits_3(self, german_csv, built, tmp_path, capsys, place):
         # the parser reads any object with exactly a node's keys as a node

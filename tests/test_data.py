@@ -440,6 +440,23 @@ class TestDiscretize:
         cuts = fit_cut_points(t, DiscretizationRule("x", "equal-width", 4))
         assert cuts == (1.75, 3.5, 5.25)
 
+    @pytest.mark.parametrize("strategy, cuts", [("equal-frequency", (1.5, 2.5, 4.0)),
+                                                ("equal-width", (2.0, 3.0, 4.0))])
+    def test_cut_points_are_fitted_on_finite_values_only(self, strategy, cuts):
+        x = ["1", "2", "3", "inf", "5", "-inf", "?"]
+        cols = {
+            "x": np.array(x, dtype=object),
+            "grp": np.array(["fav", "dep"] * 3 + ["fav"], dtype=object),
+            "cls": np.array(["yes", "no"] * 3 + ["yes"], dtype=object),
+        }
+        t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
+        assert fit_cut_points(t, DiscretizationRule("x", strategy, 4)) == cuts
+        d = discretize(t, DiscretizationRule("x", strategy, 4))
+        outcomes = d.schema.spec("x").outcomes
+        assert outcomes[:-1] == tuple(fairtree.data._bin_labels(cuts)) and outcomes[-1] == MISSING
+        # an infinity bins into the first or last bin
+        assert [outcomes[c] for c in d.codes("x")[[3, 5]]] == [outcomes[-2], outcomes[0]]
+
     @given(
         values=st.lists(
             st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.5, 2.0, -3.25]),
@@ -541,7 +558,11 @@ class TestEncode:
                 named = [v for v in set(cells.tolist()) if f"value {v!r} in column 'col'" in message]
                 assert named, message
             return
-        codes = fairtree.data._encode(spec, tokens, fairtree.data._factorize(cells)).codes
+        column = fairtree.data._encode(spec, tokens, fairtree.data._factorize(cells))
+        assert list(column.text_array(0, len(cells))) == list(cells)
+        # a missing token other than the first one met is coded past the outcomes
+        missing = spec.outcomes.index(MISSING) if MISSING in spec.outcomes else -1
+        codes = np.where(column.codes < len(spec.outcomes), column.codes, missing)
         assert codes.dtype == expected.dtype
         assert np.array_equal(codes, expected)
 
@@ -703,6 +724,9 @@ def assert_same_table(derived: DataTable, built: DataTable) -> None:
     for spec in built.schema.attributes:
         assert list(derived.column(spec.name)) == list(built.column(spec.name))
         if spec.finalized:
+            for codes in (derived.codes(spec.name), built.codes(spec.name)):
+                assert not codes.flags.writeable
+                assert ((0 <= codes) & (codes < len(spec.outcomes))).all()
             assert derived.codes(spec.name).dtype == built.codes(spec.name).dtype
             assert np.array_equal(derived.codes(spec.name), built.codes(spec.name))
         elif spec.kind == "numeric":
