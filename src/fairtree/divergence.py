@@ -223,16 +223,19 @@ def choose(ratio: np.ndarray, eligible: np.ndarray) -> np.ndarray:
     return np.where(best > 0.0, picked.argmax(axis=-1), -1)
 
 
-def histogram(codes: np.ndarray, gc: np.ndarray, node: np.ndarray, n_nodes: int, width: int):
-    """The count tensor ``score_splits`` takes, from one bincount over rows.
+def histogram(codes: np.ndarray, gc: np.ndarray, pair: np.ndarray, n_pairs: int, width: int):
+    """The count tensor ``pair_scores`` takes, from one bincount over rows.
 
     ``codes[r, a]`` is row r's outcome code on attribute a (below ``width``),
-    ``gc[r]`` its group-class slot and ``node[r]`` its node in 0..n_nodes-1.
+    ``gc[r]`` its group-class slot and ``pair[r, a]`` the (node, attribute)
+    pair in 0..n_pairs-1 that the cell counts toward, or -1 for a cell of a
+    pair that is not scored; the result is indexed [slot, outcome, pair].
     """
-    n_attrs = codes.shape[1]
-    keys = ((gc[:, None] * width + codes) * n_nodes + node[:, None]) * n_attrs + np.arange(n_attrs)
-    counts = np.bincount(keys.ravel(), minlength=4 * width * n_nodes * n_attrs)
-    return counts.reshape(4, width, n_nodes, n_attrs)
+    keys = np.multiply(codes, n_pairs, dtype=np.intp)  # one key array, updated in place
+    keys += (gc * (width * n_pairs))[:, None]
+    keys += pair
+    counts = np.bincount(keys[pair >= 0], minlength=4 * width * n_pairs)
+    return counts.reshape(4, width, n_pairs)
 
 
 def pair_scores(parent, counts, measure: str) -> tuple[np.ndarray, np.ndarray]:

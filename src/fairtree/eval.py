@@ -107,11 +107,17 @@ def train_linear(
     labels) or a (rows, m) boolean matrix whose m columns are fitted at once,
     each from the same seeded start. The descent is shape-agnostic, so every
     column follows its own one-vector fit up to the rounding of the matrix
-    products.
+    products. A descent that ends on a weight or bias that is not finite has
+    diverged, and is refused with a ``DataError`` naming the learning rate.
     """
     config = config or TrainConfig()
     X, names, y = _fit_inputs(table, labels)
     w, b = _descend(X, y, config)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise DataError(
+            f"the descent diverged at learning rate {config.learning_rate!r}: "
+            "its weights or bias are not finite; use a smaller learning rate"
+        )
     return LinearModel(w, b, names, table.schema.fingerprint, config)
 
 

@@ -226,7 +226,8 @@ def leaf_discs(counts: np.ndarray) -> np.ndarray:
 
 #: Open nodes are scored in blocks of at most this many count cells (nodes x
 #: attributes x outcomes x 4 group-class slots), which bounds the kernel's
-#: temporaries whatever the number of nodes at a depth.
+#: temporaries whatever the number of nodes at a depth; a block counts only
+#: its open (node, attribute) pairs, so its count tensor is at most this size.
 SCORE_CELLS = 1 << 15
 
 
@@ -243,7 +244,9 @@ def evaluate_splits(
     codes = np.stack([table.codes(a)[rows] for a in attributes], axis=1)
     width = max(len(table.schema.spec(a).outcomes) for a in attributes)
     gc = table.gc_codes[rows]
-    counts = dv.histogram(codes, gc, np.zeros(len(rows), dtype=np.intp), 1, width)
+    # every attribute is open: pair a is attribute a
+    pair = np.broadcast_to(np.arange(len(attributes)), codes.shape)
+    counts = dv.histogram(codes, gc, pair, len(attributes), width)[:, :, None, :]
     parent = np.bincount(gc, minlength=4)[:, None]
     s = dv.score_splits(parent, counts, np.ones((1, len(attributes)), dtype=bool), criterion)
     return [
@@ -269,11 +272,12 @@ def choose_split(evaluations: list[SplitEvaluation]) -> str | None:
 def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = None) -> FairTree:
     """Grow a tree over the table's feature columns (label and sensitive excluded).
 
-    Growth is level-wise: one histogram per depth counts every open node of
-    that depth, and ``divergence.pair_scores`` scores only the attributes
-    still open at each node, the others being consumed on its path. The nodes
-    are then numbered in preorder and leaf ids given in that order, so the
-    tree is the one a depth-first recursion would grow, leaf ids included.
+    Growth is level-wise: the open nodes of a depth are scored in blocks,
+    and a block's one histogram counts, and ``divergence.pair_scores``
+    scores, only the attributes still open at each of its nodes, the others
+    being consumed on its path. The nodes are then numbered in preorder and
+    leaf ids given in that order, so the tree is the one a depth-first
+    recursion would grow, leaf ids included.
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}")
@@ -287,9 +291,10 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
     features = table.schema.feature_names
     widths = [len(table.schema.spec(a).outcomes) for a in features]
     width = max(widths, default=1)
-    codes = np.zeros((table.n_rows, 0), dtype=np.intp)
-    if features:
-        codes = np.stack([table.codes(a) for a in features], axis=1)
+    # the narrowest integer type that holds every outcome code
+    codes = np.zeros((table.n_rows, len(features)), dtype=np.min_scalar_type(width))
+    for j, a in enumerate(features):
+        codes[:, j] = table.codes(a)
     gc = table.gc_codes
     block = max(1, SCORE_CELLS // (len(features) * width * 4 or 1))
 
@@ -318,17 +323,21 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
         for b, start in enumerate(range(0, scored.size, block)):
             nodes = scored[start:start + block]
             sel = order[bounds[b]:bounds[b + 1]]
-            hist = dv.histogram(codes[rows[sel]], row_gc[sel], row_slot[sel] - start, nodes.size, width)
-            # only the open (node, attribute) pairs are scored
+            # only the open (node, attribute) pairs are counted and scored,
+            # numbered node by node
             candidates = open_attrs[nodes]
             node_i, attr_i = np.nonzero(candidates)
+            pair_of = np.full(candidates.shape, -1, dtype=np.int32)
+            pair_of[node_i, attr_i] = np.arange(node_i.size)
+            pair = pair_of[row_slot[sel] - start]
+            hist = dv.histogram(codes[rows[sel]], row_gc[sel], pair, node_i.size, width)
             raw_gain, normalizer = np.zeros((2, *candidates.shape))
             raw_gain[node_i, attr_i], normalizer[node_i, attr_i] = dv.pair_scores(
-                counts[nodes[node_i]].T, hist[:, :, node_i, attr_i], criterion
+                counts[nodes[node_i]].T, hist, criterion
             )
             scores = dv.select(raw_gain, normalizer, candidates)
             choice[nodes] = scores.choice
-            chosen = hist[:, :, np.arange(nodes.size), np.maximum(scores.choice, 0)].sum(0)
+            chosen = hist[:, :, pair_of[np.arange(nodes.size), np.maximum(scores.choice, 0)]].sum(0)
             fallback[nodes] = np.where(scores.choice >= 0, chosen.argmax(0), -1)
         grown_counts.append(counts)
         grown_split.append(choice)

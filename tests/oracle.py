@@ -275,6 +275,11 @@ def load_csv_by_row(
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if header and header[0][:1] == "\ufeff":
+                raise DataError(
+                    f"{path}: the file begins with a UTF-8 byte-order mark, which would be read as part "
+                    f"of column name {header[0][1:]!r}; save it as UTF-8 without a byte-order mark"
+                )
             if len(set(header)) != len(header):
                 raise DataError(f"{path}: duplicate column names in header")
             raw_rows = []
@@ -288,10 +293,6 @@ def load_csv_by_row(
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if header and header[0][:1] == "\ufeff" and header[0][1:] in (label.column, sensitive.column):
-        raise DataError(
-            f"{path}: the file begins with a byte-order mark, read as part of column name {header[0][1:]!r}"
-        )
 
     columns = {
         name: np.array([row[j] for row in raw_rows], dtype=object) for j, name in enumerate(header)

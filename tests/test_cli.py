@@ -86,6 +86,24 @@ class TestBuild:
         assert "byte-order mark" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_byte_order_mark_before_a_feature_column_exits_3(self, german_csv, tmp_path, capsys):
+        # the mark would otherwise be written into tree.json as part of the column's name
+        first = german_csv.read_text(encoding="utf-8").split(",", 1)[0]
+        bad = tmp_path / "bom.csv"
+        bad.write_bytes("\ufeff".encode("utf-8") + german_csv.read_bytes())
+        assert run("build", "--data", str(bad), *SPEC_FLAGS, "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "byte-order mark" in err and f"column name {first!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["build", "audit", "sweep"])
+    def test_label_column_as_sensitive_exits_2(self, german_csv, tmp_path, capsys, command):
+        extra = ["--predictions", "credit_risk"] if command == "audit" else []
+        assert run(command, "--data", str(german_csv), "--label", "credit_risk", "--positive", "good",
+                   "--sensitive", "credit_risk", "--favored", "good", *extra, "--out", str(tmp_path / "o")) == 2
+        assert "column 'credit_risk' cannot be both label and sensitive column" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("default::UserWarning")
     def test_warnings_print_one_line_each(self, german_csv, tmp_path, capsys):
         assert run("build", "--data", str(german_csv), *SPEC_FLAGS, "--out", str(tmp_path / "o")) == 0
@@ -145,6 +163,33 @@ class TestRelabel:
         assert run("relabel", "--tree", str(bad), "--data", str(german_csv),
                    "--sigma", "0", "--out", str(tmp_path / "rel")) == 3
         assert not (tmp_path / "rel").exists()
+
+    def test_tree_pairing_label_and_sensitive_exits_3(self, german_csv, built, tmp_path, capsys):
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        doc["schema"]["sensitive"] = {"column": "credit_risk", "favored": "good", "deprived": "bad"}
+        blob = json.dumps(doc["schema"], sort_keys=True, ensure_ascii=False).encode("utf-8")
+        doc["schema_fingerprint"] = hashlib.sha256(blob).hexdigest()[:16]
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("relabel", "--tree", str(bad), "--data", str(german_csv), "--out", str(tmp_path / "rel")) == 3
+        assert "cannot be both label and sensitive column" in capsys.readouterr().err
+        assert not (tmp_path / "rel").exists()
+
+    def test_crlf_fully_quoted_input_gives_equal_cells_in_lf(self, german_csv, built, tmp_path):
+        # "non-label bytes untouched" holds per cell: relabeled.csv is always
+        # written with LF line ends and minimal quoting, whatever the input used
+        rows = _csv_rows(german_csv)
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        for data, out in ((german_csv, tmp_path / "plain"), (quoted, tmp_path / "quoted")):
+            assert run("relabel", "--tree", str(built), "--data", str(data), "--out", str(out)) == 0
+        written = (tmp_path / "quoted" / "relabeled.csv").read_bytes()
+        assert written == (tmp_path / "plain" / "relabeled.csv").read_bytes()
+        assert b"\r" not in written and not written.startswith(b'"')
+        j = rows[0].index("credit_risk")
+        after = _csv_rows(tmp_path / "quoted" / "relabeled.csv")
+        assert [r[:j] + r[j + 1:] for r in after] == [r[:j] + r[j + 1:] for r in rows]
 
     def test_tree_with_cut_points_as_text_exits_3(self, german_csv, built, tmp_path, capsys):
         # text cut points would be compared as text when binning, so the tree is refused
@@ -641,12 +686,12 @@ class TestInvalidUtf8:
         self._assert_rejected(capsys, bad, "report", "--tree", str(bad))
 
 
-#: CSV faults a fuzzed input carries, with the exit codes each may give. A BOM
-#: or NUL byte that lands in a feature name or cell is only data, so the run may
+#: CSV faults a fuzzed input carries, with the exit codes each may give. A NUL
+#: byte that lands in a feature name or cell is only data, so the run may
 #: succeed; every other fault is a configuration or data error.
 CSV_FAULTS = {
     "ragged": (3,),
-    "bom": (0, 2, 3),
+    "bom": (3,),
     "duplicate_header": (3,),
     "nul": (0, 2, 3),
     "invalid_utf8": (3,),
@@ -905,6 +950,14 @@ class TestSweep:
                    "--grid", "0:2:1", "--seed", "-3", "--out", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
         assert "non-negative" in err and "Traceback" not in err
+
+    def test_diverging_descent_exits_3_naming_the_learning_rate(self, german_csv, tmp_path, capsys):
+        # at 1e308 the weights overflow, and the fit would predict negative everywhere
+        assert run("sweep", "--data", str(german_csv), *SPEC_FLAGS, "--folds", "2", "--grid", "0:2:1",
+                   "--epochs", "5", "--learning-rate", "1e308", "--out", str(tmp_path / "x")) == 3
+        err = capsys.readouterr().err
+        assert "diverged at learning rate 1e+308" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_idempotent_rerun_bytes(self, german_csv, tmp_path):
         out = tmp_path / "sweep"

@@ -18,6 +18,7 @@ from fairtree.divergence import (
     entropy_bits,
     fallback_gain,
     gain_ratio,
+    histogram,
     kl,
     kl_normalizer,
     outcome_distributions,
@@ -365,3 +366,20 @@ def test_score_splits_matches_the_oracle(batch, measure):
         picks = [a for a in range(n_attrs)
                  if eligible[a] and scores.ratio[i, a] > 0.0 and scores.ratio[i, a] >= best - TIE_EPS]
         assert scores.choice[i] == (picks[0] if best > 0.0 else -1)
+
+
+@given(data=st.data())
+def test_histogram_counts_each_marked_cell_toward_its_pair(data):
+    rows, attrs, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    n_pairs = data.draw(st.integers(1, 6))
+    cell = st.lists(st.integers(0, width - 1), min_size=attrs, max_size=attrs)
+    codes = np.array(data.draw(st.lists(cell, min_size=rows, max_size=rows)), dtype=np.uint8)
+    gc = np.array(data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows)))
+    marks = st.lists(st.integers(-1, n_pairs - 1), min_size=attrs, max_size=attrs)
+    pair = np.array(data.draw(st.lists(marks, min_size=rows, max_size=rows)), dtype=np.int32)
+    expected = np.zeros((4, width, n_pairs), dtype=np.int64)
+    for r in range(rows):
+        for a in range(attrs):
+            if pair[r, a] >= 0:  # an unmarked cell belongs to no scored pair
+                expected[gc[r], codes[r, a], pair[r, a]] += 1
+    assert np.array_equal(histogram(codes, gc, pair, n_pairs, width), expected)

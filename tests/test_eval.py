@@ -88,6 +88,14 @@ class TestTrainLinear:
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_a_diverging_descent_is_refused(self, german, m):
+        labels = None if m is None else np.repeat(german.positive_mask[:, None], m, axis=1)
+        with pytest.raises(DataError, match=r"diverged at learning rate 1e\+308"):
+            train_linear(german, TrainConfig(epochs=5, learning_rate=1e308), labels)
+
 
 @pytest.fixture(scope="module")
 def german_folds(german):

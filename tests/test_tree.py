@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fairtree.divergence
+import fairtree.tree
 import oracle
 from conftest import table_rows, toy_table
 from fairtree.data import (
@@ -386,6 +388,40 @@ class TestArrayTree:
             if isinstance(node, Internal):
                 stack.extend(node.children.values())
         assert nodes == stats(tree).node_count > 1
+
+
+class TestScoreBlocks:
+    """``build`` counts and scores a depth's open nodes in blocks of at most
+    ``SCORE_CELLS`` count cells; how the nodes are blocked changes no byte."""
+
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    @pytest.mark.parametrize("dataset", ["german", "compas"])
+    def test_block_size_changes_no_byte(self, request, monkeypatch, dataset, criterion):
+        table = request.getfixturevalue(dataset)
+        text = serialize(build(table, criterion))
+        for cells in (1, 2000):  # one node per block, and a few dozen
+            monkeypatch.setattr(fairtree.tree, "SCORE_CELLS", cells)
+            assert serialize(build(table, criterion)) == text, cells
+
+    def test_a_block_counts_only_its_open_pairs(self, german, monkeypatch):
+        # each block's count tensor has one column per open (node, attribute)
+        # pair, and counts each row once per attribute still open at its node
+        blocks = []
+        real = fairtree.divergence.histogram
+
+        def spy(codes, gc, pair, n_pairs, width):
+            counts = real(codes, gc, pair, n_pairs, width)
+            marked = pair[pair >= 0]
+            blocks.append((counts.shape, int(counts.sum()), marked.size, np.unique(marked).size))
+            return counts
+
+        monkeypatch.setattr(fairtree.divergence, "histogram", spy)
+        build(german, "kl")
+        n_features = len(german.schema.feature_names)
+        assert blocks[0][0][2] == n_features  # the root, where every attribute is open
+        assert len(blocks) > 1 and all(len(shape) == 3 for shape, *_ in blocks)
+        for shape, total, open_cells, distinct in blocks:
+            assert total == open_cells and shape[2] == distinct
 
 
 class TestMemoryShape:
