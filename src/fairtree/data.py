@@ -166,6 +166,15 @@ class TableSchema:
                 raise ConfigError(f"{role} column {spec.column!r} not present in schema")
         if self.label.column == self.sensitive.column:
             raise ConfigError(f"column {self.label.column!r} cannot be both label and sensitive column")
+        for role, spec_col, values in (
+            ("label", self.label.column, (self.label.positive, self.label.negative)),
+            ("sensitive", self.sensitive.column, (self.sensitive.favored, self.sensitive.deprived)),
+        ):
+            if None in values or len(set(values)) != 2:
+                raise ConfigError(f"{role} column {spec_col!r} needs two distinct declared values")
+            extra = sorted(set(self.spec(spec_col).outcomes) - set(values))
+            if extra:
+                raise ConfigError(f"{role} column {spec_col!r} has undeclared values {extra}")
 
     def spec(self, name: str) -> AttributeSpec:
         for a in self.attributes:
@@ -267,8 +276,7 @@ class DataTable:
     def _fill(self, schema, columns, kept) -> None:
         """Bind every column not in ``kept`` to its spec (a finalized column is
         coded by its outcomes unless its texts are them already, a numeric
-        one's texts are parsed), check the label and sensitive declarations,
-        and take the columns as this table's."""
+        one's texts are parsed), and take the columns as this table's."""
         for spec in schema.attributes:
             if spec.name in kept:
                 continue
@@ -277,17 +285,6 @@ class DataTable:
                 columns[spec.name] = _encode(spec, schema.missing_tokens, col)
             elif spec.kind == "numeric" and not spec.finalized and col.values is None:
                 columns[spec.name] = _parse_floats(spec.name, schema.missing_tokens, col)
-
-        for role, spec_col, values in (
-            ("label", schema.label.column, (schema.label.positive, schema.label.negative)),
-            ("sensitive", schema.sensitive.column, (schema.sensitive.favored, schema.sensitive.deprived)),
-        ):
-            outcomes = schema.spec(spec_col).outcomes
-            if None in values or len(set(values)) != 2:
-                raise ConfigError(f"{role} column {spec_col!r} needs two distinct declared values")
-            if not set(outcomes) <= set(values):
-                extra = sorted(set(outcomes) - set(values))
-                raise ConfigError(f"{role} column {spec_col!r} has undeclared values {extra}")
 
         self.schema = schema
         self._columns = columns

@@ -8,16 +8,15 @@ smoothing; this is also what makes the empty-group fallbacks coincide with
 classical entropy/Gini gain.
 
 Everything here works on arrays. ``pair_scores`` scores any set of
-(node, attribute) pairs at once, ``select`` makes each node's choice from
-those scores, and ``score_splits`` runs both over every attribute of many
-nodes from one count tensor; the single-node
-helpers below it (``divergence_gain``, ``fallback_gain``, the normalizers)
-are views over the same functions. Categories come first: a distribution
-runs over axis 0 (classes or outcomes), and a count array's axis 0 is the
-group-class slot (fav_pos, fav_neg, dep_pos, dep_neg). Every sum over
-classes, outcomes or attributes adds in index order, as Python's ``sum``
-does: numpy's pairwise reductions round differently, and a last-bit change
-can move a gain across the mean-gain test or a ratio across ``TIE_EPS``.
+(node, attribute) pairs at once, and ``select`` makes each node's choice from
+those scores; the single-node helpers below them (``divergence_gain``,
+``fallback_gain``, the normalizers) are views over the same functions.
+Categories come first: a distribution runs over axis 0 (classes or
+outcomes), and a count array's axis 0 is the group-class slot (fav_pos,
+fav_neg, dep_pos, dep_neg). Every sum over classes, outcomes or attributes
+adds in index order, as Python's ``sum`` does: numpy's pairwise reductions
+round differently, and a last-bit change can move a gain across the mean-gain
+test or a ratio across ``TIE_EPS``.
 """
 
 from __future__ import annotations
@@ -45,17 +44,6 @@ INELIGIBLE_RATIO = float("-inf")
 
 #: Ratio differences at or below this are ties, broken by declaration order.
 TIE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class SplitEvaluation:
-    """Scored candidate attribute at a node."""
-
-    attribute: str
-    raw_gain: float
-    normalizer: float
-    ratio: float
-    eligible: bool
 
 
 @dataclass(frozen=True)
@@ -275,18 +263,6 @@ def select(raw_gain, normalizer, candidates) -> SplitScores:
     mean_gain = _ordered_sum(np.where(candidates, raw_gain, 0.0).T) / candidates.sum(-1)
     eligible = candidates & (raw_gain >= mean_gain[:, None])
     return SplitScores(raw_gain, normalizer, ratio, eligible, choose(ratio, eligible))
-
-
-def score_splits(parent, counts, candidates, measure: str) -> SplitScores:
-    """Score every attribute of many nodes at once: ``counts[s, k, i, a]``
-    counts node i's rows in slot s whose attribute a takes outcome k,
-    ``parent[s, i]`` node i's own rows, and ``candidates[i, a]`` marks the
-    attributes still open at node i, in declaration order."""
-    n_nodes, n_attrs = candidates.shape
-    raw_gain, normalizer = pair_scores(
-        np.repeat(parent, n_attrs, axis=1), counts.reshape(4, counts.shape[1], -1), measure
-    )
-    return select(raw_gain.reshape(n_nodes, n_attrs), normalizer.reshape(n_nodes, n_attrs), candidates)
 
 
 # -- one-node views --------------------------------------------------------------

@@ -53,6 +53,8 @@ class LinearModel:
     config: TrainConfig
 
     def scores(self, table: DataTable) -> np.ndarray:
+        if table.schema.fingerprint != self.schema_fingerprint:
+            raise DataError("table schema does not match the model's schema")
         X = one_hot(table)[0]
         return _sigmoid(X @ self.weights + self.bias)
 
@@ -112,7 +114,8 @@ def train_linear(
     """
     config = config or TrainConfig()
     X, names, y = _fit_inputs(table, labels)
-    w, b = _descend(X, y, config)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging descent is refused below
+        w, b = _descend(X, y, config)
     if not (np.isfinite(w).all() and np.isfinite(b).all()):
         raise DataError(
             f"the descent diverged at learning rate {config.learning_rate!r}: "

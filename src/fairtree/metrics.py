@@ -64,12 +64,6 @@ def _per_column(vector: bool, values: list[np.ndarray]) -> list:
     return [v.item() for v in values] if vector else values
 
 
-def confusion(labels, preds, groups) -> GroupConfusion:
-    """Per-group confusion counts; for (rows, m) label and prediction matrices
-    each count is an array with one entry per column."""
-    return GroupConfusion(*_per_column(*_counts(labels, preds, groups)))
-
-
 @dataclass(frozen=True)
 class FairnessReport:
     """One prediction vector's scores; arrays of one entry per column for a

@@ -27,7 +27,6 @@ import numpy as np
 from . import divergence as dv
 from .data import DataTable, GroupCounts, TableSchema, json_typed
 from .errors import ConfigError, DataError
-from .divergence import SplitEvaluation
 
 TREE_FORMAT = "fairtree/1"
 
@@ -186,24 +185,6 @@ def _leaf_fields(n: NodeTable):
     return zip(*(x[at].tolist() for x in (n.leaf_id, n.counts, n.disc, n.majority, n.depth)))
 
 
-def walk(root: TreeNode):
-    """Preorder ``(node, path)`` pairs over ``Leaf``/``Internal`` records,
-    children in dict order.
-
-    ``path`` holds the (attribute, outcome) conditions from the root to the
-    node, so ``len(path)`` is its depth.
-    """
-    stack: list[tuple[TreeNode, tuple[tuple[str, str], ...]]] = [(root, ())]
-    while stack:
-        node, path = stack.pop()
-        yield node, path
-        if isinstance(node, Internal):
-            stack.extend(
-                (child, path + ((node.attribute, outcome),))
-                for outcome, child in reversed(node.children.items())
-            )
-
-
 def leaf_disc(counts: GroupCounts) -> float:
     """One leaf's ``leaf_discs``."""
     return float(leaf_discs(np.array([counts.as_tuple()]))[0])
@@ -231,53 +212,52 @@ def leaf_discs(counts: np.ndarray) -> np.ndarray:
 SCORE_CELLS = 1 << 15
 
 
+def _score_block(codes, gc, node, parent, candidates, width: int, criterion: str):
+    """Scores of a block of nodes, and each node's fallback outcome code (the
+    chosen attribute's largest child, -1 at a leaf). ``codes[r]`` holds row
+    r's outcome code per attribute (below ``width``), ``gc[r]`` its
+    group-class slot and ``node[r]`` its node in the block; ``parent[i]``
+    counts node i's rows per slot and ``candidates[i, a]`` marks the
+    attributes still open at node i. Only the open (node, attribute) pairs
+    are counted and scored, numbered node by node."""
+    node_i, attr_i = np.nonzero(candidates)
+    pair_of = np.full(candidates.shape, -1, dtype=np.int32)
+    pair_of[node_i, attr_i] = np.arange(node_i.size)
+    hist = dv.histogram(codes, gc, pair_of[node], node_i.size, width)
+    raw_gain, normalizer = np.zeros((2, *candidates.shape))
+    raw_gain[node_i, attr_i], normalizer[node_i, attr_i] = dv.pair_scores(parent[node_i].T, hist, criterion)
+    scores = dv.select(raw_gain, normalizer, candidates)
+    chosen = hist[:, :, pair_of[np.arange(len(candidates)), np.maximum(scores.choice, 0)]].sum(0)
+    return scores, np.where(scores.choice >= 0, chosen.argmax(0), -1)
+
+
 def evaluate_splits(
     table: DataTable, rows: np.ndarray, attributes: tuple[str, ...], criterion: str
-) -> list[SplitEvaluation]:
-    """Score every candidate attribute at one node, in the given order: a
-    one-node view of ``divergence.score_splits``; ``build`` scores its blocks
-    of open nodes with the same ``pair_scores`` and ``select``."""
+) -> dv.SplitScores:
+    """Score the given attributes, all open, at the one node of ``rows``:
+    ``build``'s block scorer run on a block of that node alone. The scores
+    are indexed [0, attribute], in the given order."""
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}")
-    if len(attributes) == 0:
-        return []
+    if len(attributes) == 0:  # nothing to split on: a leaf
+        empty = np.zeros((1, 0))
+        return dv.SplitScores(empty, empty, empty, empty.astype(bool), np.array([-1]))
     codes = np.stack([table.codes(a)[rows] for a in attributes], axis=1)
     width = max(len(table.schema.spec(a).outcomes) for a in attributes)
     gc = table.gc_codes[rows]
-    # every attribute is open: pair a is attribute a
-    pair = np.broadcast_to(np.arange(len(attributes)), codes.shape)
-    counts = dv.histogram(codes, gc, pair, len(attributes), width)[:, :, None, :]
-    parent = np.bincount(gc, minlength=4)[:, None]
-    s = dv.score_splits(parent, counts, np.ones((1, len(attributes)), dtype=bool), criterion)
-    return [
-        SplitEvaluation(a, float(s.raw_gain[0, j]), float(s.normalizer[0, j]),
-                        float(s.ratio[0, j]), bool(s.eligible[0, j]))
-        for j, a in enumerate(attributes)
-    ]
-
-
-def choose_split(evaluations: list[SplitEvaluation]) -> str | None:
-    """Pick the eligible candidate with the best strictly positive ratio.
-
-    Ties within TIE_EPS go to the earlier-declared attribute. None means the
-    node becomes a leaf. A one-node view of ``divergence.choose``.
-    """
-    if not evaluations:
-        return None
-    ratio = np.array([e.ratio for e in evaluations])
-    j = int(dv.choose(ratio, np.array([e.eligible for e in evaluations])))
-    return evaluations[j].attribute if j >= 0 else None
+    parent = np.bincount(gc, minlength=4)[None]
+    node = np.zeros(len(gc), dtype=np.intp)
+    return _score_block(codes, gc, node, parent, np.ones((1, len(attributes)), dtype=bool), width, criterion)[0]
 
 
 def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = None) -> FairTree:
     """Grow a tree over the table's feature columns (label and sensitive excluded).
 
-    Growth is level-wise: the open nodes of a depth are scored in blocks,
-    and a block's one histogram counts, and ``divergence.pair_scores``
-    scores, only the attributes still open at each of its nodes, the others
-    being consumed on its path. The nodes are then numbered in preorder and
-    leaf ids given in that order, so the tree is the one a depth-first
-    recursion would grow, leaf ids included.
+    Growth is level-wise: the open nodes of a depth are scored in blocks by
+    ``_score_block``, which counts and scores only the attributes still open
+    at each of the block's nodes, the others being consumed on its path. The
+    nodes are then numbered in preorder and leaf ids given in that order, so
+    the tree is the one a depth-first recursion would grow, leaf ids included.
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}")
@@ -323,22 +303,9 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
         for b, start in enumerate(range(0, scored.size, block)):
             nodes = scored[start:start + block]
             sel = order[bounds[b]:bounds[b + 1]]
-            # only the open (node, attribute) pairs are counted and scored,
-            # numbered node by node
-            candidates = open_attrs[nodes]
-            node_i, attr_i = np.nonzero(candidates)
-            pair_of = np.full(candidates.shape, -1, dtype=np.int32)
-            pair_of[node_i, attr_i] = np.arange(node_i.size)
-            pair = pair_of[row_slot[sel] - start]
-            hist = dv.histogram(codes[rows[sel]], row_gc[sel], pair, node_i.size, width)
-            raw_gain, normalizer = np.zeros((2, *candidates.shape))
-            raw_gain[node_i, attr_i], normalizer[node_i, attr_i] = dv.pair_scores(
-                counts[nodes[node_i]].T, hist, criterion
-            )
-            scores = dv.select(raw_gain, normalizer, candidates)
+            scores, fallback[nodes] = _score_block(codes[rows[sel]], row_gc[sel], row_slot[sel] - start,
+                                                   counts[nodes], open_attrs[nodes], width, criterion)
             choice[nodes] = scores.choice
-            chosen = hist[:, :, pair_of[np.arange(nodes.size), np.maximum(scores.choice, 0)]].sum(0)
-            fallback[nodes] = np.where(scores.choice >= 0, chosen.argmax(0), -1)
         grown_counts.append(counts)
         grown_split.append(choice)
         grown_fallback.append(fallback)
@@ -540,14 +507,12 @@ def _int_fault(value, what: str) -> str:
 def _node_hook():
     """A ``json.loads`` ``object_hook`` for one tree document.
 
-    It turns a node object, as the parser closes it, into a tuple of its
-    values, ``(*counts, disc, majority, depth, id)`` for a leaf and
-    ``(attribute, fallback, children)`` for an internal node, so the parsed
-    document holds no dict per node; no JSON value is a tuple. Every other
-    object is returned as it is, and so is a node object that lacks a key or
-    whose leaf counts are not a list of four, for ``_read_nodes`` to reject.
-    The hook never raises: an exception would escape ``json.loads``'s error
-    handling.
+    It turns a node object, as the parser closes it, into ``_node_record``'s
+    tuple of its values, so the parsed document holds no dict per node; no
+    JSON value is a tuple. Every other object is returned as it is, and so is
+    a node object that ``_node_record`` finds faulty, for ``_read_nodes`` to
+    reject. The hook never raises: an exception would escape ``json.loads``'s
+    error handling.
     """
     texts: dict[str, str] = {}
 
@@ -556,35 +521,32 @@ def _node_hook():
         return texts.setdefault(value, value) if type(value) is str else value
 
     def node_values(obj: dict):
-        kind = obj.get("kind")
-        try:
-            if kind == "leaf":
-                counts = obj["counts"]
-                if type(counts) is list and len(counts) == 4:
-                    return (*counts, obj["disc"], shared(obj["majority"]), obj["depth"], obj["id"])
-            elif kind == "internal":
-                return shared(obj["attribute"]), shared(obj["fallback"]), obj["children"]
-        except KeyError:
-            pass
+        if obj.get("kind") in ("leaf", "internal"):
+            try:
+                return _node_record(obj, shared)
+            except Exception:  # a fault, which ``_read_nodes`` reports
+                pass
         return obj
 
     return node_values
 
 
-def _node_record(node) -> tuple:
-    """The tuple that ``_node_hook`` makes of a node object, for a node that
-    it left as it was (every node of a document parsed without it), or the
-    fault there: not an object, a missing key (in the order the tuple lists
-    them, leaf counts that are not a list of four straight after a missing
-    ``counts``) or an unknown kind."""
+def _node_record(node, text=lambda value: value) -> tuple:
+    """The tuple of a node object's values, ``(*counts, disc, majority, depth,
+    id)`` for a leaf and ``(attribute, fallback, children)`` for an internal
+    node, with ``text`` applied to its texts; or the fault there: not an
+    object, a missing key (in the order the tuple lists them, leaf counts
+    that are not a list of four straight after a missing ``counts``) or an
+    unknown kind. ``_read_nodes`` makes it of every node that ``_node_hook``
+    left as it was (every node of a document parsed without it)."""
     kind = node.get("kind")
     if kind == "leaf":
         counts = node["counts"]
         if type(counts) is not list or len(counts) != 4:
             raise DataError(f"malformed tree document: leaf counts {counts!r:.40} are not a list of four")
-        return (*counts, node["disc"], node["majority"], node["depth"], node["id"])
+        return (*counts, node["disc"], text(node["majority"]), node["depth"], node["id"])
     if kind == "internal":
-        return node["attribute"], node["fallback"], node["children"]
+        return text(node["attribute"]), text(node["fallback"]), node["children"]
     raise DataError(f"unknown node kind {kind!r}")
 
 

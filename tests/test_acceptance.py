@@ -154,10 +154,10 @@ def _check_dataset_against_oracle(rows, n_attrs):
     worst = 0.0
     for criterion in ("kl", "euclid"):
         feats = t.schema.feature_names
-        evals = evaluate_splits(t, np.arange(t.n_rows), feats, criterion)
+        scores = evaluate_splits(t, np.arange(t.n_rows), feats, criterion)
         j_ref, metrics = oracle.best_attribute(table_rows(t), n_attrs, criterion)
-        for e, m in zip(evals, metrics):
-            worst = max(worst, abs(e.raw_gain - m["raw_gain"]), abs(e.normalizer - m["normalizer"]))
+        for raw_gain, normalizer, m in zip(scores.raw_gain[0], scores.normalizer[0], metrics):
+            worst = max(worst, abs(raw_gain - m["raw_gain"]), abs(normalizer - m["normalizer"]))
         tree = build(t, criterion)
         if j_ref is None:
             assert isinstance(tree.root, Leaf), f"expected leaf, split on {tree.root}"

@@ -175,6 +175,22 @@ class TestRelabel:
         assert "cannot be both label and sensitive column" in capsys.readouterr().err
         assert not (tmp_path / "rel").exists()
 
+    @pytest.mark.parametrize("command", ["relabel", "report"])
+    def test_tree_with_an_undeclared_label_outcome_exits_3(self, german_csv, built, tmp_path, capsys, command):
+        # the schema's label column lists an outcome beside its declared pair
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        label = doc["schema"]["label"]["column"]
+        next(s for s in doc["schema"]["attributes"] if s["name"] == label)["outcomes"].append("meh")
+        blob = json.dumps(doc["schema"], sort_keys=True, ensure_ascii=False).encode("utf-8")
+        doc["schema_fingerprint"] = hashlib.sha256(blob).hexdigest()[:16]
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        data = ("--data", str(german_csv), "--out", str(tmp_path / "rel")) if command == "relabel" else ()
+        assert run(command, "--tree", str(bad), *data) == 3
+        err = capsys.readouterr().err
+        assert "malformed tree document: label column 'credit_risk' has undeclared values ['meh']" in err
+        assert not (tmp_path / "rel").exists()
+
     def test_crlf_fully_quoted_input_gives_equal_cells_in_lf(self, german_csv, built, tmp_path):
         # "non-label bytes untouched" holds per cell: relabeled.csv is always
         # written with LF line ends and minimal quoting, whatever the input used

@@ -22,10 +22,10 @@ from fairtree.divergence import (
     kl,
     kl_normalizer,
     outcome_distributions,
-    score_splits,
     sq_euclid,
 )
 from fairtree.errors import IntegrityError
+from fairtree.tree import _score_block
 
 # Frozen with an arbitrary-precision evaluation of the termwise definition.
 KL_75_25_VS_UNIFORM = 0.18872187554086714
@@ -337,24 +337,25 @@ def node_batches(draw):
 @given(batch=node_batches(), measure=st.sampled_from(["kl", "euclid"]))
 @settings(max_examples=300)
 def test_score_splits_matches_the_oracle(batch, measure):
+    # ``build``'s block scorer, run on the batch's rows once with every
+    # attribute open and once with each node's candidates only
     outcome_counts, nodes = batch
     n_attrs, width = len(outcome_counts), max(outcome_counts)
-    counts = np.zeros((4, width, len(nodes), n_attrs), dtype=np.int64)
-    parent = np.zeros((4, len(nodes)), dtype=np.int64)
-    for i, (rows, _) in enumerate(nodes):
-        for slot, codes in rows:
-            parent[slot, i] += 1
-            for a, code in enumerate(codes):
-                counts[slot, code, i, a] += 1
+    gc = np.array([slot for rows, _ in nodes for slot, _ in rows])
+    codes = np.array([c for rows, _ in nodes for _, c in rows])
+    node = np.repeat(np.arange(len(nodes)), [len(rows) for rows, _ in nodes])
+    parent = np.bincount(node * 4 + gc, minlength=4 * len(nodes)).reshape(-1, 4)
     candidates = np.array([c for _, c in nodes])
-    scores = score_splits(parent, counts, candidates, measure)
+    every = _score_block(codes, gc, node, parent, np.ones_like(candidates), width, measure)[0]
+    scores = _score_block(codes, gc, node, parent, candidates, width, measure)[0]
 
     for i, (rows, cand) in enumerate(nodes):
         oracle_rows = [codes + (slot < 2, slot % 2 == 0) for slot, codes in rows]
         for a in range(n_attrs):
             ref = oracle.split_metrics(oracle_rows, a, n_attrs, measure)
-            assert scores.raw_gain[i, a] == pytest.approx(ref["raw_gain"], abs=1e-10)
-            assert scores.normalizer[i, a] == pytest.approx(ref["normalizer"], abs=1e-10)
+            for s in (every, scores) if cand[a] else (every,):
+                assert s.raw_gain[i, a] == pytest.approx(ref["raw_gain"], abs=1e-10)
+                assert s.normalizer[i, a] == pytest.approx(ref["normalizer"], abs=1e-10)
         # eligibility and the choice follow the contract's rules on the kernel's own scores
         gains = [scores.raw_gain[i, a] for a in range(n_attrs) if cand[a]]
         mean_gain = sum(gains) / len(gains)

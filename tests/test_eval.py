@@ -88,13 +88,22 @@ class TestTrainLinear:
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the refusal is all a diverging descent reports
     @pytest.mark.parametrize("m", [None, 3])
     def test_a_diverging_descent_is_refused(self, german, m):
         labels = None if m is None else np.repeat(german.positive_mask[:, None], m, axis=1)
         with pytest.raises(DataError, match=r"diverged at learning rate 1e\+308"):
             train_linear(german, TrainConfig(epochs=5, learning_rate=1e308), labels)
+
+    @pytest.mark.parametrize("columns", [{"y": [0, 1, 0, 1]}, {"x": [0, 1, 2, 1]}], ids=["renamed", "wider"])
+    def test_a_table_of_another_schema_is_refused(self, columns):
+        # a renamed column keeps the one-hot width, so the model would score it silently
+        groups, labels = [1, 0, 1, 0], [1, 1, 0, 0]
+        model = train_linear(toy_table({"x": [0, 1, 0, 1]}, groups, labels), TrainConfig(epochs=5))
+        other = toy_table(columns, groups, labels)
+        for score in (model.scores, model.predict):
+            with pytest.raises(DataError, match="table schema does not match the model's schema"):
+                score(other)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from fairtree.errors import DataError, UndefinedMetricError
-from fairtree.metrics import confusion, fairness_report, roc_points
+from fairtree.metrics import fairness_report, roc_points
 
 
 def arrays(*seqs):
@@ -219,8 +219,8 @@ class TestColumnReport:
 
     def test_confusion_counts_a_vector_as_one_column(self):
         labels, preds, groups = arrays([1, 0, 1, 0, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 0])
-        one = astuple(confusion(labels, preds, groups))
-        matrix = astuple(confusion(labels[:, None], preds[:, None], groups))
+        one = astuple(fairness_report(labels, preds, groups).confusion)
+        matrix = astuple(fairness_report(labels[:, None], preds[:, None], groups).confusion)
         assert one == (1, 1, 0, 0, 1, 0, 1, 1)
         assert [type(c) for c in one] == [int] * 8
         assert [c.tolist() for c in matrix] == [[c] for c in one]

@@ -23,7 +23,7 @@ from fairtree.data import (
     group_counts,
 )
 from fairtree.datasets import make_adult
-from fairtree.divergence import SplitEvaluation
+from fairtree.divergence import choose
 from fairtree.errors import ConfigError, DataError
 from fairtree.relabel import census
 from fairtree.tree import (
@@ -32,7 +32,6 @@ from fairtree.tree import (
     Leaf,
     NodeTable,
     build,
-    choose_split,
     deserialize,
     evaluate_splits,
     extract_subgroups,
@@ -40,7 +39,6 @@ from fairtree.tree import (
     route,
     serialize,
     stats,
-    walk,
 )
 
 
@@ -88,8 +86,8 @@ class TestLeafDisc:
 class TestEvaluateAndChoose:
     def test_single_candidate_always_eligible(self):
         t = toy_table({"a": [0, 0, 1, 1]}, favored=[1, 0, 1, 0], positive=[1, 1, 0, 0])
-        evals = evaluate_splits(t, np.arange(4), ("a",), "kl")
-        assert len(evals) == 1 and evals[0].eligible
+        scores = evaluate_splits(t, np.arange(4), ("a",), "kl")
+        assert scores.eligible.shape == (1, 1) and scores.eligible[0, 0]
 
     def test_zero_gain_candidate_below_mean(self):
         # b separates the group-opposed classes; c is constant (single outcome, zero gain)
@@ -98,10 +96,10 @@ class TestEvaluateAndChoose:
             favored=[1, 0, 1, 0],
             positive=[1, 0, 0, 1],
         )
-        evals = {e.attribute: e for e in evaluate_splits(t, np.arange(4), ("b", "c"), "euclid")}
-        assert evals["b"].raw_gain > 0
-        assert evals["c"].raw_gain == 0
-        assert evals["b"].eligible and not evals["c"].eligible
+        scores = evaluate_splits(t, np.arange(4), ("b", "c"), "euclid")
+        assert scores.raw_gain[0, 0] > 0
+        assert scores.raw_gain[0, 1] == 0
+        assert scores.eligible[0].tolist() == [True, False]
 
     def test_group_separating_test_pays_normalizer_penalty(self):
         # a sends every favored row one way and every deprived row the other;
@@ -111,30 +109,20 @@ class TestEvaluateAndChoose:
         a = [0, 0, 0, 0, 1, 1, 1, 1]
         b = [0, 0, 1, 1, 0, 0, 1, 1]
         t = toy_table({"a": a, "b": b}, favored, positive)
-        evals = {e.attribute: e for e in evaluate_splits(t, np.arange(8), ("a", "b"), "kl")}
-        assert evals["a"].normalizer > evals["b"].normalizer
-        assert evals["a"].ratio < evals["b"].ratio
+        scores = evaluate_splits(t, np.arange(8), ("a", "b"), "kl")
+        assert scores.normalizer[0, 0] > scores.normalizer[0, 1]
+        assert scores.ratio[0, 0] < scores.ratio[0, 1]
 
+    # ``divergence.choose`` is the choice ``select`` makes, per node, from
+    # the candidates' ratios and eligibility; -1 makes the node a leaf
     def test_all_nonpositive_gains_make_a_leaf(self):
-        evals = [
-            SplitEvaluation("a", -0.1, 1.0, -0.1, True),
-            SplitEvaluation("b", -0.4, 1.0, -0.4, False),
-        ]
-        assert choose_split(evals) is None
+        assert choose(np.array([-0.1, -0.4]), np.array([True, False])) == -1
 
     def test_unique_positive_candidate_chosen(self):
-        evals = [
-            SplitEvaluation("a", 0.0, 1.0, 0.0, False),
-            SplitEvaluation("b", 0.4, 1.0, 0.4, True),
-        ]
-        assert choose_split(evals) == "b"
+        assert choose(np.array([0.0, 0.4]), np.array([False, True])) == 1
 
     def test_tie_goes_to_earlier_declared(self):
-        evals = [
-            SplitEvaluation("a", 0.4, 1.0, 0.4, True),
-            SplitEvaluation("b", 0.4, 1.0, 0.4 + 5e-13, True),
-        ]
-        assert choose_split(evals) == "a"
+        assert choose(np.array([0.4, 0.4 + 5e-13]), np.array([True, True])) == 0
 
 
 class TestBuild:
@@ -199,15 +187,12 @@ class TestBuild:
         # each row leaves every score, and with them the tree's shape, unchanged
         once = build(german, "euclid")
         twice = build(german.subset(np.repeat(np.arange(german.n_rows), 2)), "euclid")
-        nodes_once, nodes_twice = list(walk(once.root)), list(walk(twice.root))
-        assert len(nodes_once) == len(nodes_twice) > 1
-        for (a, path_a), (b, path_b) in zip(nodes_once, nodes_twice):
-            assert path_a == path_b and type(a) is type(b)
-            if isinstance(a, Leaf):
-                assert (b.id, b.disc, b.depth) == (a.id, a.disc, a.depth)
-                assert b.counts.as_tuple() == tuple(2 * c for c in a.counts.as_tuple())
-            else:
-                assert (b.attribute, b.fallback_outcome) == (a.attribute, a.fallback_outcome)
+        a, b = once.nodes, twice.nodes
+        assert a.parent.size == b.parent.size > 1 and b.attributes == a.attributes
+        # the same paths and kinds of node, split attributes, fallbacks, leaf ids, discs and depths
+        for field in ("parent", "outcome", "attribute", "fallback", "leaf_id", "disc", "depth"):
+            assert np.array_equal(getattr(b, field), getattr(a, field)), field
+        assert np.array_equal(b.counts, 2 * a.counts)
 
     @given(t=small_tables(), criterion=st.sampled_from(["kl", "euclid"]))
     @settings(max_examples=60)
@@ -353,9 +338,13 @@ class TestNodeTableRouting:
         assert "root" not in vars(tree)
         assert tree.root is tree.root
         nodes = tree.nodes
-        # preorder numbering: the table's leaves are the record view's leaves in walk order
-        assert nodes.leaf_id[nodes.attribute < 0].tolist() == \
-            [node.id for node, _ in walk(tree.root) if isinstance(node, Leaf)]
+        # preorder numbering: the table's leaves are the record view's leaves in preorder
+        def leaf_ids(node):
+            if isinstance(node, Leaf):
+                return [node.id]
+            return [i for c in node.children.values() for i in leaf_ids(c)]
+
+        assert nodes.leaf_id[nodes.attribute < 0].tolist() == leaf_ids(tree.root)
 
 
 class TestArrayTree:
@@ -422,6 +411,20 @@ class TestScoreBlocks:
         assert len(blocks) > 1 and all(len(shape) == 3 for shape, *_ in blocks)
         for shape, total, open_cells, distinct in blocks:
             assert total == open_cells and shape[2] == distinct
+
+    def test_evaluate_splits_scores_the_root_as_build_does(self, german, monkeypatch):
+        # one split scorer: evaluate_splits runs build's block scorer on a block of one node
+        results = []
+        real = fairtree.tree._score_block
+        monkeypatch.setattr(fairtree.tree, "_score_block", lambda *args: results.append(real(*args)) or results[-1])
+        tree = build(german, "kl")
+        root, grown = results[0][0], len(results)
+        features = german.schema.feature_names
+        scores = evaluate_splits(german, np.arange(german.n_rows), features, "kl")
+        assert len(results) == grown + 1
+        for field in ("raw_gain", "normalizer", "ratio", "eligible", "choice"):
+            assert np.array_equal(getattr(scores, field), getattr(root, field)), field
+        assert tree.nodes.attributes[0] == features[scores.choice[0]]
 
 
 class TestMemoryShape:
@@ -827,8 +830,10 @@ class TestSerialization:
     def test_deserialize_walks_the_document_once(self, tree_text, monkeypatch):
         import fairtree.tree as tr
 
-        monkeypatch.setattr(tr, "walk", lambda root: pytest.fail("walk called"))
+        read, calls = tr._read_nodes, []
+        monkeypatch.setattr(tr, "_read_nodes", lambda *args: calls.append(args) or read(*args))
         assert isinstance(deserialize(tree_text).root, Internal)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("criterion", ["kl", "euclid"])
     def test_outcomes_named_like_node_keys_round_trip(self, criterion):
