@@ -14,7 +14,6 @@ from .data import (
     LabelSpec,
     SensitiveSpec,
     TableSchema,
-    discretize,
     discretize_all,
     group_counts,
     load_csv,
@@ -34,7 +33,7 @@ from .tree import (
 )
 
 _LAZY = {
-    "eval": ("LinearModel", "TrainConfig", "kfold", "split", "sweep", "train_linear", "training_losses"),
+    "eval": ("LinearModel", "TrainConfig", "kfold", "sweep", "train_linear", "training_losses"),
     "metrics": ("FairnessReport", "GroupConfusion", "fairness_report", "roc_points"),
     "relabel": ("RelabelPlan", "apply", "census", "demote_count", "plan", "promote_count", "relabeled_mask"),
 }

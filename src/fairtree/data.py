@@ -89,16 +89,11 @@ class AttributeSpec:
 
 @dataclass(frozen=True)
 class DiscretizationRule:
-    """How to bin one numeric column.
-
-    ``cut_points`` may pre-specify boundaries (e.g. replaying a recorded
-    schema); when empty they are fitted from the data by ``strategy``.
-    """
+    """How to fit one numeric column's bins; ``conform_to_schema`` replays them."""
 
     column: str
     strategy: str = "equal-frequency"  # "equal-frequency" | "equal-width"
     bin_count: int = 4
-    cut_points: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.strategy not in ("equal-frequency", "equal-width"):
@@ -251,7 +246,7 @@ class DataTable:
     past them as ``MISSING``; a numeric column is coded by its distinct
     spellings, each parsed once to a float (NaN where missing), until it is
     discretized. A derived table (``subset``, ``with_positive_mask``,
-    ``discretize``, ``conform_to_schema``) shares or slices the codes of every
+    ``conform_to_schema``) shares or slices the codes of every
     column whose cells and spec it keeps, takes a binned column's codes from
     its bin index, and binds only the rest: a replaced label column and any
     column whose spec differs from the source's.
@@ -349,10 +344,6 @@ class DataTable:
     @property
     def favored_mask(self) -> np.ndarray:
         return self._favored
-
-    @property
-    def finalized(self) -> bool:
-        return all(spec.finalized for spec in self.schema.attributes)
 
     @property
     def fingerprint(self) -> str:
@@ -791,48 +782,34 @@ def _binned(values: np.ndarray, cuts: tuple[float, ...], outcomes: tuple[str, ..
     return _Column(idx, outcomes if outcomes in (texts, texts[:-1]) else texts)
 
 
-def discretize(table: DataTable, rule: DiscretizationRule) -> DataTable:
-    """Replace a numeric column's values by categorical range codes.
-
-    Bins are (-inf, c1], (c1, c2], ..., (ck, inf); cut points are recorded in
-    the schema. Missing cells become their own trailing category.
-    """
-    spec = table.schema.spec(rule.column)
-    if spec.kind != "numeric":
-        raise ConfigError(f"column {rule.column!r} is not numeric")
-    if spec.finalized:
-        raise ConfigError(f"column {rule.column!r} is already discretized")
-    if table.n_rows == 0:
-        raise DataError("cannot discretize an empty table")
-    cuts = rule.cut_points or fit_cut_points(table, rule)
-    values = table.floats(rule.column)
-    labels = _bin_labels(cuts)
-    outcomes = tuple(labels + [MISSING]) if np.isnan(values).any() else tuple(labels)
-
-    new_spec = AttributeSpec(rule.column, "numeric", outcomes, tuple(cuts))
-    attrs = tuple(new_spec if a.name == rule.column else a for a in table.schema.attributes)
-    binned = {rule.column: _binned(values, cuts, outcomes)}
-    return table._derive(replace(table.schema, attributes=attrs), replaced=binned)
-
-
 def discretize_all(
     table: DataTable, *, strategy: str = "equal-frequency", bin_count: int = 4
 ) -> DataTable:
-    """Apply a common rule to every unfinalized numeric column."""
+    """Bin every unfinalized numeric column by a common rule.
+
+    Bins are (-inf, c1], (c1, c2], ..., (ck, inf); each column's fitted cut
+    points are recorded in the schema, which ``conform_to_schema`` then
+    applies. Missing cells become their own trailing category.
+    """
     if table.n_rows == 0:
         return table
+    attrs = []
     for spec in table.schema.attributes:
         if spec.kind == "numeric" and not spec.finalized:
-            table = discretize(table, DiscretizationRule(spec.name, strategy, bin_count))
-    return table
+            cuts = fit_cut_points(table, DiscretizationRule(spec.name, strategy, bin_count))
+            missing = [MISSING] if np.isnan(table.floats(spec.name)).any() else []
+            spec = AttributeSpec(spec.name, "numeric", tuple(_bin_labels(cuts) + missing), cuts)
+        attrs.append(spec)
+    return conform_to_schema(table, replace(table.schema, attributes=tuple(attrs)))
 
 
 def conform_to_schema(table: DataTable, schema: TableSchema) -> DataTable:
     """Re-express a freshly loaded table under a reference schema.
 
     Numeric columns are binned with the reference cut points; categorical
-    values must already be members of the reference outcomes. Used to route
-    new data through a tree built on previously discretized data.
+    values must already be members of the reference outcomes. It is the only
+    binning: ``discretize_all`` applies the cut points it fitted through it,
+    and new data is routed through a tree built on discretized data with it.
     """
     if tuple(table.schema.column_names) != tuple(schema.column_names):
         raise DataError("column names do not match the reference schema")

@@ -201,16 +201,6 @@ def _descend(X: np.ndarray, y: np.ndarray, config: TrainConfig, per_epoch=None):
 # -- deterministic partitions --------------------------------------------------
 
 
-def split(table: DataTable, test_fraction: float, seed: int) -> tuple[DataTable, DataTable]:
-    """Seed-deterministic disjoint train/test partition."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError("test_fraction must lie strictly between 0 and 1")
-    rl.check_seed(seed)
-    perm = np.random.default_rng(seed).permutation(table.n_rows)
-    n_test = int(round(table.n_rows * test_fraction))
-    return table.subset(np.sort(perm[n_test:])), table.subset(np.sort(perm[:n_test]))
-
-
 def kfold(table: DataTable, k: int, seed: int) -> list[tuple[DataTable, DataTable]]:
     """Seed-deterministic k disjoint, exhaustive (train, test) fold pairs."""
     if k < 2:

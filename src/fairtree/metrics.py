@@ -6,7 +6,7 @@ every report. Undefined rates raise instead of silently returning 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,19 +92,11 @@ class FairnessReport:
 
     @staticmethod
     def csv_header() -> list[str]:
-        return [
-            "dp", "aod", "ba", "acc", "sign_convention",
-            "fav_tp", "fav_fp", "fav_tn", "fav_fn",
-            "dep_tp", "dep_fp", "dep_tn", "dep_fn",
-        ]
+        return ["dp", "aod", "ba", "acc", "sign_convention"] + [f.name for f in fields(GroupConfusion)]
 
     def csv_row(self) -> list[str]:
-        c = self.confusion
-        return [
-            repr(self.dp), repr(self.aod), repr(self.ba), repr(self.acc), self.sign_note,
-            str(c.fav_tp), str(c.fav_fp), str(c.fav_tn), str(c.fav_fn),
-            str(c.dep_tp), str(c.dep_fp), str(c.dep_tn), str(c.dep_fn),
-        ]
+        scores = [repr(self.dp), repr(self.aod), repr(self.ba), repr(self.acc), self.sign_note]
+        return scores + [str(getattr(self.confusion, f.name)) for f in fields(GroupConfusion)]
 
 
 def fairness_report(labels, preds, groups) -> FairnessReport:

@@ -149,10 +149,6 @@ class FairTree:
     config: BuildConfig
     schema: TableSchema
 
-    @property
-    def schema_fingerprint(self) -> str:
-        return self.schema.fingerprint
-
     @cached_property
     def digest(self) -> str:
         """Hash of the tree document: of the text ``deserialize`` read, or else
@@ -242,6 +238,8 @@ def evaluate_splits(
     if len(attributes) == 0:  # nothing to split on: a leaf
         empty = np.zeros((1, 0))
         return dv.SplitScores(empty, empty, empty, empty.astype(bool), np.array([-1]))
+    if len(rows) == 0:
+        raise DataError("cannot score splits of an empty row set")
     codes = np.stack([table.codes(a)[rows] for a in attributes], axis=1)
     width = max(len(table.schema.spec(a).outcomes) for a in attributes)
     gc = table.gc_codes[rows]
@@ -369,7 +367,7 @@ def route(tree: FairTree, table: DataTable) -> np.ndarray:
     Every row still above a leaf steps one depth per turn through the tree's
     node table, so the numpy calls grow with the depth, not the node count.
     """
-    if table.schema.fingerprint != tree.schema_fingerprint:
+    if table.schema.fingerprint != tree.schema.fingerprint:
         raise DataError("table schema does not match the tree's schema")
     nodes = tree.nodes
     codes = np.empty((len(nodes.attributes), table.n_rows), dtype=np.int32)
@@ -673,7 +671,7 @@ def _read_nodes(doc: dict, schema: TableSchema) -> tuple:
     return names, widths, attribute, fallback, parent, outcome, depth, full_counts, leaf_id
 
 
-def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> FairTree:
+def deserialize(text: str) -> FairTree:
     """Parse and validate a tree document; rejects corrupted or mismatched input.
 
     The tree's digest is the hash of ``text`` itself, so plans bind to the
@@ -686,18 +684,18 @@ def deserialize(text: str, expected_schema_fingerprint: str | None = None) -> Fa
     """
     digest = _text_digest(text)  # before the document is parsed, so that the two never coexist
     try:
-        tree = _read_tree(text, expected_schema_fingerprint, _node_hook())
+        tree = _read_tree(text, _node_hook())
     except DataError:
         # a node-shaped object outside the nodes is a tuple by then, and would
         # show as one in the fault; the fault is found again with every object a dict
         tree = None
     if tree is None:
-        tree = _read_tree(text, expected_schema_fingerprint, None)
+        tree = _read_tree(text, None)
     vars(tree)["digest"] = digest  # fills the cached property
     return tree
 
 
-def _read_tree(text: str, expected_schema_fingerprint: str | None, object_hook) -> FairTree:
+def _read_tree(text: str, object_hook) -> FairTree:
     try:
         doc = json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:
@@ -721,6 +719,4 @@ def _read_tree(text: str, expected_schema_fingerprint: str | None, object_hook) 
         raise DataError(f"unsupported attribute reuse policy {reuse!r}")
     if schema.fingerprint != stored_fp:
         raise DataError("schema fingerprint does not match the embedded schema")
-    if expected_schema_fingerprint is not None and stored_fp != expected_schema_fingerprint:
-        raise DataError("tree was built against a different schema than expected")
     return FairTree(nodes, criterion, config, schema)

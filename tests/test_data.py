@@ -23,7 +23,6 @@ from fairtree.data import (
     SensitiveSpec,
     TableSchema,
     conform_to_schema,
-    discretize,
     discretize_all,
     fit_cut_points,
     group_counts,
@@ -366,6 +365,12 @@ class TestMemoryShape:
         assert peak / cells < 40
 
 
+def _with_bins(schema, name, cuts, outcomes):
+    """``schema`` with column ``name`` binned at ``cuts`` into ``outcomes``."""
+    spec = AttributeSpec(name, "numeric", outcomes, cuts)
+    return replace(schema, attributes=tuple(spec if a.name == name else a for a in schema.attributes))
+
+
 class TestDiscretize:
     def test_equal_frequency_quartiles_by_hand(self):
         # sorted {20,25,30,40,50,60,70,80}: quartile cuts 27.5 / 45 / 65
@@ -376,7 +381,7 @@ class TestDiscretize:
         t = table_from_columns(cols, t.schema.label, t.schema.sensitive)
         cuts = fit_cut_points(t, DiscretizationRule("age_years", "equal-frequency", 4))
         assert cuts == (27.5, 45.0, 65.0)
-        d = discretize(t, DiscretizationRule("age_years", "equal-frequency", 4))
+        d = discretize_all(t, strategy="equal-frequency", bin_count=4)
         spec = d.schema.spec("age_years")
         assert spec.outcomes == ("<=27.5", "27.5-45.0", "45.0-65.0", ">65.0")
         assert list(np.bincount(d.codes("age_years"))) == [2, 2, 2, 2]
@@ -389,7 +394,7 @@ class TestDiscretize:
         }
         t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
         with pytest.warns(UserWarning, match="constant"):
-            d = discretize(t, DiscretizationRule("x", "equal-frequency", 4))
+            d = discretize_all(t, strategy="equal-frequency", bin_count=4)
         assert d.schema.spec("x").outcomes == ("all",)
 
     def test_bin_count_above_distinct_values_reduced(self):
@@ -400,7 +405,7 @@ class TestDiscretize:
         }
         t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
         with pytest.warns(UserWarning, match="distinct"):
-            d = discretize(t, DiscretizationRule("x", "equal-frequency", 4))
+            d = discretize_all(t, strategy="equal-frequency", bin_count=4)
         assert len(d.schema.spec("x").outcomes) == 2
 
     def test_row_order_does_not_change_cuts(self):
@@ -428,7 +433,7 @@ class TestDiscretize:
             "cls": np.array(["yes", "no", "yes", "no"], dtype=object),
         }
         t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
-        d = discretize(t, DiscretizationRule("x", "equal-frequency", 2))
+        d = discretize_all(t, strategy="equal-frequency", bin_count=2)
         assert d.schema.spec("x").outcomes[-1] == MISSING
         assert d.column("x")[2] == MISSING
 
@@ -440,7 +445,7 @@ class TestDiscretize:
             "cls": np.array(["yes", "no"] * 3, dtype=object),
         }
         t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
-        d = discretize(t, DiscretizationRule("x", cut_points=(2.0, 3.0)))
+        d = conform_to_schema(t, _with_bins(t.schema, "x", (2.0, 3.0), ("<=2.0", "2.0-3.0", ">3.0", MISSING)))
         expected = ["<=2.0", "<=2.0", MISSING, ">3.0", MISSING, "2.0-3.0"]
         assert list(d.column("x")) == expected
         conformed = conform_to_schema(t, d.schema)
@@ -464,9 +469,9 @@ class TestDiscretize:
                 cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep")
             )
 
-        reference = discretize(table(["1", "2", "3"]), DiscretizationRule("x", cut_points=(2.0,)))
+        reference = _with_bins(table(["1", "2", "3"]).schema, "x", (2.0,), ("<=2.0", ">2.0"))
         with pytest.raises(DataError, match="missing values unseen"):
-            conform_to_schema(table(["1", "?", "3"]), reference.schema)
+            conform_to_schema(table(["1", "?", "3"]), reference)
 
     def test_equal_width(self):
         cols = {
@@ -489,7 +494,7 @@ class TestDiscretize:
         }
         t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
         assert fit_cut_points(t, DiscretizationRule("x", strategy, 4)) == cuts
-        d = discretize(t, DiscretizationRule("x", strategy, 4))
+        d = discretize_all(t, strategy=strategy, bin_count=4)
         outcomes = d.schema.spec("x").outcomes
         assert outcomes[:-1] == tuple(fairtree.data._bin_labels(cuts)) and outcomes[-1] == MISSING
         # an infinity bins into the first or last bin

@@ -14,7 +14,6 @@ from fairtree.eval import (
     _sigmoid,
     kfold,
     one_hot,
-    split,
     sweep,
     train_linear,
     training_losses,
@@ -211,10 +210,6 @@ class TestBatchedFit:
 
 
 class TestSplits:
-    def test_quarter_split_sizes(self, german):
-        train, test = split(german, 0.25, seed=0)
-        assert test.n_rows == 250 and train.n_rows == 750
-
     def test_kfold_even_sizes(self):
         t = toy_table({"x": list(range(8))}, favored=[1, 0] * 4, positive=[1, 1, 0, 0] * 2)
         folds = kfold(t, 4, seed=1)
@@ -222,8 +217,8 @@ class TestSplits:
         assert all(train.n_rows == 6 for train, _ in folds)
 
     def test_same_seed_identical_partition(self, german):
-        a = split(german, 0.25, seed=9)[1].fingerprint
-        b = split(german, 0.25, seed=9)[1].fingerprint
+        a = [test.fingerprint for _, test in kfold(german, 4, seed=9)]
+        b = [test.fingerprint for _, test in kfold(german, 4, seed=9)]
         assert a == b
 
     def test_folds_disjoint_and_exhaustive(self, german):
@@ -236,15 +231,11 @@ class TestSplits:
 
     def test_bad_parameters(self, german):
         with pytest.raises(ConfigError):
-            split(german, 0.0, seed=0)
-        with pytest.raises(ConfigError):
             kfold(german, 1, seed=0)
         with pytest.raises(ConfigError):
             kfold(german.subset(np.arange(3)), 4, seed=0)
 
     def test_negative_seeds_rejected(self, german):
-        with pytest.raises(ConfigError, match="non-negative"):
-            split(german, 0.25, seed=-1)
         with pytest.raises(ConfigError, match="non-negative"):
             kfold(german, 2, seed=-1)
         with pytest.raises(ConfigError, match="non-negative"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from fairtree.errors import DataError, UndefinedMetricError
-from fairtree.metrics import fairness_report, roc_points
+from fairtree.metrics import FairnessReport, fairness_report, roc_points
 
 
 def arrays(*seqs):
@@ -163,6 +163,16 @@ class TestReport:
         text = rep.to_text()
         assert "demographic parity" in text and "sign convention" in text
         assert len(rep.csv_row()) == len(rep.csv_header())
+
+    def test_csv_header_and_row_are_pinned(self):
+        # report.csv's columns, the confusion fields in GroupConfusion's order
+        assert FairnessReport.csv_header() == [
+            "dp", "aod", "ba", "acc", "sign_convention",
+            "fav_tp", "fav_fp", "fav_tn", "fav_fn",
+            "dep_tp", "dep_fp", "dep_tn", "dep_fn",
+        ]
+        rep = fairness_report(*arrays([1, 0, 1, 0, 1, 0], [1, 0, 1, 1, 0, 0], [1, 1, 1, 1, 0, 0]))
+        assert rep.csv_row()[4:] == ["favored-minus-deprived", "2", "1", "1", "0", "0", "0", "1", "1"]
 
 
 def _bits(x) -> int:
