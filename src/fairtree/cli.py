@@ -79,15 +79,20 @@ def _replacing(*paths: Path):
 
 
 def _read_document(path: str) -> str:
-    """A ``tree.json`` or ``plan.json`` as text; bytes that are not UTF-8 are a data error.
-
-    Newlines are not translated, so the text is exactly the bytes on disk, which
-    a tree's digest covers.
-    """
+    """A ``plan.json`` as text; bytes that are not UTF-8 are a data error."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _load_tree(path: str) -> tr.FairTree:
+    """The tree of a ``tree.json``, handed to ``deserialize`` as the bytes on
+    disk, which its digest covers; a fault in it is a data error naming the file."""
+    try:
+        return tr.deserialize(Path(path).read_bytes())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _out_dir(args) -> Path:
@@ -179,7 +184,7 @@ def _cmd_build(args) -> int:
 def _cmd_relabel(args) -> int:
     from . import relabel as rl
 
-    fair_tree = tr.deserialize(_read_document(args.tree))
+    fair_tree = _load_tree(args.tree)
     schema = fair_tree.schema
     if args.sigma is not None and not 0.0 <= args.sigma <= 2.0:
         raise ConfigError(f"sigma must lie in [0, 2], got {args.sigma}")
@@ -274,7 +279,7 @@ def _write_report_csv(report: FairnessReport, path: Path) -> None:
 
 
 def _cmd_report(args) -> int:
-    fair_tree = tr.deserialize(_read_document(args.tree))
+    fair_tree = _load_tree(args.tree)
     subgroups = tr.extract_subgroups(fair_tree, args.min_disc, args.top_k)
     print(f"{'No.':>4}  {'disc':>6}  {'fav+:fav- / dep+:dep-':>22}  conditions")
     for i, s in enumerate(subgroups, start=1):

@@ -1,7 +1,8 @@
 """Tabular dataset handling: schemas, CSV I/O, discretization, group counts.
 
 Tables are immutable; every transformation constructs a new ``DataTable``.
-A column is stored as one integer code per row and one string per distinct
+A column is stored as one integer code per row, in the narrowest unsigned
+type that holds its count of distinct texts, and one string per distinct
 text, and every cell's text is the exact string read from disk, so writing a
 table back out reproduces the input bytes for untouched columns. A numeric
 column keeps one parsed float per distinct text, which feeds discretization;
@@ -36,8 +37,8 @@ SCHEMA_FORMAT = "fairtree-schema/1"
 #: column's distinct texts; also the rows whose text ``write_csv`` and
 #: ``DataTable.fingerprint`` rebuild per step. A step's cells are one string
 #: each until they are coded, so this bounds the strings alive at once: on the
-#: 1,000-row german stand-in, reading peaks at about 0.45 MB with 128 rows per
-#: step and 1.5 MB with 1,024 (the whole file), against 0.25 MB kept.
+#: 1,000-row german stand-in, reading peaks at about 0.33 MB with 128 rows per
+#: step and 1.35 MB with 1,024 (the whole file), against 0.11 MB kept.
 CSV_CHUNK_ROWS = 128
 
 
@@ -255,23 +256,20 @@ class DataTable:
     def __init__(self, schema: TableSchema, columns: dict[str, np.ndarray]):
         if set(columns) != set(schema.column_names):
             raise ConfigError("columns do not match schema")
-        n = None
-        coded: dict[str, _Column] = {}
-        for name in schema.column_names:
-            col = columns[name]
-            if not isinstance(col, _Column):
-                col = _factorize(col)
-            if n is None:
-                n = col.codes.shape[0]
-            elif col.codes.shape[0] != n:
-                raise DataError(f"column {name!r} has {col.codes.shape[0]} rows, expected {n}")
-            coded[name] = col
-        self._fill(schema, coded, set())
+        self._fill(schema, {name: _factorize(columns[name]) for name in schema.column_names}, set())
 
-    def _fill(self, schema, columns, kept) -> None:
+    def _fill(self, schema, columns: dict[str, _Column], kept) -> None:
         """Bind every column not in ``kept`` to its spec (a finalized column is
         coded by its outcomes unless its texts are them already, a numeric
-        one's texts are parsed), and take the columns as this table's."""
+        one's texts are parsed), and take the columns as this table's.
+
+        ``columns`` becomes the table's own: each column bound is replaced in
+        it, so the codes it held are freed as soon as nothing else holds them.
+        """
+        n = columns[schema.column_names[0]].codes.shape[0]
+        for name in schema.column_names:
+            if columns[name].codes.shape[0] != n:
+                raise DataError(f"column {name!r} has {columns[name].codes.shape[0]} rows, expected {n}")
         for spec in schema.attributes:
             if spec.name in kept:
                 continue
@@ -322,8 +320,9 @@ class DataTable:
         return _frozen(self._columns[name].text_array(0, self._n))
 
     def codes(self, name: str) -> np.ndarray:
-        """The column's outcome codes; a missing token coded past the outcomes
-        reads as ``MISSING``'s code."""
+        """The column's outcome codes, in the column's own narrow unsigned type
+        (widen before arithmetic that may leave it); a missing token coded past
+        the outcomes reads as ``MISSING``'s code."""
         if name not in self._columns or not self.schema.spec(name).finalized:
             raise DataError(f"column {name!r} is not finalized; discretize it first")
         col, outcomes = self._columns[name], self.schema.spec(name).outcomes
@@ -372,7 +371,7 @@ class DataTable:
         if positive.shape != (self._n,):
             raise ConfigError("label mask has wrong length")
         lbl = self.schema.label
-        labels = _Column((~positive).astype(np.int64), (lbl.positive, lbl.negative))
+        labels = _Column((~positive).astype(_code_type(2)), (lbl.positive, lbl.negative))
         return self._derive(self.schema, replaced={lbl.column: labels})
 
 
@@ -384,9 +383,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 _NO_ROWS = _frozen(np.zeros(0, dtype=np.int64))
 
 
+def _code_type(count: int) -> np.dtype:
+    """The type of a column's codes when it has ``count`` texts: the narrowest
+    unsigned integer type that holds ``count``."""
+    return np.min_scalar_type(count)
+
+
 @dataclass(frozen=True, eq=False)
 class _Column:
-    """One column's cells: row ``r`` holds ``texts[codes[r]]``.
+    """One column's cells: row ``r`` holds ``texts[codes[r]]``, and ``codes``
+    is of ``_code_type(len(texts))``.
 
     A finalized column's texts start with its outcomes, in order, but for
     ``MISSING``'s, which is the token of the first row coded ``MISSING``; each
@@ -423,10 +429,18 @@ class _Column:
 
 
 def _factorize(values) -> _Column:
-    """Cells coded by their distinct texts, in order of first appearance."""
+    """Cells coded by their distinct texts, in order of first appearance; a
+    ``_Column`` is returned as it is."""
+    if isinstance(values, _Column):
+        return values
     cells = np.asarray(values, dtype=object).tolist()
     lut = dict(zip(dict.fromkeys(cells), itertools.count()))
-    return _Column(np.fromiter(map(lut.__getitem__, cells), np.int64, count=len(cells)), tuple(lut))
+    return _Column(_coded(lut, cells), tuple(lut))
+
+
+def _coded(lut: dict[str, int], cells: list[str]) -> np.ndarray:
+    """Each cell's code in ``lut``, of the type of a column of ``len(lut)`` texts."""
+    return np.fromiter(map(lut.__getitem__, cells), _code_type(len(lut)), count=len(cells))
 
 
 def json_typed(value, kind, what: str):
@@ -449,22 +463,26 @@ def _encode(spec: AttributeSpec, missing_tokens, col: _Column) -> _Column:
         for tok in missing_tokens:
             lut.setdefault(tok, missing)
     of_text = np.array([lut.get(t, -2) for t in col.texts], dtype=np.int64)
-    codes = of_text[col.codes]
-    if (of_text == -2).any():
-        bad = np.flatnonzero(codes == -2)[:1]  # a text no row holds is no fault
+    undeclared = of_text == -2
+    if undeclared.any():
+        bad = np.flatnonzero(undeclared[col.codes])[:1]  # a text no row holds is no fault
         if bad.size:
             value = col.texts[col.codes[bad[0]]]
             raise DataError(f"value {value!r} in column {spec.name!r} is not among its declared outcomes")
+        of_text[undeclared] = 0
     texts = list(spec.outcomes)
-    rows = np.flatnonzero(codes == missing) if (of_text == missing).any() else _NO_ROWS
+    is_missing = of_text == missing
+    rows = np.flatnonzero(is_missing[col.codes]) if is_missing.any() else _NO_ROWS
+    extra = at = _NO_ROWS
     if rows.size:  # MISSING's text is its first row's token; another token is coded past the outcomes
         held = col.codes[rows]
         texts[missing] = col.texts[held[0]]
-        other = held != held[0]
-        if other.any():
-            extra, at = np.unique(held[other], return_inverse=True)
-            codes[rows[other]] = len(texts) + at
-            texts += [col.texts[t] for t in extra.tolist()]
+        rows = rows[held != held[0]]
+        if rows.size:
+            extra, at = np.unique(col.codes[rows], return_inverse=True)
+    codes = of_text.astype(_code_type(len(texts) + extra.size))[col.codes]
+    codes[rows] = len(texts) + at
+    texts += [col.texts[t] for t in extra.tolist()]
     return _Column(codes, tuple(texts))
 
 
@@ -536,7 +554,7 @@ def load_csv(
                 )
             if len(set(header)) != len(header):
                 raise DataError(f"{path}: duplicate column names in header")
-            coded = _read_columns(reader, len(header), path)
+            columns = dict(zip(header, _read_columns(reader, len(header), path)))
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
         except UnicodeDecodeError as exc:
@@ -544,8 +562,8 @@ def load_csv(
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
-    return table_from_columns(
-        dict(zip(header, coded)),
+    return _table_of(
+        columns,
         label,
         sensitive,
         numeric_columns=numeric_columns,
@@ -559,7 +577,9 @@ def _read_columns(reader, width: int, path) -> list[_Column]:
     """The cells of every row after the header, column by column, each coded
     by its distinct texts in order of first appearance. Rows are read
     ``CSV_CHUNK_ROWS`` at a time, and a column keeps only the first string
-    read of each text, so only one chunk's own strings are alive at a time."""
+    read of each text, so only one chunk's own strings are alive at a time.
+    A chunk's codes take the type of the texts seen so far, which the final
+    type holds, so no column's codes are ever wider than it."""
     seen: list[dict[str, int]] = [{} for _ in range(width)]
     parts: list[list[np.ndarray]] = [[] for _ in range(width)]
     n = 0
@@ -576,11 +596,13 @@ def _read_columns(reader, width: int, path) -> list[_Column]:
         for lut, part, cells in zip(seen, parts, zip(*rows)):
             for v in dict.fromkeys(cells):
                 lut.setdefault(v, len(lut))
-            part.append(np.fromiter(map(lut.__getitem__, cells), np.int64, count=len(cells)))
+            part.append(_coded(lut, cells))
         n += len(rows)
     columns = []
     for lut, part in zip(seen, parts):
-        columns.append(_Column(np.concatenate(part) if part else _NO_ROWS, tuple(lut)))
+        code_type = _code_type(len(lut))
+        codes = np.concatenate(part, dtype=code_type) if part else np.zeros(0, code_type)
+        columns.append(_Column(codes, tuple(lut)))
         part.clear()  # so that only one column's codes are held twice at a time
     return columns
 
@@ -606,6 +628,30 @@ def table_from_columns(
     the same checks of the column options as load_csv. Types are inferred
     from each column's distinct texts, and a numeric column's texts are
     parsed once, there."""
+    return _table_of(
+        {name: _factorize(col) for name, col in columns.items()},
+        label,
+        sensitive,
+        numeric_columns=numeric_columns,
+        categorical_columns=categorical_columns,
+        missing_tokens=missing_tokens,
+        source=source,
+    )
+
+
+def _table_of(
+    columns: dict[str, _Column],
+    label: LabelSpec,
+    sensitive: SensitiveSpec,
+    *,
+    numeric_columns: tuple[str, ...],
+    categorical_columns: tuple[str, ...],
+    missing_tokens: tuple[str, ...],
+    source: str,
+) -> DataTable:
+    """``table_from_columns`` over coded columns. The table takes ``columns``
+    as its own dict and replaces each column it re-encodes there, so a
+    column's codes as read are freed once it is encoded."""
     header = list(columns)
     for col, role in ((label.column, "label"), (sensitive.column, "sensitive")):
         if col not in header:
@@ -619,8 +665,6 @@ def table_from_columns(
     for name in numeric_columns:
         if name in categorical_columns:
             raise ConfigError(f"column {name!r} is declared both numeric and categorical")
-
-    columns = {name: col if isinstance(col, _Column) else _factorize(col) for name, col in columns.items()}
 
     missing = set(missing_tokens)
     label = _resolve_binary(label, "positive", "negative", columns[label.column].texts, missing, "label")
@@ -646,10 +690,13 @@ def table_from_columns(
         else:
             outcomes = sorted(present) + ([MISSING] if distinct & missing else [])
             specs.append(AttributeSpec(name, "categorical", tuple(outcomes)))
+    del col  # the last column read is freed when the table re-encodes it
 
     schema = TableSchema(tuple(specs), label, sensitive, tuple(missing_tokens))
+    table = DataTable.__new__(DataTable)
     try:
-        return DataTable(schema, columns)
+        table._fill(schema, columns, set())
+        return table
     except DataError as exc:  # a declared numeric cell that does not parse, or a short column
         raise DataError(f"{source}: {exc}") from None
 
@@ -772,14 +819,17 @@ def _bin_labels(cuts: tuple[float, ...]) -> list[str]:
     return labels
 
 
-def _binned(values: np.ndarray, cuts: tuple[float, ...], outcomes: tuple[str, ...]) -> _Column:
-    """The values binned: each row's bin index, the text of ``_bin_labels(cuts)``
-    at that index, and NaN at the next index, ``MISSING``. When the outcomes
-    are those texts (with or without ``MISSING``), the index is their codes."""
+def _binned(col: _Column, cuts: tuple[float, ...], outcomes: tuple[str, ...]) -> _Column:
+    """The numeric column binned, each distinct text once: its bin index, the
+    text of ``_bin_labels(cuts)`` at that index, and NaN at the next index,
+    ``MISSING``. When the outcomes are those texts (with or without
+    ``MISSING``), the index is their codes."""
     texts = tuple(_bin_labels(cuts)) + (MISSING,)
-    idx = np.searchsorted(np.asarray(cuts), values, side="left")
-    idx[np.isnan(values)] = len(texts) - 1
-    return _Column(idx, outcomes if outcomes in (texts, texts[:-1]) else texts)
+    of_text = np.searchsorted(np.asarray(cuts), col.values, side="left")
+    of_text[np.isnan(col.values)] = len(texts) - 1
+    if outcomes in (texts, texts[:-1]):
+        texts = outcomes
+    return _Column(of_text.astype(_code_type(len(texts)))[col.codes], texts)
 
 
 def discretize_all(
@@ -789,14 +839,16 @@ def discretize_all(
 
     Bins are (-inf, c1], (c1, c2], ..., (ck, inf); each column's fitted cut
     points are recorded in the schema, which ``conform_to_schema`` then
-    applies. Missing cells become their own trailing category.
+    applies. Missing cells become their own trailing category. The strategy
+    and bin count are checked whatever the columns are.
     """
+    rule = DiscretizationRule("", strategy, bin_count)
     if table.n_rows == 0:
         return table
     attrs = []
     for spec in table.schema.attributes:
         if spec.kind == "numeric" and not spec.finalized:
-            cuts = fit_cut_points(table, DiscretizationRule(spec.name, strategy, bin_count))
+            cuts = fit_cut_points(table, replace(rule, column=spec.name))
             missing = [MISSING] if np.isnan(table.floats(spec.name)).any() else []
             spec = AttributeSpec(spec.name, "numeric", tuple(_bin_labels(cuts) + missing), cuts)
         attrs.append(spec)
@@ -816,14 +868,15 @@ def conform_to_schema(table: DataTable, schema: TableSchema) -> DataTable:
     binned = {}
     for spec in schema.attributes:
         if spec.kind == "numeric" and spec.finalized and not table.schema.spec(spec.name).finalized:
-            # with no rows a column loads as categorical: there are no numbers to parse
-            values = table.floats(spec.name) if table.n_rows else np.empty(0)
-            if MISSING not in spec.outcomes and np.isnan(values).any():
+            col = table._columns[spec.name]
+            if col.values is None:  # with no rows a column loads as categorical, with no texts
+                col = replace(col, values=np.empty(0))
+            if MISSING not in spec.outcomes and np.isnan(col.values)[col.codes].any():
                 raise DataError(
                     f"column {spec.name!r} has missing values unseen when the schema was built"
                 )
             # outcomes out of bin order (a hand-edited schema) are encoded from the texts
-            binned[spec.name] = _binned(values, spec.cut_points, spec.outcomes)
+            binned[spec.name] = _binned(col, spec.cut_points, spec.outcomes)
     return table._derive(schema, replaced=binned)
 
 

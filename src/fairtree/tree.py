@@ -151,9 +151,9 @@ class FairTree:
 
     @cached_property
     def digest(self) -> str:
-        """Hash of the tree document: of the text ``deserialize`` read, or else
-        of ``serialize``'s text, computed once per tree."""
-        return _text_digest(serialize(self))
+        """Hash of the tree document: of the bytes ``deserialize`` read, or else
+        of ``serialize``'s text in UTF-8, computed once per tree."""
+        return _digest(serialize(self).encode("utf-8"))
 
     def leaves(self) -> list[Leaf]:
         """The leaves in preorder, as records."""
@@ -370,7 +370,9 @@ def route(tree: FairTree, table: DataTable) -> np.ndarray:
     if table.schema.fingerprint != tree.schema.fingerprint:
         raise DataError("table schema does not match the tree's schema")
     nodes = tree.nodes
-    codes = np.empty((len(nodes.attributes), table.n_rows), dtype=np.int32)
+    # the narrowest type that holds every outcome code; ``offset`` (intp) widens the sum
+    width = max((len(tree.schema.spec(name).outcomes) for name in nodes.attributes), default=0)
+    codes = np.empty((len(nodes.attributes), table.n_rows), dtype=np.min_scalar_type(width))
     for j, name in enumerate(nodes.attributes):
         codes[j] = table.codes(name)
     out = np.empty(table.n_rows, dtype=np.int64)
@@ -477,8 +479,8 @@ def serialize(tree: FairTree) -> str:
     return "".join(out)
 
 
-def _text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+def _digest(document: bytes) -> str:
+    return hashlib.sha256(document).hexdigest()[:16]
 
 
 def _json_ints(values: list) -> tuple[np.ndarray, np.ndarray]:
@@ -671,18 +673,28 @@ def _read_nodes(doc: dict, schema: TableSchema) -> tuple:
     return names, widths, attribute, fallback, parent, outcome, depth, full_counts, leaf_id
 
 
-def deserialize(text: str) -> FairTree:
-    """Parse and validate a tree document; rejects corrupted or mismatched input.
+def deserialize(document: bytes | str) -> FairTree:
+    """Parse and validate a tree document, given as the bytes read (or as
+    their text); rejects bytes that are not UTF-8 and corrupted or mismatched
+    input.
 
-    The tree's digest is the hash of ``text`` itself, so plans bind to the
-    document as read. ``serialize`` reproduces the text of every document it
+    The tree's digest is the hash of the document's bytes, so plans bind to
+    the document as read; bytes are hashed as given and their text is never
+    encoded again. ``serialize`` reproduces the text of every document it
     wrote, so such a tree keeps the digest it had when it was built.
 
     The document is parsed with ``_node_hook``, so that it holds no dict per
     node. A document found faulty is parsed and checked once more without it,
     so that a fault quotes its values as written.
     """
-    digest = _text_digest(text)  # before the document is parsed, so that the two never coexist
+    if isinstance(document, str):
+        text, digest = document, _digest(document.encode("utf-8"))
+    else:
+        digest = _digest(document)
+        try:
+            text = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8 text ({exc.reason})") from None
     try:
         tree = _read_tree(text, _node_hook())
     except DataError:

@@ -235,7 +235,9 @@ def logistic_descent(X, y, epochs, learning_rate, seed):
 
 
 def encode_by_unique(spec, missing_tokens, values):
-    """The column encoder over ``np.unique``, verbatim: codes into ``spec.outcomes``."""
+    """The column encoder over ``np.unique``, verbatim: codes into ``spec.outcomes``,
+    of the narrowest unsigned type that holds the column's count of texts (the
+    outcomes, and one more per distinct missing text held past the first)."""
     lut = {o: i for i, o in enumerate(spec.outcomes)}
     if MISSING in lut:
         for tok in missing_tokens:
@@ -247,7 +249,9 @@ def encode_by_unique(spec, missing_tokens, values):
         raise DataError(
             f"value {exc.args[0]!r} in column {spec.name!r} is not among its declared outcomes"
         ) from exc
-    return uniq_codes[inverse]
+    missing_texts = int((uniq_codes == lut.get(MISSING, -1)).sum())
+    texts = len(spec.outcomes) + max(missing_texts - 1, 0)
+    return uniq_codes[inverse].astype(np.min_scalar_type(texts))
 
 
 def write_csv_by_row(table, path):

@@ -658,6 +658,31 @@ class TestTreeDigest:
         assert not (tmp_path / "b").exists()
 
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: json.dumps(json.loads(data), sort_keys=True, indent=3).encode("utf-8"),
+    ], ids=["crlf", "sorted-keys"])
+    @pytest.mark.parametrize("command", ["relabel", "report"])
+    def test_a_read_tree_digests_its_file_bytes(self, german_csv, built, tmp_path, monkeypatch,
+                                                command, rewrite):
+        import fairtree.tree as tr
+
+        copy = tmp_path / "tree.json"
+        copy.write_bytes(rewrite(built.read_bytes()))
+        read, trees = tr.deserialize, []
+        monkeypatch.setattr(tr, "deserialize", lambda document: trees.append(read(document)) or trees[-1])
+        if command == "relabel":
+            assert run("relabel", "--tree", str(copy), "--data", str(german_csv),
+                       "--sigma", "0", "--plan-only", "--out", str(tmp_path / "o")) == 0
+        else:
+            assert run("report", "--tree", str(copy)) == 0
+        digest = hashlib.sha256(copy.read_bytes()).hexdigest()[:16]
+        assert [tree.digest for tree in trees] == [digest]
+        assert digest != _digest(built.read_bytes())
+        if command == "relabel":
+            assert json.loads((tmp_path / "o" / "plan.json").read_text())["tree_digest"] == digest
+
+
 def _with_invalid_utf8(src: Path, dst: Path) -> Path:
     """A copy of ``src`` with a 0xff byte, which no UTF-8 text contains, in its middle."""
     data = src.read_bytes()
@@ -908,6 +933,30 @@ class TestColumnOptions:
     def test_declared_columns_still_build(self, german_csv, tmp_path):
         assert run("build", "--data", str(german_csv), *SPEC_FLAGS, "--numeric", "duration_months",
                    "--categorical", "installment_rate", "--out", str(tmp_path / "x")) == 0
+
+
+class TestBinsOption:
+    """--bins below 2 is refused (exit 2) whatever the columns are, before any output."""
+
+    @pytest.fixture(scope="class")
+    def categorical_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("categorical") / "toy.csv"
+        path.write_text("grp,job,cls\nfav,a,yes\ndep,b,no\nfav,b,no\ndep,a,yes\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    @pytest.mark.parametrize("data", ["categorical-only", "german"])
+    def test_bins_below_two_exits_2(self, categorical_csv, german_csv, tmp_path, capsys, data, command, bins):
+        if data == "german":
+            path, flags = german_csv, SPEC_FLAGS
+        else:
+            path, flags = categorical_csv, ["--label", "cls", "--positive", "yes",
+                                            "--sensitive", "grp", "--favored", "fav"]
+        assert run(command, "--data", str(path), *flags, "--bins", bins, "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "bin_count must be at least 2" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSweep:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import fairtree.data
@@ -338,12 +338,50 @@ class TestMemoryShape:
         print(f"[MEMORY] held {held / cells:.2f} B/cell, write_csv transient {transient / cells:.2f} B/cell")
         assert held / cells < 12
         assert transient / cells < 2
+        # one uint8 code per cell, and per row the group-class code and two masks: about 2.0
+        assert held / cells < 3
+
+    def test_loading_peaks_under_6_bytes_per_cell(self, few_texts_csv):
+        # CPython 3.11: about 3.8 B/cell. With int64 codes, and the read codes of
+        # every re-encoded column held until the table was built, 14.0.
+        import gc
+        import tracemalloc
+
+        cells = self.ROWS * self.COLUMNS
+        label, sensitive = LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep")
+        load_csv(few_texts_csv, label, sensitive)  # first-use allocations are not the reading's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = load_csv(few_texts_csv, label, sensitive)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == self.ROWS
+        print(f"[MEMORY] load_csv peak {peak / cells:.2f} B/cell")
+        assert peak / cells < 6
+
+    def test_each_read_column_is_freed_once_it_is_encoded(self, few_texts_csv, monkeypatch):
+        # the table's dict is the one read into: nothing else holds a read column
+        import weakref
+
+        encode, read = fairtree.data._encode, []
+
+        def encode_tracked(spec, missing_tokens, col):
+            assert [r() for r in read] == [None] * len(read), "a column read before is still held"
+            read.append(weakref.ref(col))
+            return encode(spec, missing_tokens, col)
+
+        monkeypatch.setattr(fairtree.data, "_encode", encode_tracked)
+        load_csv(few_texts_csv, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
+        assert len(read) > 2
 
     def test_reading_german_peaks_under_40_bytes_per_cell(self, tmp_path):
         # The 1,000-row german stand-in fits in one chunk of 1,024 rows, so
         # reading it that way holds every cell as its own string at once: about
-        # 70 B/cell at the peak, against about 21 with 128 rows per chunk and
-        # 12 kept in the table (CPython 3.11).
+        # 64 B/cell at the peak, against about 16 with 128 rows per chunk and
+        # 5 kept in the table (CPython 3.11).
         import gc
         import tracemalloc
 
@@ -606,8 +644,62 @@ class TestEncode:
         # a missing token other than the first one met is coded past the outcomes
         missing = spec.outcomes.index(MISSING) if MISSING in spec.outcomes else -1
         codes = np.where(column.codes < len(spec.outcomes), column.codes, missing)
-        assert codes.dtype == expected.dtype
+        assert column.codes.dtype == expected.dtype == np.min_scalar_type(len(column.texts))
         assert np.array_equal(codes, expected)
+
+
+def _assert_narrow_codes(table):
+    """Every column's codes are of the narrowest unsigned type that holds its
+    count of texts, and ``codes`` reads them in that type."""
+    for spec in table.schema.attributes:
+        col = table._columns[spec.name]
+        assert col.codes.dtype == np.min_scalar_type(len(col.texts)), spec.name
+        if spec.finalized:
+            assert table.codes(spec.name).dtype == col.codes.dtype, spec.name
+
+
+def _wide_columns(seed, present, tokens, n):
+    """Columns of ``n`` rows: ``wide`` holds ``present`` texts and the missing
+    ``tokens``, each at least once; ``num`` holds up to 280 numbers and ``?``;
+    ``few`` holds three texts. Also the generator that drew them."""
+    rng = np.random.default_rng(seed)
+    wide = np.array([f"w{i:03d}" for i in range(present)] + list(tokens), dtype=object)
+    num = np.array([repr(float(v)) for v in rng.integers(0, 280, n)], dtype=object)
+    num[rng.random(n) < 0.05] = "?"
+    return {
+        "grp": np.array(["fav", "dep"], dtype=object)[rng.integers(0, 2, n)],
+        "wide": wide[rng.permutation(np.arange(n) % wide.size)],
+        "num": num,
+        "few": np.array(["a", "b", "?"], dtype=object)[rng.integers(0, 3, n)],
+        "cls": np.array(["yes", "no"], dtype=object)[np.arange(n) % 2],
+    }, rng
+
+
+class TestCodeTypes:
+    """A column's codes take the narrowest unsigned type that holds its count of
+    texts, however the table was made; the cells they code stay the same."""
+
+    @given(case=st.builds(_wide_columns, st.integers(0, 2**32 - 1), st.integers(250, 258),
+                          st.sampled_from([(), ("?",), ("", "?"), ("?", "")]), st.integers(270, 290)))
+    # 254 texts and MISSING are 255 outcomes; "?" coded past them makes 256 texts
+    @example(case=_wide_columns(0, 254, ("", "?"), 280))
+    def test_every_table_keeps_codes_narrow(self, tmp_path_factory, case):
+        columns, rng = case
+        label, sensitive = LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep")
+        built = table_from_columns(columns, label, sensitive)
+        path = tmp_path_factory.mktemp("wide") / "wide.csv"
+        write_csv(built, path)
+        loaded = load_csv(path, label, sensitive)
+        discretized = discretize_all(loaded)
+        tables = [built, loaded, discretized, conform_to_schema(built, discretized.schema),
+                  loaded.subset(rng.permutation(loaded.n_rows)[: loaded.n_rows // 2]),
+                  discretized.subset(np.arange(discretized.n_rows)[::-1]),
+                  discretized.with_positive_mask(rng.random(discretized.n_rows) < 0.5)]
+        for table in tables:
+            _assert_narrow_codes(table)
+        assert len(loaded._columns["wide"].texts) == len(set(columns["wide"].tolist()))
+        assert loaded.column("wide").tolist() == columns["wide"].tolist()
+        assert discretized.fingerprint == discretize_all(built).fingerprint
 
 
 #: Cells a column may hold: numbers in several spellings, missing tokens,
