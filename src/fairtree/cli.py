@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from .data import (
     load_csv,
     transplant_labels,
     write_csv,
+    write_rows,
     write_schema_sidecar,
 )
 from .errors import ConfigError, DataError, FairtreeError, UndefinedMetricError
@@ -262,20 +262,12 @@ def _cmd_audit(args) -> int:
     if args.out or args.roc:
         names = ["report.csv", "roc.csv"] if args.roc else ["report.csv"]
         with _locked_out_dir(out), _replacing(*(out / name for name in names)) as tmps:
-            _write_report_csv(report, tmps[0])
+            write_rows(tmps[0], [FairnessReport.csv_header(), report.csv_row()])
             if args.roc:
-                with open(tmps[1], "w", newline="", encoding="utf-8") as fh:
-                    csv.writer(fh, lineterminator="\n").writerows(roc_csv_rows(series))
+                write_rows(tmps[1], roc_csv_rows(series))
         if args.roc:
             print(f"roc: {out / 'roc.csv'}")
     return 0
-
-
-def _write_report_csv(report: FairnessReport, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FairnessReport.csv_header())
-        writer.writerow(report.csv_row())
 
 
 def _cmd_report(args) -> int:
@@ -287,14 +279,10 @@ def _cmd_report(args) -> int:
     if not subgroups:
         print("(no subgroups at or above the threshold)")
     if args.out:
-        with _replacing(Path(args.out)) as (tmp,), open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["leaf_id", "disc", "fav_pos", "fav_neg", "dep_pos", "dep_neg", "conditions"])
-            for s in subgroups:
-                c = s.counts
-                writer.writerow(
-                    [s.leaf_id, repr(s.disc), c.fav_pos, c.fav_neg, c.dep_pos, c.dep_neg, s.conditions()]
-                )
+        header = ["leaf_id", "disc", "fav_pos", "fav_neg", "dep_pos", "dep_neg", "conditions"]
+        with _replacing(Path(args.out)) as (tmp,):
+            write_rows(tmp, [header] + [[s.leaf_id, repr(s.disc), *s.counts.as_tuple(), s.conditions()]
+                                        for s in subgroups])
     return 0
 
 

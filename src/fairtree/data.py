@@ -7,6 +7,11 @@ text, and every cell's text is the exact string read from disk, so writing a
 table back out reproduces the input bytes for untouched columns. A numeric
 column keeps one parsed float per distinct text, which feeds discretization;
 after discretization the column holds categorical range codes.
+
+Three encoding decisions have one owner each here: the CSV dialect of every
+file the package writes (``write_rows``), the type of outcome codes, alone or
+as a rows x columns matrix (``_code_type``, ``DataTable.code_matrix``), and
+coding cells by their texts in order of first appearance (``_coded``).
 """
 
 from __future__ import annotations
@@ -330,6 +335,15 @@ class DataTable:
             return col.codes
         return _frozen(np.where(col.codes < len(outcomes), col.codes, outcomes.index(MISSING)))
 
+    def code_matrix(self, names) -> np.ndarray:
+        """The ``codes`` of ``names`` as a rows x names array, in the code
+        type of the column with the most outcomes."""
+        width = max((len(self.schema.spec(name).outcomes) for name in names), default=0)
+        matrix = np.empty((self._n, len(names)), dtype=_code_type(width))
+        for j, name in enumerate(names):
+            matrix[:, j] = self.codes(name)
+        return matrix
+
     def floats(self, name: str) -> np.ndarray:
         col = self._columns.get(name)
         if col is None or col.values is None:
@@ -433,13 +447,17 @@ def _factorize(values) -> _Column:
     ``_Column`` is returned as it is."""
     if isinstance(values, _Column):
         return values
-    cells = np.asarray(values, dtype=object).tolist()
-    lut = dict(zip(dict.fromkeys(cells), itertools.count()))
-    return _Column(_coded(lut, cells), tuple(lut))
+    lut: dict[str, int] = {}
+    codes = _coded(lut, np.asarray(values, dtype=object).tolist())
+    return _Column(codes, tuple(lut))
 
 
-def _coded(lut: dict[str, int], cells: list[str]) -> np.ndarray:
-    """Each cell's code in ``lut``, of the type of a column of ``len(lut)`` texts."""
+def _coded(lut: dict[str, int], cells) -> np.ndarray:
+    """Add the texts of ``cells`` that ``lut`` lacks to it, in order of first
+    appearance, and give each cell's code in ``lut``, of the type of a column
+    of ``len(lut)`` texts."""
+    for text in dict.fromkeys(cells):
+        lut.setdefault(text, len(lut))
     return np.fromiter(map(lut.__getitem__, cells), _code_type(len(lut)), count=len(cells))
 
 
@@ -594,8 +612,6 @@ def _read_columns(reader, width: int, path) -> list[_Column]:
         if not rows:
             break
         for lut, part, cells in zip(seen, parts, zip(*rows)):
-            for v in dict.fromkeys(cells):
-                lut.setdefault(v, len(lut))
             part.append(_coded(lut, cells))
         n += len(rows)
     columns = []
@@ -725,16 +741,20 @@ def _resolve_binary(spec, pos_field, neg_field, values, missing, role):
     return spec
 
 
-def write_csv(table: DataTable, path) -> None:
-    """Write the table; stored cell texts are emitted verbatim (RFC-4180 quoting),
-    rebuilt from their codes ``CSV_CHUNK_ROWS`` rows at a time."""
-    names = table.schema.column_names
-    columns = [table._columns[name] for name in names]
+def write_rows(path, rows) -> None:
+    """Write ``rows`` (read one at a time, so a generator will do) as CSV:
+    UTF-8, LF line ends, minimal RFC-4180 quoting. The package's only CSV writer."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(names)
-        for lo in range(0, table.n_rows, CSV_CHUNK_ROWS):
-            writer.writerows(zip(*(col.text_array(lo, lo + CSV_CHUNK_ROWS).tolist() for col in columns)))
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def write_csv(table: DataTable, path) -> None:
+    """Write the table; stored cell texts are emitted verbatim, rebuilt from
+    their codes ``CSV_CHUNK_ROWS`` rows at a time."""
+    columns = [table._columns[name] for name in table.schema.column_names]
+    chunks = (zip(*(col.text_array(lo, lo + CSV_CHUNK_ROWS).tolist() for col in columns))
+              for lo in range(0, table.n_rows, CSV_CHUNK_ROWS))
+    write_rows(path, itertools.chain([table.schema.column_names], itertools.chain.from_iterable(chunks)))
 
 
 def write_schema_sidecar(table: DataTable, path) -> None:

@@ -8,7 +8,6 @@ configuration and seed.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import relabel as rl
-from .data import DataTable, group_counts
+from .data import DataTable, group_counts, write_rows
 from .errors import ConfigError, DataError
 from .metrics import fairness_report
 from .tree import build
@@ -64,17 +63,13 @@ class LinearModel:
 
 def one_hot(table: DataTable) -> tuple[np.ndarray, tuple[str, ...]]:
     """Indicator matrix over every non-label column's outcomes, schema order."""
-    blocks, names = [], []
-    n = table.n_rows
-    for spec in table.schema.attributes:
-        if spec.name == table.schema.label.column:
-            continue
-        codes = table.codes(spec.name)
-        block = np.zeros((n, len(spec.outcomes)))
-        block[np.arange(n), codes] = 1.0
-        blocks.append(block)
-        names += [f"{spec.name}={o}" for o in spec.outcomes]
-    return np.hstack(blocks), tuple(names)
+    specs = [s for s in table.schema.attributes if s.name != table.schema.label.column]
+    widths = [len(s.outcomes) for s in specs]
+    X = np.zeros((table.n_rows, sum(widths)))
+    # each column's indicators start past those of the columns before it
+    first = np.cumsum([0] + widths[:-1])
+    X[np.arange(table.n_rows)[:, None], table.code_matrix([s.name for s in specs]) + first] = 1.0
+    return X, tuple(f"{s.name}={o}" for s in specs for o in s.outcomes)
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
@@ -248,11 +243,8 @@ class SweepResult:
         return [r for r in self.rows if r.variant == variant]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            names = [f.name for f in fields(SweepRow)]
-            writer.writerow(names)
-            writer.writerows([_cell(getattr(r, name)) for name in names] for r in self.rows)
+        names = [f.name for f in fields(SweepRow)]
+        write_rows(path, [names] + [[_cell(getattr(r, name)) for name in names] for r in self.rows])
 
     def manifest_json(self) -> str:
         return json.dumps(self.manifest, indent=1, sort_keys=True) + "\n"

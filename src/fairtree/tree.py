@@ -240,7 +240,7 @@ def evaluate_splits(
         return dv.SplitScores(empty, empty, empty, empty.astype(bool), np.array([-1]))
     if len(rows) == 0:
         raise DataError("cannot score splits of an empty row set")
-    codes = np.stack([table.codes(a)[rows] for a in attributes], axis=1)
+    codes = table.code_matrix(attributes)[rows]
     width = max(len(table.schema.spec(a).outcomes) for a in attributes)
     gc = table.gc_codes[rows]
     parent = np.bincount(gc, minlength=4)[None]
@@ -269,10 +269,7 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
     features = table.schema.feature_names
     widths = [len(table.schema.spec(a).outcomes) for a in features]
     width = max(widths, default=1)
-    # the narrowest integer type that holds every outcome code
-    codes = np.zeros((table.n_rows, len(features)), dtype=np.min_scalar_type(width))
-    for j, a in enumerate(features):
-        codes[:, j] = table.codes(a)
+    codes = table.code_matrix(features)
     gc = table.gc_codes
     block = max(1, SCORE_CELLS // (len(features) * width * 4 or 1))
 
@@ -370,11 +367,7 @@ def route(tree: FairTree, table: DataTable) -> np.ndarray:
     if table.schema.fingerprint != tree.schema.fingerprint:
         raise DataError("table schema does not match the tree's schema")
     nodes = tree.nodes
-    # the narrowest type that holds every outcome code; ``offset`` (intp) widens the sum
-    width = max((len(tree.schema.spec(name).outcomes) for name in nodes.attributes), default=0)
-    codes = np.empty((len(nodes.attributes), table.n_rows), dtype=np.min_scalar_type(width))
-    for j, name in enumerate(nodes.attributes):
-        codes[j] = table.codes(name)
+    codes = table.code_matrix(nodes.attributes)  # ``offset`` (intp) widens the sum below
     out = np.empty(table.n_rows, dtype=np.int64)
     rows = np.arange(table.n_rows)
     node = np.zeros(table.n_rows, dtype=np.intp)
@@ -384,7 +377,7 @@ def route(tree: FairTree, table: DataTable) -> np.ndarray:
         out[rows[at_leaf]] = nodes.leaf_id[node[at_leaf]]
         inner = ~at_leaf
         rows, node, attr = rows[inner], node[inner], attr[inner]
-        node = nodes.child[nodes.offset[node] + codes[attr, rows]]
+        node = nodes.child[nodes.offset[node] + codes[rows, attr]]
     return out
 
 
@@ -724,11 +717,12 @@ def _read_tree(text: str, object_hook) -> FairTree:
         reuse = doc["config"]["attribute_reuse"]
         nodes = _node_arrays(*_read_nodes(doc, schema))
         stored_fp = doc["schema_fingerprint"]
+        fingerprint = schema.fingerprint  # a text that UTF-8 cannot encode raises a ValueError
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ConfigError,
             RecursionError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
     if reuse != ATTRIBUTE_REUSE:
         raise DataError(f"unsupported attribute reuse policy {reuse!r}")
-    if schema.fingerprint != stored_fp:
+    if fingerprint != stored_fp:
         raise DataError("schema fingerprint does not match the embedded schema")
     return FairTree(nodes, criterion, config, schema)

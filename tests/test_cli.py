@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -189,6 +190,21 @@ class TestRelabel:
         assert run(command, "--tree", str(bad), *data) == 3
         err = capsys.readouterr().err
         assert "malformed tree document: label column 'credit_risk' has undeclared values ['meh']" in err
+        assert not (tmp_path / "rel").exists()
+
+    @pytest.mark.parametrize("command", ["relabel", "report"])
+    def test_tree_with_text_utf8_cannot_encode_exits_3(self, german_csv, built, tmp_path, capsys, command):
+        # an escaped lone surrogate is valid JSON, but the schema fingerprint hashes UTF-8
+        doc = json.loads(built.read_text(encoding="utf-8"))
+        doc["schema"]["missing_tokens"].append("\ud800")
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert b"\\ud800" in bad.read_bytes()
+        data = ("--data", str(german_csv), "--out", str(tmp_path / "rel")) if command == "relabel" else ()
+        assert run(command, "--tree", str(bad), *data) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: malformed tree document:" in err and "surrogates not allowed" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "rel").exists()
 
     def test_crlf_fully_quoted_input_gives_equal_cells_in_lf(self, german_csv, built, tmp_path):
@@ -625,6 +641,120 @@ def test_relabel_keeps_every_awkward_cell(german_csv, tmp_path):
     assert sum(a[j] != b[j] for a, b in zip(before, after)) == flips
     relabeled = load_csv(out / "relabeled.csv", label, sensitive)
     assert relabeled.fingerprint == oracle.load_csv_by_row(out / "relabeled.csv", label, sensitive).fingerprint
+
+
+@pytest.fixture(scope="module")
+def quoted_german(german_csv, tmp_path_factory):
+    """The german stand-in with the kl tree's root attribute renamed ``x,y`` and
+    its outcome ``none`` renamed ``none, "really"``: renaming a column or an
+    outcome does not change a split's gain, so every subgroup's conditions name ``x,y``."""
+    rows = _csv_rows(german_csv)
+    tree = _built_tree(german_csv, tmp_path_factory.mktemp("tree"))
+    j = rows[0].index(json.loads(tree.read_text(encoding="utf-8"))["root"]["attribute"])
+    rows[0][j] = "x,y"
+    for row in rows[1:]:
+        row[j] = 'none, "really"' if row[j] == "none" else row[j]
+    path = tmp_path_factory.mktemp("quoted") / "quoted.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def _built_tree(data: Path, out: Path) -> Path:
+    assert run("build", "--data", str(data), *SPEC_FLAGS, "--out", str(out)) == 0
+    return out / "tree.json"
+
+
+def _relabeled_csv(data, tmp_path):
+    tree = _built_tree(data, tmp_path)
+    assert run("relabel", "--tree", str(tree), "--data", str(data), "--sigma", "0", "--out", str(tmp_path)) == 0
+    rows = _csv_rows(data)
+    j = rows[0].index("credit_risk")
+    for action in json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))["actions"]:
+        for r in action["rows"]:
+            rows[1 + r][j] = "good" if action["action"] == "promote" else "bad"
+    assert any('"' in cell for row in rows for cell in row) and "x,y" in rows[0]
+    return tmp_path / "relabeled.csv", rows
+
+
+def _sweep_csv(data, tmp_path):
+    from dataclasses import fields
+
+    from fairtree import eval as ev
+    from fairtree.data import discretize_all
+
+    assert run("sweep", "--data", str(data), *SPEC_FLAGS, "--grid", "0:2:1", "--folds", "2",
+               "--epochs", "20", "--seed", "5", "--out", str(tmp_path)) == 0
+    table = discretize_all(load_csv(data, LabelSpec("credit_risk", "good"), SensitiveSpec("age", ">25")))
+    result = ev.sweep(table, "kl", [0.0, 1.0, 2.0], 5, ev.TrainConfig(epochs=20, seed=5), folds=2)
+    names = [f.name for f in fields(ev.SweepRow)]
+    return tmp_path / "sweep.csv", [names] + [
+        ["" if v is None else str(v) for v in (getattr(r, name) for name in names)] for r in result.rows
+    ]
+
+
+def _audit_tables(data, tmp_path):
+    from fairtree.metrics import fairness_report
+
+    rows = _csv_rows(data)
+    rng = np.random.default_rng(0)
+    rows[0] += ["pred", "score"]
+    for row in rows[1:]:
+        row += [rng.choice(["good", "bad"]), repr(round(rng.random(), 3))]
+    scored = tmp_path / "scored.csv"
+    with open(scored, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert run("audit", "--data", str(scored), *SPEC_FLAGS, "--predictions", "pred", "--scores", "score",
+               "--roc", "--out", str(tmp_path)) == 0
+    table = load_csv(scored, LabelSpec("credit_risk", "good"), SensitiveSpec("age", ">25"))
+    report = fairness_report(table.positive_mask, table.column("pred") == "good", table.favored_mask)
+    return table, report
+
+
+def _report_csv(data, tmp_path):
+    from fairtree.metrics import FairnessReport
+
+    _, report = _audit_tables(data, tmp_path)
+    return tmp_path / "report.csv", [FairnessReport.csv_header(), report.csv_row()]
+
+
+def _roc_csv(data, tmp_path):
+    from fairtree.metrics import roc_csv_rows, roc_points
+
+    table, _ = _audit_tables(data, tmp_path)
+    series = roc_points(table.floats("score"), table.positive_mask, table.favored_mask)
+    return tmp_path / "roc.csv", roc_csv_rows(series)
+
+
+def _subgroups_csv(data, tmp_path):
+    from fairtree.tree import extract_subgroups
+
+    tree = _built_tree(data, tmp_path)
+    out = tmp_path / "subgroups.csv"
+    assert run("report", "--tree", str(tree), "--out", str(out)) == 0
+    rows = [["leaf_id", "disc", "fav_pos", "fav_neg", "dep_pos", "dep_neg", "conditions"]]
+    for s in extract_subgroups(deserialize(tree.read_bytes())):
+        rows.append([str(s.leaf_id), repr(s.disc), *map(str, s.counts.as_tuple()), s.conditions()])
+    assert all(row[-1].startswith("x,y=") for row in rows[1:]) and any('"' in row[-1] for row in rows[1:])
+    return out, rows
+
+
+def _minimal_quoting(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+
+
+@pytest.mark.parametrize("written", [_relabeled_csv, _sweep_csv, _report_csv, _roc_csv, _subgroups_csv],
+                         ids=["relabeled.csv", "sweep.csv", "report.csv", "roc.csv", "report --out"])
+def test_every_csv_is_utf8_lf_minimally_quoted(quoted_german, tmp_path, written):
+    path, rows = written(quoted_german, tmp_path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    # line by line: pytest's diff of two whole files takes minutes to render
+    lines, meant = data.decode("utf-8").split("\n"), [",".join(map(_minimal_quoting, row)) for row in rows]
+    for line, expected in itertools.zip_longest(lines, meant + [""]):
+        assert line == expected
+    for row, expected in itertools.zip_longest(_csv_rows(path), rows):
+        assert row == expected
 
 
 def _digest(data: bytes) -> str:

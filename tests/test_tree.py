@@ -740,8 +740,10 @@ class TestFairTree:
 
 #: Text that JSON must escape or may pass through: quotes, backslashes,
 #: control characters, non-ASCII text and the two JavaScript line separators.
+#: A lone surrogate is left out: UTF-8 cannot encode it, so no tree holding one
+#: can be written (``test_cli`` checks that a document spelling one is refused).
 _awkward_text = st.text(
-    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\t\n\r\u2028\u2029é日🙂'), st.characters()),
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\t\n\r\u2028\u2029é日🙂'), st.characters(codec="utf-8")),
     max_size=6,
 )
 
