@@ -79,18 +79,23 @@ def _replacing(*paths: Path):
 
 
 def _read_document(path: str) -> str:
-    """A ``plan.json`` as text; bytes that are not UTF-8 are a data error."""
+    """A ``tree.json`` or ``plan.json`` as text, decoded as it is read: freeing a
+    large copy of its bytes before the parse would raise glibc's mmap threshold
+    under the parse's allocations. Bytes that are not UTF-8 are a data error."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return "".join(iter(lambda: fh.read(1 << 16), ""))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_tree(path: str) -> tr.FairTree:
-    """The tree of a ``tree.json``, handed to ``deserialize`` as the bytes on
-    disk, which its digest covers; a fault in it is a data error naming the file."""
+    """The tree of a ``tree.json``, handed to ``deserialize`` as text, the one
+    copy held while it is parsed (strict UTF-8 text encodes to the bytes read,
+    so the digest is theirs); a fault is a data error naming the file."""
+    text = _read_document(path)
     try:
-        return tr.deserialize(Path(path).read_bytes())
+        return tr.deserialize(text)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -194,31 +199,16 @@ def _cmd_relabel(args) -> int:
         for option, given, planned in (("--sigma", args.sigma, plan_.sigma), ("--seed", args.seed, plan_.seed)):
             if given is not None and given != planned:
                 raise ConfigError(f"{option} {given} conflicts with the plan's {option[2:]} {planned}")
-    raw = load_csv(
-        Path(args.data).resolve(), schema.label, schema.sensitive, missing_tokens=schema.missing_tokens
-    )
+    raw = load_csv(Path(args.data).resolve(), schema.label, schema.sensitive,
+                   missing_tokens=schema.missing_tokens)
     routing = conform_to_schema(raw, schema)
-    census_ = rl.census(fair_tree, routing)
     if args.from_plan:
-        if plan_.tree_digest != fair_tree.digest:
-            raise DataError(
-                f"the plan was built from a different tree (plan {plan_.tree_digest}, "
-                f"tree {fair_tree.digest})"
-            )
-        nodes = fair_tree.nodes
-        leaf_ids = set(nodes.leaf_id[nodes.attribute < 0].tolist())
-        for i, act in enumerate(plan_.actions):
-            if act.leaf_id not in leaf_ids:
-                raise DataError(f"plan action {i} names leaf {act.leaf_id}, which is not a leaf of the tree")
+        # one gate, with or without --plan-only, before any output is written
+        rl.check_plan(plan_, fair_tree, routing)
     else:
-        plan_ = rl.plan(
-            census_, 0.0 if args.sigma is None else args.sigma, 42 if args.seed is None else args.seed
-        )
-    # a plan that cannot be applied, or that the census does not give, is
-    # rejected before any output is written; its rows and classes first
+        plan_ = rl.plan(rl.census(fair_tree, routing), 0.0 if args.sigma is None else args.sigma,
+                        42 if args.seed is None else args.seed)
     relabeled = None if args.plan_only else rl.apply(plan_, routing)
-    if args.from_plan:
-        rl.check_plan(plan_, census_)
     with _locked_out_dir(_out_dir(args)) as out:
         names = ["plan.json"] if relabeled is None else ["plan.json", "relabeled.csv", "relabeled.schema.txt"]
         with _replacing(*(out / name for name in names)) as tmps:

@@ -187,11 +187,16 @@ def _check_table(plan_: RelabelPlan, fingerprint: str) -> None:
 def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
     """The table's positive mask after the plan's flips; any plan error raises DataError.
 
-    The first error in plan order is raised: a row outside the table or listed
-    twice, then, action by action, an unknown action or a row that is not the
-    action's source class.
+    The first error in plan order is raised: a plan built against another
+    table, a row outside the table or listed twice, then, action by action, an
+    unknown action or a row that is not the action's source class.
     """
     _check_table(plan_, table.fingerprint)
+    return _flipped(plan_, table)
+
+
+def _flipped(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
+    """``relabeled_mask`` of a plan whose table fingerprint is checked."""
     acts = plan_.actions
     sizes = [len(act.row_ids) for act in acts]
     listed = [r for act in acts for r in act.row_ids]
@@ -209,13 +214,11 @@ def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
     # only a deprived negative may be promoted and only a favored positive demoted
     illegal = np.repeat(known, sizes) & np.where(promoted, favored | positive, ~(favored & positive))
     if illegal.any() or not known.all():
-        row = np.flatnonzero(illegal)[:1]
-        # the first action holding an illegal row, or len(acts) if none does
-        at = np.searchsorted(np.cumsum(sizes), row, side="right").tolist() + [len(acts)]
-        unknown = np.flatnonzero(~known).tolist() + [len(acts)]
-        if unknown[0] < at[0]:
+        row, unknown = np.flatnonzero(illegal)[:1].tolist(), np.flatnonzero(~known)[:1].tolist()
+        # an unknown action comes first unless an illegal row is listed before its rows
+        if unknown and (not row or sum(sizes[: unknown[0]]) <= row[0]):
             raise DataError(f"unknown action {acts[unknown[0]].action!r}")
-        i = int(row[0])
+        i = row[0]
         which = "promote target is not a deprived negative" if promoted[i] else \
             "demote target is not a favored positive"
         raise DataError(f"row {int(listed[i])}: {which}")
@@ -224,17 +227,22 @@ def relabeled_mask(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
     return out
 
 
-def check_plan(plan_: RelabelPlan, census_: Census) -> None:
-    """DataError unless a read plan is one that ``plan`` could give on the
-    censused table at the plan's own sigma; the first fault in plan order is
-    named. Each action's leaf must reach that sigma and be listed once, its
-    action and count must be the census's, and its rows must be ascending and
-    drawn from the leaf's candidates; no leaf that reaches the sigma may be
-    left out. Which candidates were drawn is not checked: any ``count`` of
-    them is a legal repair, whatever the plan's seed would draw.
-    """
-    _check_table(plan_, census_.table_fingerprint)
-    selected = {leaf.leaf_id: leaf for leaf in census_.leaves if leaf.disc >= plan_.sigma}
+def check_plan(plan_: RelabelPlan, tree: FairTree, table: DataTable) -> None:
+    """DataError naming a read plan's first fault, in this order: the tree
+    digest, the table fingerprint, a leaf not of the tree, the rows as
+    ``relabeled_mask`` checks them, then the census: each action's leaf must
+    reach the plan's sigma and be listed once with the census's action and
+    count, its rows ascending and among the leaf's candidates, and no such leaf
+    left out. Any ``count`` candidates are a legal repair, whatever the seed."""
+    if plan_.tree_digest != tree.digest:
+        raise DataError(f"the plan was built from a different tree (plan {plan_.tree_digest}, tree {tree.digest})")
+    _check_table(plan_, table.fingerprint)
+    leaf_ids = set(tree.nodes.leaf_id.tolist()) - {-1}  # an internal node's leaf id is -1
+    for i, act in enumerate(plan_.actions):
+        if act.leaf_id not in leaf_ids:
+            raise DataError(f"plan action {i} names leaf {act.leaf_id}, which is not a leaf of the tree")
+    _flipped(plan_, table)
+    selected = {leaf.leaf_id: leaf for leaf in census(tree, table).leaves if leaf.disc >= plan_.sigma}
     listed: set[int] = set()
     for i, act in enumerate(plan_.actions):
         where = f"plan action {i} (leaf {act.leaf_id})"
@@ -242,27 +250,24 @@ def check_plan(plan_: RelabelPlan, census_: Census) -> None:
         if act.leaf_id in listed:
             raise DataError(f"{where} lists a leaf that an earlier action lists")
         if leaf is None:
-            raise DataError(
-                f"{where}: the plan's sigma {plan_.sigma} does not relabel the leaf (needs disc > 0 and >= sigma)"
-            )
+            raise DataError(f"{where}: the plan's sigma {plan_.sigma} does not relabel the leaf "
+                            "(needs disc > 0 and >= sigma)")
         listed.add(act.leaf_id)
         if act.action != leaf.action:
             raise DataError(f"{where}: the leaf needs {leaf.action}, not {act.action}")
         if act.count != leaf.count:
             raise DataError(f"{where}: the leaf needs {leaf.count} flips, not {act.count}")
-        rows = act.row_ids
-        if any(a >= b for a, b in zip(rows, rows[1:])):
+        if any(a >= b for a, b in zip(act.row_ids, act.row_ids[1:])):
             raise DataError(f"{where}: rows are not in strictly ascending order")
         candidates = set(leaf.candidates.tolist())
-        stray = next((r for r in rows if r not in candidates), None)
+        stray = next((r for r in act.row_ids if r not in candidates), None)
         if stray is not None:
             which = "deprived negatives" if leaf.action == PROMOTE else "favored positives"
             raise DataError(f"{where}: row {stray} is not one of the leaf's {which}")
     left_out = [leaf_id for leaf_id in selected if leaf_id not in listed]
     if left_out:
-        raise DataError(
-            f"the plan leaves out leaf {left_out[0]}, whose discrimination reaches its sigma {plan_.sigma}"
-        )
+        raise DataError(f"the plan leaves out leaf {left_out[0]}, whose discrimination reaches its sigma "
+                        f"{plan_.sigma}")
 
 
 def apply(plan_: RelabelPlan, table: DataTable) -> DataTable:
@@ -310,7 +315,7 @@ def plan_from_json(text: str) -> RelabelPlan:
         actions = tuple(
             LeafAction(
                 json_typed(a["leaf"], int, "leaf id"),
-                a["action"],
+                json_typed(a["action"], str, "action"),
                 json_typed(a["count"], int, "count"),
                 tuple(json_typed(r, int, "row id") for r in json_typed(a["rows"], list, "rows")),
             )
@@ -329,11 +334,11 @@ def plan_from_json(text: str) -> RelabelPlan:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed plan document: {exc}") from exc
+    if plan_.seed < 0:  # ``plan`` draws with non-negative seeds only
+        raise DataError(f"plan seed must be a non-negative integer, got {plan_.seed}")
     if plan_.row_picker != ROW_PICKER:
         raise DataError(f"unknown row_picker {plan_.row_picker!r:.40}; plans are drawn with {ROW_PICKER}")
     for act in plan_.actions:
-        if act.action not in (PROMOTE, DEMOTE):
-            raise DataError(f"unknown action {act.action!r} in plan")
         if act.count != len(act.row_ids):
             raise DataError(f"leaf {act.leaf_id}: count does not match listed rows")
     return plan_

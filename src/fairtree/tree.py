@@ -201,10 +201,10 @@ def leaf_discs(counts: np.ndarray) -> np.ndarray:
     return np.where((n_fav > 0) & (n_dep > 0), (f_pos - d_pos) + ((1.0 - d_pos) - (1.0 - f_pos)), 0.0)
 
 
-#: Open nodes are scored in blocks of at most this many count cells (nodes x
-#: attributes x outcomes x 4 group-class slots), which bounds the kernel's
-#: temporaries whatever the number of nodes at a depth; a block counts only
-#: its open (node, attribute) pairs, so its count tensor is at most this size.
+#: Open nodes are scored in blocks of at most this many count cells (open
+#: (node, attribute) pairs x outcomes x 4 group-class slots), which bounds the
+#: kernel's temporaries whatever the number of nodes at a depth; a block is
+#: sized by its open pairs, so a deep level, with few open, takes few blocks.
 SCORE_CELLS = 1 << 15
 
 
@@ -271,7 +271,7 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
     width = max(widths, default=1)
     codes = table.code_matrix(features)
     gc = table.gc_codes
-    block = max(1, SCORE_CELLS // (len(features) * width * 4 or 1))
+    cap = max(1, SCORE_CELLS // (width * 4) - len(features))
 
     # per grown node, one array per depth, in creation order (parents before children)
     grown_counts, grown_split, grown_fallback, grown_depth = [], [], [], []
@@ -294,9 +294,13 @@ def build(table: DataTable, criterion: str = "kl", config: BuildConfig | None = 
         slot[scored] = np.arange(scored.size)
         row_slot = slot[node_of]
         order = np.argsort(row_slot, kind="stable")
-        bounds = np.searchsorted(row_slot[order], np.arange(0, scored.size + block, block))
-        for b, start in enumerate(range(0, scored.size, block)):
-            nodes = scored[start:start + block]
+        # a block opens at each node whose first open pair begins a new run of ``cap``
+        # pairs, so it ends past the run by less than one node's attributes
+        pairs = open_attrs[scored].sum(1)
+        starts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // cap, prepend=-1)).tolist() + [scored.size]
+        bounds = np.searchsorted(row_slot[order], starts)
+        for b, (start, stop) in enumerate(zip(starts, starts[1:])):
+            nodes = scored[start:stop]
             sel = order[bounds[b]:bounds[b + 1]]
             scores, fallback[nodes] = _score_block(codes[rows[sel]], row_gc[sel], row_slot[sel] - start,
                                                    counts[nodes], open_attrs[nodes], width, criterion)

@@ -533,6 +533,67 @@ def _left_out(doc, census_, table, leaf_of):
     return f"the plan leaves out leaf {act['leaf']}, whose discrimination reaches its sigma 0.0"
 
 
+def _another_tree(doc, census_, table, leaf_of):
+    digest = doc["tree_digest"]
+    doc["tree_digest"] = "0" * 16
+    return f"the plan was built from a different tree (plan {'0' * 16}, tree {digest})"
+
+
+def _another_table(doc, census_, table, leaf_of):
+    doc["table_fingerprint"] = "0" * 16
+    return "refusing to apply: the plan was built against a different table (plan 0000000000000000, table "
+
+
+def _foreign_leaf(doc, census_, table, leaf_of):
+    doc["actions"][1]["leaf"] = 999999
+    return "plan action 1 names leaf 999999, which is not a leaf of the tree"
+
+
+def _row_out_of_range(doc, census_, table, leaf_of):
+    doc["actions"][0]["rows"][0] = 1_000_000
+    return "plan row 1000000 is outside the table's 1000 rows"
+
+
+def _row_beyond_int64(doc, census_, table, leaf_of):
+    doc["actions"][0]["rows"][0] = 10**30
+    return f"plan row {10**30} is outside the table's 1000 rows"
+
+
+def _repeated_row(doc, census_, table, leaf_of):
+    act = next(a for a in doc["actions"] if a["count"] >= 2)
+    act["rows"][1] = act["rows"][0]
+    return f"plan lists row {act['rows'][0]} more than once"
+
+
+def _illegal_target(doc, census_, table, leaf_of):
+    # a row of the wrong group, which no action lists: only a deprived row may
+    # be promoted, only a favored row demoted
+    listed = {r for a in doc["actions"] for r in a["rows"]}
+    act = doc["actions"][0]
+    wrong_group = table.favored_mask if act["action"] == "promote" else ~table.favored_mask
+    act["rows"][0] = next(int(r) for r in np.flatnonzero(wrong_group) if r not in listed)
+    which = "promote target is not a deprived negative" if act["action"] == "promote" else \
+        "demote target is not a favored positive"
+    return f"row {act['rows'][0]}: {which}"
+
+
+def _unknown_action(doc, census_, table, leaf_of):
+    doc["actions"][0]["action"] = "flip"
+    return "data error: unknown action 'flip'\n"
+
+
+def _negative_seed(doc, census_, table, leaf_of):
+    doc["seed"] = -1
+    return "plan seed must be a non-negative integer, got -1"
+
+
+def _several_faults(doc, census_, table, leaf_of):
+    # the table is checked before the leaves, and the leaves before the rows
+    _row_out_of_range(doc, census_, table, leaf_of)
+    _foreign_leaf(doc, census_, table, leaf_of)
+    return _another_table(doc, census_, table, leaf_of)
+
+
 class TestForgedPlans:
     """A read plan must be one that planning could give at its own sigma; each
     forgery below applied with exit 0 before the plan was checked against the census."""
@@ -569,17 +630,26 @@ class TestForgedPlans:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "b").exists()
 
-    def test_a_repeated_row_is_refused_without_applying(self, german_csv, built, planned, tmp_path, capsys):
-        doc = json.loads(planned[0].read_text(encoding="utf-8"))
-        i, act = next((i, a) for i, a in enumerate(doc["actions"]) if a["count"] >= 2)
-        act["rows"][1] = act["rows"][0]
+    @pytest.mark.parametrize("forge", [_another_tree, _another_table, _foreign_leaf, _row_out_of_range,
+                                       _row_beyond_int64, _repeated_row, _unknown_action, _illegal_target,
+                                       _left_out, _negative_seed, _several_faults],
+                             ids=lambda f: f.__name__.strip("_"))
+    def test_both_paths_name_the_same_first_fault(self, german_csv, built, planned, tmp_path, capsys, forge):
+        # --plan-only applies nothing, yet it passes the same checks in the same order
+        plan_path, census_, table, leaf_of = planned
+        doc = json.loads(plan_path.read_text(encoding="utf-8"))
+        named = forge(doc, census_, table, leaf_of)
         bad = tmp_path / "forged.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
-        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
-                   "--from-plan", str(bad), "--plan-only", "--out", str(tmp_path / "b")) == 3
-        named = f"plan action {i} (leaf {act['leaf']}): rows are not in strictly ascending order"
-        assert named in capsys.readouterr().err
+        errs = []
+        for extra in ([], ["--plan-only"]):
+            assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                       "--from-plan", str(bad), *extra, "--out", str(tmp_path / "b")) == 3
+            errs.append(capsys.readouterr().err)
+            assert named in errs[-1] and "Traceback" not in errs[-1]
+            assert not (tmp_path / "b").exists()
+        assert errs[0] == errs[1]
 
     def test_another_draw_of_the_same_candidates_is_legal(self, german_csv, built, planned, tmp_path):
         # the seed's own draw is not required: any count of the leaf's candidates is a repair

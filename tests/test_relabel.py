@@ -405,8 +405,10 @@ UNTRUSTED_PLANS = {
         "row id",
     ),
     "float-leaf-id": (lambda doc: _first_action(doc, leaf=doc["actions"][0]["leaf"] + 0.5), "leaf id"),
+    "numeric-action": (lambda doc: _first_action(doc, action=7), "action must be a JSON str, got 7"),
     "float-count": (lambda doc: _first_action(doc, count=float(doc["actions"][0]["count"])), "count"),
     "boolean-seed": (lambda doc: dict(doc, seed=True), "seed"),
+    "negative-seed": (lambda doc: dict(doc, seed=-1), "plan seed must be a non-negative integer, got -1"),
     "sigma-above-two": (lambda doc: dict(doc, sigma=2.5), "sigma"),
     "negative-sigma": (lambda doc: dict(doc, sigma=-0.1), "sigma"),
     "sigma-as-text": (lambda doc: dict(doc, sigma="0.5"), "sigma"),

@@ -419,6 +419,22 @@ class TestScoreBlocks:
         for shape, total, open_cells, distinct in blocks:
             assert total == open_cells and shape[2] == distinct
 
+    @pytest.mark.parametrize("cells", [2000, fairtree.tree.SCORE_CELLS])
+    def test_a_block_holds_at_most_score_cells(self, german, monkeypatch, cells):
+        # blocks are packed by open (node, attribute) pairs, up to the cap
+        sizes = []
+        real = fairtree.divergence.histogram
+
+        def spy(*args):
+            counts = real(*args)
+            sizes.append(counts.size)
+            return counts
+
+        monkeypatch.setattr(fairtree.divergence, "histogram", spy)
+        monkeypatch.setattr(fairtree.tree, "SCORE_CELLS", cells)
+        build(german, "euclid")
+        assert len(sizes) > 1 and max(sizes) <= cells
+
     def test_evaluate_splits_scores_the_root_as_build_does(self, german, monkeypatch):
         # one split scorer: evaluate_splits runs build's block scorer on a block of one node
         results = []
@@ -459,6 +475,29 @@ class TestMemoryShape:
         assert nodes > 5000
         print(f"[MEMORY] deserialize peak {peak / nodes:.0f} B/node over {nodes} nodes")
         assert peak / nodes < 500
+
+    def test_a_tree_file_is_held_once_while_it_is_parsed(self, adult_sample, tmp_path):
+        # the CLI hands ``deserialize`` the decoded text, so the bytes read are
+        # freed before parsing: the peak is one document copy plus the parse
+        import gc
+        import tracemalloc
+
+        from fairtree.cli import _load_tree
+
+        path = tmp_path / "tree.json"
+        path.write_bytes(serialize(build(discretize_all(adult_sample), "euclid")).encode("utf-8"))
+        _load_tree(str(path))  # first-use allocations are not the reading's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tree = _load_tree(str(path))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size, nodes = path.stat().st_size, stats(tree).node_count
+        print(f"[MEMORY] tree file of {size / nodes:.0f} B/node read at a peak of {peak / nodes:.0f} B/node")
+        assert peak < size + 500 * nodes
 
 
 class TestStats:
