@@ -203,12 +203,14 @@ def _cmd_relabel(args) -> int:
                    missing_tokens=schema.missing_tokens)
     routing = conform_to_schema(raw, schema)
     if args.from_plan:
-        # one gate, with or without --plan-only, before any output is written
-        rl.check_plan(plan_, fair_tree, routing)
+        # one gate, with or without --plan-only, before any output is written;
+        # the mask it checked is the one written
+        mask = rl.check_plan(plan_, fair_tree, routing)
+        relabeled = None if args.plan_only else routing.with_positive_mask(mask)
     else:
         plan_ = rl.plan(rl.census(fair_tree, routing), 0.0 if args.sigma is None else args.sigma,
                         42 if args.seed is None else args.seed)
-    relabeled = None if args.plan_only else rl.apply(plan_, routing)
+        relabeled = None if args.plan_only else rl.apply(plan_, routing)
     with _locked_out_dir(_out_dir(args)) as out:
         names = ["plan.json"] if relabeled is None else ["plan.json", "relabeled.csv", "relabeled.schema.txt"]
         with _replacing(*(out / name for name in names)) as tmps:

@@ -8,15 +8,21 @@ configuration and seed.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import relabel as rl
 from .data import DataTable, group_counts, write_rows
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, IntegrityError
 from .metrics import fairness_report
 from .tree import build
 
@@ -288,33 +294,11 @@ def sweep(
             raise ConfigError(f"sigma grid repeats the value {sigma!r}")
         seen.add(sigma)
 
-    reports = []  # one per fold, over the columns baseline, then raw and relabeled per sigma
     fold_pairs = kfold(table, folds, seed)
-    for f, (train, test) in enumerate(fold_pairs):
-        tree = build(train, criterion)
-        train_census, test_census = rl.census(tree, train), rl.census(tree, test)
-        train_labels, test_labels = [], []
-        for i, sigma in enumerate(sigma_grid):
-            p_train = rl.plan(train_census, sigma, _fold_seed(seed, f, 100 + i))
-            train_labels.append(rl.relabeled_mask(p_train, train))
-            p_test = rl.plan(test_census, sigma, _fold_seed(seed, f, 500 + i))
-            test_labels.append(rl.relabeled_mask(p_test, test))
-
-        # Features and cfg are fixed within a fold and the fit is deterministic,
-        # so one column per distinct set of training labels (the baseline's
-        # first) gives every prediction, all fitted in one descent.
-        column_of: dict[bytes, int] = {}
-        for labels in [train.positive_mask] + train_labels:
-            column_of.setdefault(labels.tobytes(), len(column_of))
-        Y = np.stack([np.frombuffer(key, dtype=bool) for key in column_of], axis=1)
-        cfg = replace(train_config, seed=_fold_seed(train_config.seed, f, 0))
-        preds = train_linear(train, cfg, Y).predict(test)
-
-        fits, truths = [0], [test.positive_mask]
-        for train_y, test_y in zip(train_labels, test_labels):
-            fits += [column_of[train_y.tobytes()]] * 2
-            truths += [test.positive_mask, test_y]
-        reports.append(fairness_report(np.stack(truths, axis=1), preds[:, fits], test.favored_mask))
+    # one report per fold, over the columns baseline, then raw and relabeled per sigma
+    reports = _map_folds(
+        lambda f: _fold_report(*fold_pairs[f], f, criterion, sigma_grid, seed, train_config), folds
+    )
 
     rows = [_aggregate("baseline", None, reports, 0)]
     for i, sigma in enumerate(sigma_grid):
@@ -335,6 +319,169 @@ def sweep(
         "group_counts": list(group_counts(table).as_tuple()),
     }
     return SweepResult(rows, manifest)
+
+
+def _fold_report(train: DataTable, test: DataTable, f: int, criterion: str, sigma_grid: list[float],
+                 seed: int, train_config: TrainConfig):
+    """Fold ``f``'s report: one tree, one census per portion, one fit, one metrics call."""
+    tree = build(train, criterion)
+    train_census, test_census = rl.census(tree, train), rl.census(tree, test)
+    train_labels, test_labels = [], []
+    for i, sigma in enumerate(sigma_grid):
+        p_train = rl.plan(train_census, sigma, _fold_seed(seed, f, 100 + i))
+        train_labels.append(rl.relabeled_mask(p_train, train))
+        p_test = rl.plan(test_census, sigma, _fold_seed(seed, f, 500 + i))
+        test_labels.append(rl.relabeled_mask(p_test, test))
+
+    # Features and cfg are fixed within a fold and the fit is deterministic,
+    # so one column per distinct set of training labels (the baseline's
+    # first) gives every prediction, all fitted in one descent.
+    column_of: dict[bytes, int] = {}
+    for labels in [train.positive_mask] + train_labels:
+        column_of.setdefault(labels.tobytes(), len(column_of))
+    Y = np.stack([np.frombuffer(key, dtype=bool) for key in column_of], axis=1)
+    cfg = replace(train_config, seed=_fold_seed(train_config.seed, f, 0))
+    preds = train_linear(train, cfg, Y).predict(test)
+
+    fits, truths = [0], [test.positive_mask]
+    for train_y, test_y in zip(train_labels, test_labels):
+        fits += [column_of[train_y.tobytes()]] * 2
+        truths += [test.positive_mask, test_y]
+    return fairness_report(np.stack(truths, axis=1), preds[:, fits], test.favored_mask)
+
+
+# -- the folds' process pool ----------------------------------------------------
+
+
+def _pool_size(folds: int) -> int:
+    """Processes to share a sweep's folds: one per usable CPU, at most one per fold."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(folds, cpus)
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy mapped, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("openblas", ""), ("openblas", "64_"), ("scipy_openblas", "64_"),
+                               ("scipy_openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _map_folds(run_fold, n: int) -> list:
+    """``[run_fold(f) for f in range(n)]``, the folds shared among ``w`` processes.
+
+    The caller runs folds 0, w, 2w, ... and each forked worker k runs folds k,
+    k + w, ..., then sends its reports back through a pipe as a pickle. While
+    the pool runs, OpenBLAS is pinned to one thread, so that w processes keep
+    w cores busy instead of oversubscribing them. ``w`` is 1, and every fold
+    runs in the caller, without ``os.fork``, with another Python thread alive
+    (a fork copies only the thread that calls it), or without OpenBLAS's
+    thread control. Each process stops at its first failing fold, and once
+    every worker is read and reaped, the exception of the lowest failing fold
+    is raised, as a serial run would raise it. A worker that ends without
+    sending its reports is an ``IntegrityError`` at its first fold.
+    """
+    w = _pool_size(n)
+    blas = _openblas_threads() if w > 1 and hasattr(os, "fork") and threading.active_count() == 1 else None
+    if blas is None:
+        w = 1
+    shares = [range(k, n, w) for k in range(w)]
+    workers = []  # (pid, read end of its pipe, its folds), in fork order
+    reaped = 0
+    get_threads, set_threads = blas or (None, None)
+    threads = get_threads() if blas else None
+    try:
+        if blas:
+            set_threads(1)
+        for share in shares[1:]:
+            r, wr = os.pipe()
+            try:
+                pid = _fork()
+            except BaseException:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                _serve(run_fold, share, wr)  # never returns
+            workers.append((pid, r, share))
+            os.close(wr)
+        outcomes = [_run_share(run_fold, shares[0])]
+        for pid, r, share in workers:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            try:
+                outcomes.append(pickle.loads(data))
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                outcomes.append(({}, (share[0], IntegrityError(
+                    f"the sweep's worker for folds {list(share)} ended by {how} without sending "
+                    "its reports"))))
+    except BaseException:
+        for pid, _, _ in workers[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for _, r, _ in workers:
+            os.close(r)
+        if blas:
+            set_threads(threads)
+    faults = dict(fault for _, fault in outcomes if fault)
+    if faults:
+        raise faults[min(faults)]
+    reports = {f: report for done, _ in outcomes for f, report in done.items()}
+    return [reports[f] for f in range(n)]
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on a fork while more than one OS thread runs. The only
+        # others here are OpenBLAS's idle pool (no other Python thread is alive),
+        # and OpenBLAS's pthread_atfork handlers take that pool through a fork.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        return os.fork()
+
+
+def _run_share(run_fold, share: range) -> tuple[dict, tuple | None]:
+    """Reports of ``share``'s folds up to the first that raises, and (fold, exception) of that one."""
+    done = {}
+    for f in share:
+        try:
+            done[f] = run_fold(f)
+        except Exception as exc:
+            return done, (f, exc)
+    return done, None
+
+
+def _serve(run_fold, share: range, fd: int):
+    """A forked worker's life: run its share, write the pickle to ``fd``, and exit."""
+    code = 1
+    try:
+        data = pickle.dumps(_run_share(run_fold, share))
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)  # never unwinds into the caller's stack, nor runs its exit handlers
 
 
 def _aggregate(variant: str, sigma: float | None, reports: list, column: int) -> SweepRow:

@@ -227,13 +227,14 @@ def _flipped(plan_: RelabelPlan, table: DataTable) -> np.ndarray:
     return out
 
 
-def check_plan(plan_: RelabelPlan, tree: FairTree, table: DataTable) -> None:
-    """DataError naming a read plan's first fault, in this order: the tree
-    digest, the table fingerprint, a leaf not of the tree, the rows as
-    ``relabeled_mask`` checks them, then the census: each action's leaf must
-    reach the plan's sigma and be listed once with the census's action and
-    count, its rows ascending and among the leaf's candidates, and no such leaf
-    left out. Any ``count`` candidates are a legal repair, whatever the seed."""
+def check_plan(plan_: RelabelPlan, tree: FairTree, table: DataTable) -> np.ndarray:
+    """The relabeled mask of a read plan that passes, else a DataError naming
+    its first fault, in this order: the tree digest, the table fingerprint, a
+    leaf not of the tree, the rows as ``relabeled_mask`` checks them, then the
+    census: each action's leaf must reach the plan's sigma and be listed once
+    with the census's action and count, its rows ascending and among the leaf's
+    candidates, and no such leaf left out. Any ``count`` candidates are a legal
+    repair, whatever the seed."""
     if plan_.tree_digest != tree.digest:
         raise DataError(f"the plan was built from a different tree (plan {plan_.tree_digest}, tree {tree.digest})")
     _check_table(plan_, table.fingerprint)
@@ -241,7 +242,7 @@ def check_plan(plan_: RelabelPlan, tree: FairTree, table: DataTable) -> None:
     for i, act in enumerate(plan_.actions):
         if act.leaf_id not in leaf_ids:
             raise DataError(f"plan action {i} names leaf {act.leaf_id}, which is not a leaf of the tree")
-    _flipped(plan_, table)
+    mask = _flipped(plan_, table)
     selected = {leaf.leaf_id: leaf for leaf in census(tree, table).leaves if leaf.disc >= plan_.sigma}
     listed: set[int] = set()
     for i, act in enumerate(plan_.actions):
@@ -268,6 +269,7 @@ def check_plan(plan_: RelabelPlan, tree: FairTree, table: DataTable) -> None:
     if left_out:
         raise DataError(f"the plan leaves out leaf {left_out[0]}, whose discrimination reaches its sigma "
                         f"{plan_.sigma}")
+    return mask
 
 
 def apply(plan_: RelabelPlan, table: DataTable) -> DataTable:

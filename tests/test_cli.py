@@ -310,6 +310,28 @@ class TestRelabel:
                    "--from-plan", str(a / "plan.json"), "--out", str(b)) == 0
         assert (a / "relabeled.csv").read_bytes() == (b / "relabeled.csv").read_bytes()
 
+    def test_the_plan_rows_are_checked_once_on_either_path(self, german_csv, built, tmp_path, monkeypatch):
+        # the mask that --from-plan's gate checked is the one written, not a second pass's
+        from fairtree import relabel
+
+        calls = []
+        flipped = relabel._flipped
+
+        def counted(plan_, table):
+            calls.append(plan_.seed)
+            return flipped(plan_, table)
+
+        monkeypatch.setattr(relabel, "_flipped", counted)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--sigma", "0", "--seed", "3", "--out", str(a)) == 0
+        assert calls == [3]
+        assert run("relabel", "--tree", str(built), "--data", str(german_csv),
+                   "--from-plan", str(a / "plan.json"), "--out", str(b)) == 0
+        assert calls == [3, 3]
+        assert (a / "relabeled.csv").read_bytes() == (b / "relabeled.csv").read_bytes()
+        assert (a / "relabeled.schema.txt").read_bytes() == (b / "relabeled.schema.txt").read_bytes()
+
     @pytest.mark.parametrize("option, value", [("--sigma", "1.5"), ("--sigma", "0.5"), ("--seed", "9"),
                                                ("--seed", "42"), ("--seed", "-1")])
     def test_an_option_the_plan_contradicts_exits_2(self, german_csv, built, tmp_path, capsys,
@@ -1283,20 +1305,22 @@ def test_importing_the_cli_loads_neither_eval_nor_relabel():
 
 
 def test_commands_load_only_the_modules_they_use(german_csv, tmp_path):
-    # numpy.ma is loaded by a plain np.unique; relabel needs neither it nor eval
+    # numpy.ma is loaded by a plain np.unique; relabel needs neither it nor eval, and
+    # the sweep's process pool is forked directly, without multiprocessing's imports
     code = (
         "import sys, warnings; from fairtree.cli import main; warnings.simplefilter('ignore'); "
         "code = main(sys.argv[1:]); "
-        "print(code, 'numpy.ma' in sys.modules, 'fairtree.eval' in sys.modules)"
+        "print(code, 'numpy.ma' in sys.modules, 'fairtree.eval' in sys.modules, "
+        "'multiprocessing' in sys.modules or 'concurrent.futures' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     tree = tmp_path / "tree"
     commands = {
-        "build": (["build", "--data", str(german_csv), *SPEC_FLAGS, "--out", str(tree)], "0 False False"),
+        "build": (["build", "--data", str(german_csv), *SPEC_FLAGS, "--out", str(tree)], "0 False False False"),
         "sweep": (["sweep", "--data", str(german_csv), *SPEC_FLAGS, "--folds", "2", "--grid", "0:2:1",
-                   "--epochs", "20", "--out", str(tmp_path / "sweep")], "0 False True"),
+                   "--epochs", "20", "--out", str(tmp_path / "sweep")], "0 False True False"),
         "relabel": (["relabel", "--tree", str(tree / "tree.json"), "--data", str(german_csv),
-                     "--out", str(tmp_path / "rel")], "0 False False"),
+                     "--out", str(tmp_path / "rel")], "0 False False False"),
     }
     for name, (argv, expected) in commands.items():
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,

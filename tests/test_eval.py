@@ -1,3 +1,10 @@
+import faulthandler
+import os
+import threading
+import time
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +14,7 @@ import oracle
 from conftest import toy_table
 from fairtree import eval as ev
 from fairtree.data import group_counts
-from fairtree.errors import ConfigError, DataError
+from fairtree.errors import ConfigError, DataError, IntegrityError, UndefinedMetricError
 from fairtree.eval import (
     SweepResult,
     TrainConfig,
@@ -274,6 +281,7 @@ class TestSweep:
     def test_one_fit_per_fold(self, mini_sweep, monkeypatch):
         small, grid, cfg, result = mini_sweep
         widths = []
+        monkeypatch.setattr(ev, "_pool_size", lambda folds: 1)  # the calls are counted in this process
 
         def counted(table, config=None, labels=None):
             widths.append(labels.shape[1])
@@ -315,6 +323,7 @@ class TestSweep:
     def test_one_metrics_call_per_fold_scores_every_column(self, mini_sweep, monkeypatch):
         small, grid, cfg, result = mini_sweep
         widths = []
+        monkeypatch.setattr(ev, "_pool_size", lambda folds: 1)  # the calls are counted in this process
 
         def counted(labels, preds, groups):
             widths.append(labels.shape[1])
@@ -333,3 +342,169 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + len(result.rows)
         assert lines[0].startswith("sigma,variant,dp_mean")
+
+
+# -- the folds' process pool ------------------------------------------------------
+
+POOL_GRID = [0.0, 0.5, 1.0, 2.0]
+POOL_CFG = TrainConfig(epochs=20, learning_rate=0.2, seed=5)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that ``os.fork`` gave this process; no child may outlive the test,
+    and a test that hangs on its workers is ended after a minute with its stack."""
+    pids, real = [], os.fork
+    faulthandler.dump_traceback_later(60, exit=True)
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    faulthandler.cancel_dump_traceback_later()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pool_of(monkeypatch, w: int) -> None:
+    """Size the pool at ``w`` processes (at most one per fold), whatever the CPUs."""
+    if w > 1 and ev._openblas_threads() is None:
+        pytest.skip("the pool needs OpenBLAS's thread control, which this numpy does not map")
+    monkeypatch.setattr(ev, "_pool_size", lambda folds: min(w, folds))
+
+
+def pool_sweep(table, criterion="kl", folds=4):
+    return sweep(table, criterion, POOL_GRID, seed=11, train_config=POOL_CFG, folds=folds)
+
+
+def fold_of(folds: int) -> dict[int, int]:
+    """Fold index by the seed its fit is given."""
+    return {ev._fold_seed(POOL_CFG.seed, f, 0): f for f in range(folds)}
+
+
+def raised(fn) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn()
+    return info.type, str(info.value)
+
+
+class TestFoldPool:
+    @pytest.mark.parametrize("criterion", ["kl", "euclid"])
+    @pytest.mark.parametrize("folds", [2, 3, 10])
+    def test_pooled_rows_equal_one_process(self, german, monkeypatch, forks, criterion, folds):
+        pool_of(monkeypatch, 1)
+        serial = pool_sweep(german, criterion, folds)
+        assert forks == []
+        for w in (2, 3):
+            pool_of(monkeypatch, w)
+            before = len(forks)
+            assert pool_sweep(german, criterion, folds).rows == serial.rows
+            assert len(forks) - before == min(w, folds) - 1
+
+    @pytest.mark.parametrize("fault", ["diverging", "undefined"])
+    def test_a_failing_fold_raises_as_in_one_process(self, german, monkeypatch, forks, fault):
+        # folds 1 and up fail, so under a pool the lowest failure is a worker's
+        seeds = fold_of(4)
+
+        def faulty(table, config=None, labels=None):
+            f = seeds[config.seed]
+            if f >= 1 and fault == "diverging":
+                config = replace(config, learning_rate=1e308)
+            elif f >= 1:
+                raise UndefinedMetricError(f"no deprived rows in fold {f}")
+            return train_linear(table, config, labels)
+
+        monkeypatch.setattr(ev, "train_linear", faulty)
+        pool_of(monkeypatch, 1)
+        expected = raised(lambda: pool_sweep(german))
+        want = DataError if fault == "diverging" else UndefinedMetricError
+        assert expected[0] is want and ("fold 1" in expected[1] or fault == "diverging")
+        for w in (2, 3):
+            pool_of(monkeypatch, w)
+            assert raised(lambda: pool_sweep(german)) == expected
+        assert len(forks) == 1 + 2
+
+    def test_a_worker_that_dies_is_an_integrity_error(self, german, monkeypatch, forks):
+        caller, seeds = os.getpid(), fold_of(2)
+
+        def dying(table, config=None, labels=None):
+            if os.getpid() != caller and seeds[config.seed] == 1:
+                os._exit(9)
+            return train_linear(table, config, labels)
+
+        monkeypatch.setattr(ev, "train_linear", dying)
+        pool_of(monkeypatch, 2)
+        with pytest.raises(IntegrityError, match=r"folds \[1\] ended by exit status 9 without"):
+            pool_sweep(german, folds=2)
+        assert len(forks) == 1
+
+    def test_an_interrupted_caller_kills_its_workers(self, german, monkeypatch, forks):
+        caller = os.getpid()
+
+        def interrupted(table, config=None, labels=None):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a worker still busy is killed, not waited for
+
+        monkeypatch.setattr(ev, "train_linear", interrupted)
+        pool_of(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            pool_sweep(german, folds=2)
+        assert len(forks) == 1 and time.perf_counter() - start < 30
+
+    def test_openblas_runs_one_thread_in_the_pool_and_its_count_is_restored(self, german, monkeypatch, forks):
+        pool_of(monkeypatch, 2)
+        get, set_ = ev._openblas_threads()
+        before, seen = get(), []
+
+        def counted(table, criterion, *args):
+            seen.append(get())
+            return build(table, criterion, *args)
+
+        monkeypatch.setattr(ev, "build", counted)
+        set_(2)
+        try:
+            pool_sweep(german, folds=2)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1] and len(forks) == 1
+
+    @pytest.mark.parametrize("why", ["no-blas-control", "another-thread"])
+    def test_no_fork_where_a_pool_is_unsafe(self, german, monkeypatch, forks, why):
+        pool_of(monkeypatch, 1)
+        serial = pool_sweep(german, folds=3)
+        pool_of(monkeypatch, 3)
+        if why == "no-blas-control":
+            monkeypatch.setattr(ev, "_openblas_threads", lambda: None)
+            assert pool_sweep(german, folds=3).rows == serial.rows
+        else:
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                assert pool_sweep(german, folds=3).rows == serial.rows
+            finally:
+                stop.set()
+                thread.join()
+        assert forks == []
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_the_multithreaded_fork_warning_is_silenced(self, german, monkeypatch, forks):
+        # Python 3.12+ warns so when OpenBLAS's idle pool is alive; this stands in for it
+        counted = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return counted()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        pool_of(monkeypatch, 2)
+        pool_sweep(german, folds=2)
+        assert len(forks) == 1
