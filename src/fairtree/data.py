@@ -819,11 +819,15 @@ def fit_cut_points(table: DataTable, rule: DiscretizationRule) -> tuple[float, .
         for i in range(1, k):
             r = i * n / k
             j = int(bounds[np.argmin(np.abs(bounds - r))])  # nearest boundary to the rank
-            cuts.append(float(values[j - 1] + values[j]) / 2.0)
+            a, b = float(values[j - 1]), float(values[j])
+            # a float sum that overflows is inf, with no numpy warning; halve first only then
+            cuts.append((a + b) / 2.0 if abs(a + b) <= sys.float_info.max else a / 2.0 + b / 2.0)
     else:
         lo, hi = float(values[0]), float(values[-1])
-        width = (hi - lo) / k
-        cuts = [lo + width * i for i in range(1, k)]
+        if hi - lo <= sys.float_info.max:
+            cuts = [lo + (hi - lo) / k * i for i in range(1, k)]
+        else:  # a range wider than the largest float: weigh the two ends instead
+            cuts = [lo / k * (k - i) + hi / k * i for i in range(1, k)]
     cuts = sorted(set(cuts))
     if len(cuts) + 1 < k:
         warnings.warn(f"column {rule.column!r}: ties reduced bins to {len(cuts) + 1}")

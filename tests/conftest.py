@@ -1,4 +1,6 @@
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from fairtree.data import (
     table_from_columns,
 )
 from fairtree.datasets import make_adult, make_compas, make_german
+
+# scripts/smoke.py's output checks and scenario are imported as ``smoke``
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]

@@ -538,6 +538,25 @@ class TestDiscretize:
         # an infinity bins into the first or last bin
         assert [outcomes[c] for c in d.codes("x")[[3, 5]]] == [outcomes[-2], outcomes[0]]
 
+    @pytest.mark.parametrize("strategy, x, codes", [
+        ("equal-frequency", ["1", "2", "1e308", "1.7976931348623157e308"], [0, 1, 2, 3]),
+        ("equal-width", ["-1.7e308", "0", "1.7e308", "5"], [0, 1, 3, 2]),
+    ])
+    def test_extreme_finite_values_give_finite_increasing_cuts(self, strategy, x, codes):
+        # a midpoint sum or a range past the largest float once made the cuts inf
+        cols = {
+            "x": np.array(x, dtype=object),
+            "grp": np.array(["fav", "dep"] * 2, dtype=object),
+            "cls": np.array(["yes", "no"] * 2, dtype=object),
+        }
+        t = table_from_columns(cols, LabelSpec("cls", "yes", "no"), SensitiveSpec("grp", "fav", "dep"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cuts = fit_cut_points(t, DiscretizationRule("x", strategy, 4))
+            d = discretize_all(t, strategy=strategy, bin_count=4)
+        assert len(cuts) == 3 and all(np.isfinite(cuts)) and list(cuts) == sorted(set(cuts))
+        assert d.schema.spec("x").cut_points == cuts and list(d.codes("x")) == codes
+
     @given(
         values=st.lists(
             st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.5, 2.0, -3.25]),
